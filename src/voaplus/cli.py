@@ -10,9 +10,6 @@ passed, 1 means at least one failed, 2 means the invocation was unusable.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -33,13 +30,10 @@ from .numeric import I, Scalar, telescoping_check, virasoro_character
 from .report import (
     Check,
     Report,
-    encode_value,
     render_json,
     render_text,
-    state_from_terms,
 )
 from .reptheory import (
-    GradedSubspace,
     character_decomposition_suite,
     closure,
     fusion_span,
@@ -201,66 +195,7 @@ def _mode_checks_report(max_weight: int) -> Report:
     return rep
 
 
-def _closure_cached(cache_dir, lattice: int, generators, max_weight: int):
-    if not cache_dir:
-        return closure(lattice, generators, max_weight)
-    key_obj = {
-        "code": __version__,
-        "kind": "closure",
-        "lattice": lattice,
-        "max-weight": max_weight,
-        "generators": [encode_value(g) for g in generators],
-    }
-    key_txt = json.dumps(key_obj, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(key_txt.encode("utf-8")).hexdigest()
-    path = os.path.join(cache_dir, f"closure-{digest}.json")
-    cached = _load_closure_cache(path, key_txt, lattice, max_weight)
-    if cached is not None:
-        return cached
-    sub = closure(lattice, generators, max_weight)
-    body = {
-        "key": key_txt,
-        "dims": sub.dims(),
-        "basis": [
-            [encode_value(b) for b in sub.basis_states(w)] for w in range(max_weight + 1)
-        ],
-    }
-    body_txt = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    payload = {
-        "checksum": hashlib.sha256(body_txt.encode("utf-8")).hexdigest(),
-        "body": body,
-    }
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    return sub
-
-
-def _load_closure_cache(path, key_txt, lattice, max_weight):
-    """A stored graded basis, or None when absent, stale, or corrupted."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        body = payload["body"]
-        body_txt = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(body_txt.encode("utf-8")).hexdigest() != payload["checksum"]:
-            return None
-        if body["key"] != key_txt:
-            return None
-        sub = GradedSubspace(lattice, max_weight)
-        for w, states in enumerate(body["basis"]):
-            for encoded in states:
-                s = state_from_terms(lattice, encoded)
-                if int(s.weight()) != w or sub.insert(s) is None:
-                    return None
-        if sub.dims() != body["dims"]:
-            return None
-        return sub
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _generation_report(lattice: int, max_weight: int, cache_dir=None) -> Report:
+def _generation_report(lattice: int, max_weight: int) -> Report:
     rep = Report("generation", {"lattice": lattice, "max-weight": max_weight})
     W = max_weight
     u4 = rescale_heisenberg_state(lower_u(2), lattice)
@@ -268,7 +203,7 @@ def _generation_report(lattice: int, max_weight: int, cache_dir=None) -> Report:
     om = State.omega(lattice)
 
     plus_dims = [graded_dim(lattice, w, "plus") for w in range(W + 1)]
-    sub = _closure_cached(cache_dir, lattice, [u4, e_sym, om], W)
+    sub = closure(lattice, [u4, e_sym, om], W)
     rep.check(
         f"fixed subspace generated by the weight-4 vector, the symmetric "
         f"exponential and the conformal vector, norm {lattice}",
@@ -278,7 +213,7 @@ def _generation_report(lattice: int, max_weight: int, cache_dir=None) -> Report:
     )
 
     heis_dims = [graded_dim(lattice, w, "pair+:0") for w in range(W + 1)]
-    sub2 = _closure_cached(cache_dir, lattice, [u4, om], W)
+    sub2 = closure(lattice, [u4, om], W)
     rep.check(
         f"even Heisenberg subspace generated by the weight-4 vector and the "
         f"conformal vector, norm {lattice}",
@@ -292,7 +227,7 @@ def _generation_report(lattice: int, max_weight: int, cache_dir=None) -> Report:
         labels = ["virasoro-vacuum-module", "even-heisenberg-space"]
         for w in range(0, 7):
             for idx, s in enumerate(singular_vectors(2, w, "pair+:0")):
-                d = _closure_cached(cache_dir, 2, [om, s], W).dims()
+                d = closure(2, [om, s], W).dims()
                 if d == vac_dims:
                     tag = labels[0]
                 elif d == heis_dims:
@@ -402,7 +337,7 @@ def _symn_report(n_max: int) -> Report:
     return rep
 
 
-def _all_report(seed, cache_dir) -> Report:
+def _all_report(seed) -> Report:
     rep = Report("all", {"profile": "desk"})
     parts = [
         ("characters N=2", lambda: _characters_report(2, 12, 40)),
@@ -410,9 +345,9 @@ def _all_report(seed, cache_dir) -> Report:
         ("characters N=6", lambda: _characters_report(6, 8, 40)),
         ("characters N=10", lambda: _characters_report(10, 8, 40)),
         ("mode-checks", lambda: _mode_checks_report(6)),
-        ("generation N=2", lambda: _generation_report(2, 8, cache_dir)),
-        ("generation N=4", lambda: _generation_report(4, 8, cache_dir)),
-        ("generation N=6", lambda: _generation_report(6, 8, cache_dir)),
+        ("generation N=2", lambda: _generation_report(2, 8)),
+        ("generation N=4", lambda: _generation_report(4, 8)),
+        ("generation N=6", lambda: _generation_report(6, 8)),
         ("fusion 1x1", lambda: _fusion_report(1, 1, 8)),
         ("fusion 2x1", lambda: _fusion_report(2, 1, 8)),
         ("fusion 2x2", lambda: _fusion_report(2, 2, 8)),
@@ -452,9 +387,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="shuffle internal execution order; never affects outcomes",
     )
-    common.add_argument(
-        "--cache", default=None, help="directory for cached closure bases"
-    )
 
     parser = _Parser(prog="voaplus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"voaplus {__version__}")
@@ -476,9 +408,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generation", parents=[common])
     p.add_argument("--lattice", type=_even_lattice, default=2)
     p.add_argument("--max-weight", type=_nonneg, default=8)
-    p.set_defaults(
-        handler=lambda a: _generation_report(a.lattice, a.max_weight, a.cache)
-    )
+    p.set_defaults(handler=lambda a: _generation_report(a.lattice, a.max_weight))
 
     p = sub.add_parser("fusion", parents=[common])
     p.add_argument("--m", type=_positive, default=1)
@@ -501,7 +431,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("all", parents=[common])
     p.add_argument("--profile", choices=("desk",), default="desk")
-    p.set_defaults(handler=lambda a: _all_report(a.seed, a.cache))
+    p.set_defaults(handler=lambda a: _all_report(a.seed))
 
     return parser
 

@@ -1,14 +1,13 @@
 """Module structure tools: singular vectors, mode-closure spans, branching data.
 
 The closure engine is the workhorse: starting from the vacuum and a generator
-list it saturates a graded subspace under all pairwise modes with results in a
-weight window, inserting through reduced echelon bases so membership, spans
-and dimensions are exact.
+list it saturates a graded subspace under the generators' modes with results
+in a weight window, inserting through reduced echelon bases so membership,
+spans and dimensions are exact.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,68 +113,46 @@ class GradedSubspace:
         return True
 
 
-def closure(lattice: int, generators, max_weight: int, schedule: str = "by-weight") -> GradedSubspace:
-    """Smallest graded subspace containing the vacuum and the generators that is
-    closed under every pairwise mode with result weight in [0, max_weight].
+def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
+    """Span of the windowed generator monomials g1_(n1) ... gr_(nr) vacuum.
 
-    Pairs are worked in increasing total weight ("by-weight") or in discovery
-    order ("fifo"); the fixed point is the same and a test asserts it.
+    Starting from the vacuum and the generators, every newly accepted vector v
+    is hit with g_(k) for each generator g and every k whose result weight lies
+    in [0, max_weight].  The subalgebra generated by a set is spanned by such
+    monomials, so every vector found lies in it and the dimensions are lower
+    bounds through max_weight.  Monomials that pass above max_weight on the
+    way down are not followed, so without the conformal vector among the
+    generators the result can fall short of the windowed closure under all
+    pairwise modes.
     """
-    if schedule not in ("by-weight", "fifo"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     W = int(max_weight)
-    sub = GradedSubspace(lattice, W)
-    vecs: list[State] = []
-    weights: list[int] = []
-
-    heap: list = []
-    fifo: deque = deque()
-    counter = 0
-
-    def enqueue(i: int, j: int):
-        nonlocal counter
-        if schedule == "by-weight":
-            heapq.heappush(heap, (weights[i] + weights[j], i, j))
-        else:
-            fifo.append((i, j))
-        counter += 1
-
-    # Pairs are processed with the earlier-inserted vector on the left, plus
-    # the diagonal and the vacuum on the right.  That reaches the same fixed
-    # point as all ordered pairs: right-vacuum pairs make the result stable
-    # under the translation operator, and skew-symmetry writes u_k v as a sum
-    # of translation powers of modes v_k' u with v inserted first.
-    def add(s: State):
-        reduced = sub.insert(s)
-        if reduced is None:
-            return
-        idx = len(vecs)
-        vecs.append(reduced)
-        weights.append(int(reduced.weight()))
-        for other in range(idx + 1):
-            enqueue(other, idx)
-        if idx:
-            enqueue(idx, 0)
-
-    add(State.vacuum(lattice))
+    gens = []
     for g in generators:
         if not g.is_homogeneous() or g.is_zero():
             raise ValueError("closure generators must be nonzero homogeneous states")
         if g.weight() > W:
             raise ValueError("closure generators must have weight within the window")
-        add(g)
+        gens.append((g, int(g.weight())))
+    sub = GradedSubspace(lattice, W)
+    queue: deque = deque()
 
-    while heap or fifo:
-        if schedule == "by-weight":
-            _, i, j = heapq.heappop(heap)
-        else:
-            i, j = fifo.popleft()
-        u, v = vecs[i], vecs[j]
-        total = weights[i] + weights[j]
-        for k in range(total - 1 - W, total):
-            r = mode(u, k, v)
-            if r:
-                add(r)
+    def add(s: State):
+        reduced = sub.insert(s)
+        if reduced is not None:
+            queue.append(reduced)
+
+    add(State.vacuum(lattice))
+    for g, _ in gens:
+        add(g)
+    while queue:
+        v = queue.popleft()
+        wv = int(v.weight())
+        for g, wg in gens:
+            total = wg + wv
+            for k in range(total - 1 - W, total):
+                r = mode(g, k, v)
+                if r:
+                    add(r)
     return sub
 
 

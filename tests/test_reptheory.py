@@ -1,5 +1,6 @@
 """Module engines: closures, singular vectors, couplings, fusion spans."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,51 @@ def test_closure_of_the_conformal_vector_is_the_vacuum_module():
     assert sub.dims() == character_dims(0, 8)
 
 
-def test_closure_monotone_idempotent_and_schedule_independent():
+def _closure_all_pairs(lattice, generators, max_weight):
+    """Oracle: the windowed closure under every pairwise mode of the vectors
+    found, not only the generators' modes.  Quadratic in the span, so small
+    windows only."""
+    W = int(max_weight)
+    sub = GradedSubspace(lattice, W)
+    vecs, weights = [], []
+    queue = deque()
+
+    # Pairs are processed with the earlier-inserted vector on the left, plus
+    # the diagonal and the vacuum on the right.  That reaches the same fixed
+    # point as all ordered pairs: right-vacuum pairs make the result stable
+    # under the translation operator, and skew-symmetry writes u_k v as a sum
+    # of translation powers of modes v_k' u with v inserted first.
+    def add(s):
+        reduced = sub.insert(s)
+        if reduced is None:
+            return
+        idx = len(vecs)
+        vecs.append(reduced)
+        weights.append(int(reduced.weight()))
+        queue.extend((other, idx) for other in range(idx + 1))
+        if idx:
+            queue.append((idx, 0))
+
+    add(State.vacuum(lattice))
+    for g in generators:
+        add(g)
+    while queue:
+        i, j = queue.popleft()
+        total = weights[i] + weights[j]
+        for k in range(total - 1 - W, total):
+            r = mode(vecs[i], k, vecs[j])
+            if r:
+                add(r)
+    return sub
+
+
+def _named_generators(N):
+    J = rescale_heisenberg_state(lower_u(2), N)
+    E = State.of_term(N, 1) + State.of_term(N, -1)
+    return J, E, State.omega(N)
+
+
+def test_closure_monotone_idempotent_and_equal_to_all_pairs():
     om = State.omega(2)
     u4 = lower_u(2)
     small = closure(2, [om], 6)
@@ -56,8 +101,23 @@ def test_closure_monotone_idempotent_and_schedule_independent():
         assert small.dim(w) <= big.dim(w)
     again = closure(2, [b for w in range(7) for b in big.basis_states(w)], 6)
     assert again.same_space(big)
-    fifo = closure(2, [om, u4], 6, schedule="fifo")
-    assert fifo.same_space(big)
+    for N in (2, 4, 6, 8):
+        J, E, om = _named_generators(N)
+        for gens, W in (([J, E, om], 5 if N == 2 else 6), ([J, om], 6), ([om], 6)):
+            got = closure(N, gens, W)
+            assert got.same_space(_closure_all_pairs(N, gens, W)), (N, len(gens), W)
+
+
+def test_generator_action_is_contained_in_all_pairs_without_omega():
+    # Monomials through weights above the window are not followed, so without
+    # the conformal vector generator action can fall short of all pairs.
+    _, E, _ = _named_generators(8)
+    got = closure(8, [E], 6)
+    oracle = _closure_all_pairs(8, [E], 6)
+    assert got.dims() == [1, 0, 1, 1, 4, 4, 6]
+    assert oracle.dims() == [1, 0, 1, 1, 4, 4, 8]
+    for w in range(7):
+        assert all(oracle.contains(b) for b in got.basis_states(w))
 
 
 def test_lower_u_produces_singular_vectors():
