@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
 from .fock import State, form, graded_basis, graded_dim, term_weight, theta, weight_terms
-from .linalg import kernel_basis, rref, solve_columns
+from .linalg import kernel_basis, mat_mul, rref, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
 from . import symn
@@ -371,14 +371,6 @@ def _efixed4_matrix(spec_or_matrix, basis, sub):
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def _mat_mul(A, B):
-    d = len(A)
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(d)), ZERO) for j in range(d)]
-        for i in range(d)
-    ]
-
-
 def _line_permutation(spec) -> tuple:
     """Permutation induced on the three distinguished weight-1 lines."""
     ys = y_basis()
@@ -437,8 +429,8 @@ def sym3_report() -> dict:
 
     # three-cycles as matrix products (E acts trivially here, so products of
     # representatives represent the product cosets)
-    mats["rho"] = _mat_mul(mats["s2"], mats["s1"])  # lines 0->1->2->0
-    mats["rho2"] = _mat_mul(mats["s1"], mats["s2"])
+    mats["rho"] = mat_mul(mats["s2"], mats["s1"])  # lines 0->1->2->0
+    mats["rho2"] = mat_mul(mats["s1"], mats["s2"])
     perms["rho"] = tuple(perms["s2"][perms["s1"][i]] for i in range(3))
     perms["rho2"] = tuple(perms["s1"][perms["s2"][i]] for i in range(3))
     check("three-cycle line action", "line-permutations", (1, 2, 0), perms["rho"])

@@ -87,6 +87,11 @@ def rref(matrix: list) -> tuple:
     return rows[:r], pivots
 
 
+def mat_mul(A: list, B: list) -> list:
+    """Matrix product of row lists A and B."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def kernel_basis(matrix: list, ncols: int, zero, one) -> list:
     """Basis of the right kernel (deterministic, one vector per free column).
 

@@ -8,7 +8,7 @@ cut off below a rational order.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 # exponent bookkeeping: a series exponent e is stored as the integer 24*e
 DEN = 24
@@ -285,21 +285,38 @@ class QSeries:
         return f"{body} + O(q^{self.order})"
 
 
+# p(0), p(1), ...: the partition numbers computed so far.  Extensions build a
+# new list and rebind the name, so a list once handed out never changes.
+_PARTITIONS = [1]
+
+
+def _partition_numbers(n: int) -> list:
+    """A list holding at least p(0)..p(n-1), by Euler's pentagonal recurrence
+
+    p(k) = sum_{j>=1} (-1)^(j+1) [p(k - j(3j-1)/2) + p(k - j(3j+1)/2)].
+    """
+    global _PARTITIONS
+    p = _PARTITIONS
+    if len(p) >= n:
+        return p
+    p = list(p)
+    for k in range(len(p), n):
+        total = 0
+        j = 1
+        while (g := j * (3 * j - 1) // 2) <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p.append(total)
+    _PARTITIONS = p
+    return p
+
+
 def _geometric_inverse_product(order: Fraction) -> QSeries:
-    # prod_{n>=1} 1/(1-q^n) truncated below `order`, honest for any order
-    out = QSeries.one(order) if order > 0 else QSeries.zero(order)
-    if order <= 0:
-        return out
-    n = 1
-    while n < order:
-        geom = {}
-        r = 0
-        while n * r < order:
-            geom[_key(n * r)] = ONE
-            r += 1
-        out = out * QSeries(order, geom)
-        n += 1
-    return out
+    # prod_{n>=1} 1/(1-q^n) = sum p(n) q^n truncated below `order`, honest for any order
+    count = max(0, ceil(order))  # the integers 0 <= n < order
+    p = _partition_numbers(count)
+    return QSeries(order, {n * DEN: p[n] for n in range(count)})
 
 
 def eta(order) -> QSeries:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction
+from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction, virasoro_character
 from .fock import (
     State,
     graded_basis,
@@ -340,7 +340,7 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> dict:
     orders = Fraction(W + 1)
     predicted = QSeries.zero(orders)
     for i in components:
-        predicted = predicted + _virasoro_character_cached(Fraction(i * i), orders)
+        predicted = predicted + virasoro_character(Fraction(i * i), orders)
     per_weight = {}
     all_match = True
     for w in range(W + 1):
@@ -356,20 +356,6 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> dict:
         "per_weight": per_weight,
         "all_match": all_match,
     }
-
-
-_CHAR_CACHE: dict = {}
-
-
-def _virasoro_character_cached(h: Fraction, order: Fraction) -> QSeries:
-    from .numeric import virasoro_character
-
-    key = (h, order)
-    hit = _CHAR_CACHE.get(key)
-    if hit is None:
-        hit = virasoro_character(h, order)
-        _CHAR_CACHE[key] = hit
-    return hit
 
 
 def _counted_character(N: int, constraint: str, order: Fraction) -> QSeries:

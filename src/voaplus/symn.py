@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import kernel_basis, rref
+from .linalg import kernel_basis, mat_mul, rref
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -140,7 +140,7 @@ def char_poly(matrix):
     Bk = [[F1 if i == j else F0 for j in range(d)] for i in range(d)]
     Ak = None
     for k in range(1, d + 1):
-        Ak = _mat_mul(M, Bk) if k > 1 else [row[:] for row in M]
+        Ak = mat_mul(M, Bk) if k > 1 else [row[:] for row in M]
         ck = -sum(Ak[i][i] for i in range(d)) / k
         coeffs[d - k] = ck
         if k < d:
@@ -148,14 +148,6 @@ def char_poly(matrix):
             for i in range(d):
                 Bk[i][i] += ck
     return coeffs
-
-
-def _mat_mul(A, B):
-    d = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
 
 
 def _divisors(k: int):

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from voaplus.linalg import EchelonBasis, kernel_basis, rref, solve_columns
+from voaplus.linalg import EchelonBasis, kernel_basis, mat_mul, rref, solve_columns
 from voaplus.numeric import Scalar
 
 F = Fraction
@@ -57,3 +57,12 @@ def test_solve_columns_exact_solution_and_failure():
     sol = solve_columns(cols, [Scalar(F(1, 2)), Scalar(3), Scalar(F(7, 2))])
     assert sol == [Scalar(F(1, 2)), Scalar(3)]
     assert solve_columns(cols, [Scalar(0), Scalar(0), Scalar(1)]) is None
+
+
+def test_mat_mul_over_gaussian_rationals_and_fractions():
+    i = Scalar(0, 1)
+    got = mat_mul([[i, Scalar(1)], [Scalar(0), i]], [[i, Scalar(0)], [Scalar(2), i]])
+    assert got == [[Scalar(1), i], [Scalar(0, 2), Scalar(-1)]]
+    assert all(isinstance(x, Scalar) for row in got for x in row)
+    got = mat_mul([[F(1, 2), F(1, 3)]], [[F(3)], [F(6)]])  # 1x2 times 2x1
+    assert got == [[F(7, 2)]] and isinstance(got[0][0], Fraction)

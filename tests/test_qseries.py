@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from voaplus import numeric
 from voaplus.fock import partition_count
 from voaplus.numeric import (
+    DEN,
     DecompositionError,
     QSeries,
     QSeriesError,
@@ -20,6 +22,22 @@ from voaplus.numeric import (
 )
 
 ORDER = Fraction(30)
+
+
+def _eta_inverse_by_product(order) -> QSeries:
+    """Oracle: q^(-1/24) prod_{n>=1} 1/(1-q^n), multiplied out factor by factor."""
+    rel = Fraction(order) + Fraction(1, 24)
+    out = QSeries.one(rel)  # the zero series when rel <= 0
+    n = 1
+    while n < rel:
+        geom = {}
+        r = 0
+        while n * r < rel:
+            geom[n * r * DEN] = Scalar(1)
+            r += 1
+        out = out * QSeries(rel, geom)
+        n += 1
+    return out.shift(Fraction(-1, 24))
 
 
 def test_scalar_arithmetic():
@@ -71,9 +89,23 @@ def test_eta_matches_pentagonal_number_theorem():
 
 
 def test_eta_inverse_counts_partitions():
-    inv = eta_inverse(ORDER)
-    for n in range(25):
+    inv = eta_inverse(100)
+    for n in range(100):
         assert inv.coeff(Fraction(n) - Fraction(1, 24)) == Scalar(partition_count(n))
+
+
+def test_eta_inverse_equals_product():
+    # orders k/24 from -49/24 to 14: negative, zero, fractional and integer
+    for k in range(-49, 14 * DEN + 1, 7):
+        order = Fraction(k, DEN)
+        assert eta_inverse(order) == _eta_inverse_by_product(order), order
+
+
+def test_eta_inverse_independent_of_table_growth(monkeypatch):
+    monkeypatch.setattr(numeric, "_PARTITIONS", [1])
+    fresh = eta_inverse(5)
+    assert eta_inverse(40) == _eta_inverse_by_product(40)  # table grown in two steps
+    assert eta_inverse(5) == fresh
 
 
 def test_eta_times_inverse_is_one():
