@@ -214,12 +214,14 @@ def check_automorphism(spec: AutomorphismSpec, max_weight: int) -> dict:
     For all basis states u, v of weight <= max_weight and every mode index
     whose result weight stays in range, the image of u_k v must equal
     (image u)_k (image v); the conformal vector and the vacuum must be fixed.
-    Returns per-weight-pair rows and an overall flag.
+    Returns per-weight-pair rows, an overall flag, and a witness: None when
+    every weight pair passes, else the first failing (u, v, k, lhs - rhs).
     """
     N = spec.lattice
     W = int(max_weight)
     rows = []
     ok_all = True
+    witness = None
     vac = State.vacuum(N)
     om = State.omega(N)
     fixed_vac = apply(spec, vac) == vac
@@ -244,6 +246,8 @@ def check_automorphism(spec: AutomorphismSpec, max_weight: int) -> dict:
                         rhs = mode(gu, k, gv)
                         if lhs != rhs:
                             good = False
+                            if witness is None:
+                                witness = (u, v, k, lhs - rhs)
                             break
                     if not good:
                         break
@@ -251,7 +255,7 @@ def check_automorphism(spec: AutomorphismSpec, max_weight: int) -> dict:
                     break
             rows.append({"pair": (wu, wv), "ok": good})
             ok_all = ok_all and good
-    return {"rows": rows, "ok": ok_all}
+    return {"rows": rows, "ok": ok_all, "witness": witness}
 
 
 def y_basis():

@@ -82,6 +82,22 @@ def _positive(text: str) -> int:
     return n
 
 
+# Ceilings on --max-weight for the subcommands that sweep modes over whole
+# graded bases; the cost at each ceiling is stated in the README.
+MODE_CHECKS_MAX_WEIGHT = 12
+AUT_MAX_WEIGHT = 7
+
+
+def _at_most(ceiling: int):
+    def parse(text: str) -> int:
+        n = _nonneg(text)
+        if n > ceiling:
+            raise argparse.ArgumentTypeError(f"value must be at most {ceiling}")
+        return n
+
+    return parse
+
+
 def _virasoro_dims(h, max_weight: int) -> list:
     ch = virasoro_character(Fraction(h), Fraction(max_weight + 1))
     out = []
@@ -402,7 +418,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("mode-checks", parents=[common])
-    p.add_argument("--max-weight", type=_nonneg, default=6)
+    p.add_argument("--max-weight", type=_at_most(MODE_CHECKS_MAX_WEIGHT), default=6)
     p.set_defaults(handler=lambda a: _mode_checks_report(a.max_weight))
 
     p = sub.add_parser("generation", parents=[common])
@@ -422,7 +438,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("aut", parents=[common])
     p.add_argument("--case", choices=("theta", "torus", "n4"), required=True)
-    p.add_argument("--max-weight", type=_nonneg, default=5)
+    p.add_argument("--max-weight", type=_at_most(AUT_MAX_WEIGHT), default=5)
     p.set_defaults(handler=lambda a: _aut_report(a.case, a.max_weight))
 
     p = sub.add_parser("symn", parents=[common])

@@ -13,6 +13,11 @@ Conventions, fixed once here:
     C(n+j-1, j-1) g(n) attached at z^(-n-j).
   * Binomials use the polynomial extension C(x,r) = x(x-1)...(x-r+1)/r! for
     every integer x; no table lookups, no special-casing of negatives.
+  * Term modes are integer numerators over w_out!, w_out the weight of the
+    result: the creation exponential contributes a^len(nu)/z_nu, and w!/z_nu
+    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` scales its
+    arguments to Gaussian integers over one denominator each, accumulates
+    integer pairs, and divides once per output term.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -22,10 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, lcm
 
 from .numeric import Scalar
-from .fock import State, partitions, term_weight
+from .fock import State, partitions
 
 __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
 
@@ -55,13 +60,6 @@ def _merge_parts(*part_groups) -> tuple:
     return tuple(merged)
 
 
-def _falling(c: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= c - i
-    return out
-
-
 _MODE_CACHE: dict = {}
 
 
@@ -70,22 +68,26 @@ def clear_mode_cache():
 
 
 def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
-    """Mode k of the pure sector-a vector on the term (m, mu)."""
+    """Mode k of the pure sector-a vector on the term (m, mu), over w_out!."""
     out: dict = {}
     base_power = a * m * N
+    w_out = -k - 1 + (a * a + m * m) * N // 2 + sum(mu)
+    if w_out < 0:
+        return out
+    scale = factorial(w_out)
     mu_ms = _multiset(mu)
     parts_list = sorted(mu_ms)
     ranges = [range(mu_ms[p] + 1) for p in parts_list]
     for removal in iter_product(*ranges):
-        ann = Fraction(1)
+        ann = 1
         removed_weight = 0
         for p, r in zip(parts_list, removal):
             if r == 0:
                 continue
             # (-a/p)^r/r! from the exponential, (pN)^r falling(c,r) from g(p)^r;
-            # the p-powers cancel
+            # the p-powers cancel and falling(c,r)/r! is a binomial
             removed_weight += p * r
-            ann *= Fraction(((-a) * N) ** r * _falling(mu_ms[p], r), factorial(r))
+            ann *= ((-a) * N) ** r * poly_binom(mu_ms[p], r)
         if not ann:
             continue
         need = -k - 1 - base_power + removed_weight
@@ -95,18 +97,21 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
         for p, r in zip(parts_list, removal):
             kept.extend([p] * (mu_ms[p] - r))
         for nu in partitions(need):
-            cre = Fraction(1)
+            # creation factor a^len(nu)/z_nu; w_out!/z_nu is an integer
+            # because need <= w_out and need!/z_nu is a class size
+            z_nu = 1
             for n, s in _multiset(nu).items():
-                cre *= Fraction(a, n) ** s / factorial(s)
+                z_nu *= n**s * factorial(s)
             term = (m + a, _merge_parts(kept, nu))
-            coeff = ann * cre
-            if coeff:
-                out[term] = out.get(term, 0) + coeff
+            out[term] = out.get(term, 0) + ann * a ** len(nu) * (scale // z_nu)
     return {t: c for t, c in out.items() if c}
 
 
 def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
-    """Mode k of the single term (a, lam) applied to the single term (m, mu)."""
+    """Mode k of the single term (a, lam) applied to the single term (m, mu).
+
+    Integer numerators over w_out!, w_out the weight of the result.
+    """
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
     if hit is not None:
@@ -127,7 +132,8 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
         if coeff:
             out[term] = out.get(term, 0) + coeff
 
-    # annihilation side: g(n), n >= 0, acts on (m, mu) first
+    # annihilation side: g(n), n >= 0, acts on (m, mu) first; the inner
+    # result already has weight w_out, so it shares the denominator
     ann_indices = [0] if m != 0 else []
     ann_indices.extend(sorted(set(mu)))
     for n in ann_indices:
@@ -148,21 +154,33 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
         for t, c in inner.items():
             acc(t, c * factor)
 
-    # creation side: g(-t), t >= 1, applied after the inner mode
-    wt_inner = term_weight(N, (a, rest)) + term_weight(N, (m, mu))
-    t_max = wt_inner + j - 1 - k  # inner result weight must stay nonnegative
-    t = 1
-    while t <= t_max:
+    # creation side: g(-t), t >= 1, applied after the inner mode, whose
+    # result has weight w_out - t and is lifted by w_out!/(w_out - t)!
+    w_out = (a * a + m * m) * N // 2 + sum(rest) + sum(mu) + j - 1 - k
+    lift = 1
+    for t in range(1, w_out + 1):  # inner result weight stays nonnegative
+        lift *= w_out - t + 1
         c_field = sign * poly_binom(j - 1 - t, j - 1)
         if c_field:
             inner = _term_mode(N, a, rest, k + t - j, m, mu)
+            factor = c_field * lift
             for (mm, ll), c in inner.items():
-                acc((mm, _merge_parts(ll, (t,))), c * c_field)
-        t += 1
+                acc((mm, _merge_parts(ll, (t,))), c * factor)
 
     result = {t: c for t, c in out.items() if c}
     _MODE_CACHE[key] = result
     return result
+
+
+def _scaled(s: State) -> tuple:
+    """(d, {term: (re, im)}): the coefficients of s as Gaussian integers over d."""
+    d = 1
+    for c in s.terms.values():
+        d = lcm(d, c.re.denominator, c.im.denominator)
+    return d, {
+        t: (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
+        for t, c in s.terms.items()
+    }
 
 
 def mode(v: State, k: int, w: State) -> State:
@@ -180,22 +198,23 @@ def mode(v: State, k: int, w: State) -> State:
     if not v.is_homogeneous():
         raise ValueError("mode requires a homogeneous first argument")
     N = v.lattice
-    zero = Fraction(0)
+    dv, v_int = _scaled(v)
+    dw, w_int = _scaled(w)
     acc: dict = {}
-    for (a, lam), cv in v.terms.items():
-        for (m, mu), cw in w.terms.items():
+    for (a, lam), (vr, vi) in v_int.items():
+        for (m, mu), (wr, wi) in w_int.items():
             sub = _term_mode(N, a, lam, k, m, mu)
             if not sub:
                 continue
-            cc = cv * cw
-            ccr, cci = cc.re, cc.im
+            ccr, cci = vr * wr - vi * wi, vr * wi + vi * wr
             for t, c in sub.items():
-                pr, pi = acc.get(t, (zero, zero))
+                pr, pi = acc.get(t, (0, 0))
                 acc[t] = (pr + ccr * c, pi + cci * c)
     out = {}
-    for t, (r, i) in acc.items():
+    for (mm, ll), (r, i) in acc.items():
         if r or i:
-            out[t] = Scalar(r, i)
+            d = dv * dw * factorial(mm * mm * N // 2 + sum(ll))
+            out[(mm, ll)] = Scalar(Fraction(r, d), Fraction(i, d))
     return State(N, out)
 
 

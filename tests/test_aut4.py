@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from voaplus import aut4
 from voaplus.aut4 import (
     AutomorphismSpec,
     SpectralError,
@@ -26,7 +27,7 @@ from voaplus.aut4 import (
 from voaplus.fock import State, graded_basis, graded_dim
 from voaplus.numeric import I, Scalar
 from voaplus.reptheory import GradedSubspace
-from voaplus.vertex import bracket
+from voaplus.vertex import bracket, mode
 
 ALPHA = State.of_term(2, 0, (1,))
 XP = State.of_term(2, 1)
@@ -90,6 +91,23 @@ def test_mode_compatibility_of_the_primitive_kinds():
     assert check_automorphism(theta_spec(2), 3)["ok"] is True
     assert check_automorphism(torus_spec(2, Scalar(3)), 2)["ok"] is True
     assert check_automorphism(phase_spec(2, Fraction(1, 2)), 2)["ok"] is True
+    assert check_automorphism(theta_spec(2), 2)["witness"] is None
+
+
+def test_failing_automorphism_check_carries_a_witness(monkeypatch):
+    # the sector flip without the (-1)^(number of parts) sign is no automorphism
+    def flip(s):
+        return State(s.lattice, {(-m, lam): c for (m, lam), c in s.terms.items()})
+
+    monkeypatch.setattr(aut4, "theta", flip)
+    spec = theta_spec(2)
+    result = check_automorphism(spec, 2)
+    assert result["ok"] is False
+    u, v, k, diff = result["witness"]
+    assert diff
+    assert diff == apply(spec, mode(u, k, v)) - mode(apply(spec, u), k, apply(spec, v))
+    first_failing = next(row["pair"] for row in result["rows"] if not row["ok"])
+    assert first_failing == (u.weight(), v.weight())
 
 
 def test_y_basis_cyclic_brackets():

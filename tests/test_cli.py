@@ -40,6 +40,24 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (["mode-checks", "--max-weight"], cli.MODE_CHECKS_MAX_WEIGHT),
+        (["aut", "--case", "theta", "--max-weight"], cli.AUT_MAX_WEIGHT),
+    ],
+)
+def test_mode_engine_weight_ceiling_refused_exit_2(argv, ceiling, capsys):
+    # the desk battery's weights stay inside the ceilings
+    assert ceiling >= 6
+    args = cli._build_parser().parse_args(argv + [str(ceiling)])
+    assert args.max_weight == ceiling  # parsed only; running it would cost seconds
+    code, rep = run_cli(argv + [str(ceiling + 1)])
+    assert code == 2
+    assert rep is None
+    assert f"at most {ceiling}" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

@@ -1,13 +1,158 @@
 """Mode engine: operator identities that pin down every sign and coefficient."""
 
 from fractions import Fraction
+from itertools import product as iter_product
 from math import factorial
 
-from voaplus.fock import State, graded_basis, heisenberg
+from voaplus import vertex
+from voaplus.fock import State, graded_basis, heisenberg, partitions, term_weight
 from voaplus.numeric import Scalar
 from voaplus.vertex import bracket, mode, poly_binom, virasoro
 
 ZERO2 = State(2, {})
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Fraction kernel the integer kernel replaced, kept verbatim in
+# substance (every structure constant a Fraction, renormalised on every sum)
+
+
+def _multiset(lam):
+    out = {}
+    for p in lam:
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def _falling(c, r):
+    out = 1
+    for i in range(r):
+        out *= c - i
+    return out
+
+
+def _lattice_term_mode_by_fractions(N, a, k, m, mu):
+    out = {}
+    mu_ms = _multiset(mu)
+    parts_list = sorted(mu_ms)
+    for removal in iter_product(*[range(mu_ms[p] + 1) for p in parts_list]):
+        ann = Fraction(1)
+        removed_weight = 0
+        for p, r in zip(parts_list, removal):
+            if r:
+                removed_weight += p * r
+                ann *= Fraction(((-a) * N) ** r * _falling(mu_ms[p], r), factorial(r))
+        if not ann:
+            continue
+        need = -k - 1 - a * m * N + removed_weight
+        if need < 0 or (a == 0 and need > 0):
+            continue
+        kept = []
+        for p, r in zip(parts_list, removal):
+            kept.extend([p] * (mu_ms[p] - r))
+        for nu in partitions(need):
+            cre = Fraction(1)
+            for n, s in _multiset(nu).items():
+                cre *= Fraction(a, n) ** s / factorial(s)
+            term = (m + a, tuple(sorted(kept + list(nu), reverse=True)))
+            out[term] = out.get(term, 0) + ann * cre
+    return {t: c for t, c in out.items() if c}
+
+
+def _term_mode_by_fractions(N, a, lam, k, m, mu, cache):
+    key = (N, a, lam, k, m, mu)
+    if key in cache:
+        return cache[key]
+    if not lam:
+        cache[key] = _lattice_term_mode_by_fractions(N, a, k, m, mu)
+        return cache[key]
+    j, rest = lam[0], lam[1:]
+    out = {}
+    sign = -1 if (j - 1) % 2 else 1
+    ann_indices = ([0] if m != 0 else []) + sorted(set(mu))
+    for n in ann_indices:
+        c_field = sign * poly_binom(n + j - 1, j - 1)
+        if not c_field:
+            continue
+        if n == 0:
+            hscale, operand = m * N, (m, mu)
+        else:
+            lst = list(mu)
+            lst.remove(n)
+            hscale, operand = mu.count(n) * n * N, (m, tuple(lst))
+        inner = _term_mode_by_fractions(N, a, rest, k - n - j, *operand, cache)
+        for t, c in inner.items():
+            out[t] = out.get(t, 0) + c * c_field * hscale
+    t_max = term_weight(N, (a, rest)) + term_weight(N, (m, mu)) + j - 1 - k
+    t = 1
+    while t <= t_max:
+        c_field = sign * poly_binom(j - 1 - t, j - 1)
+        if c_field:
+            inner = _term_mode_by_fractions(N, a, rest, k + t - j, m, mu, cache)
+            for (mm, ll), c in inner.items():
+                term = (mm, tuple(sorted(ll + (t,), reverse=True)))
+                out[term] = out.get(term, 0) + c * c_field
+        t += 1
+    cache[key] = {t: c for t, c in out.items() if c}
+    return cache[key]
+
+
+def _mode_by_fractions(v, k, w, cache=None):
+    """mode(v, k, w) with every coefficient a Fraction: the test oracle."""
+    cache = {} if cache is None else cache
+    acc = {}
+    for (a, lam), cv in v.terms.items():
+        for (m, mu), cw in w.terms.items():
+            cc = cv * cw
+            for t, c in _term_mode_by_fractions(v.lattice, a, lam, k, m, mu, cache).items():
+                acc[t] = acc.get(t, Scalar(0)) + cc * c
+    return State(v.lattice, acc)
+
+
+def test_integer_kernel_matches_the_fraction_oracle():
+    coeffs = [Scalar(1), Scalar(Fraction(-2, 3)), Scalar(Fraction(1, 2), Fraction(3, 5)),
+              Scalar(0, Fraction(-7, 4))]
+    for N in (2, 4, 6, 8):
+        cache = {}
+        pools = {w: graded_basis(N, w, "full") for w in range(4)}
+        us = [State.omega(N)]
+        for w in range(4):
+            combo = State(N, {})
+            for i, b in enumerate(pools[w]):
+                us.append(b)
+                combo = combo + b * coeffs[i % len(coeffs)]
+            if combo:
+                us.append(combo)
+        vs = []
+        for w1, w2 in ((0, 2), (1, 3), (2, 3)):
+            for i, (b1, b2) in enumerate(zip(pools[w1], pools[w2][1:] + pools[w2][:1])):
+                vs.append(b1 * coeffs[i % 4] + b2 * coeffs[(i + 1) % 4])
+        checked = 0
+        for u in us:
+            wu = int(u.weight())
+            for v in vs:
+                wmax = max(int(term_weight(N, t)) for t in v.terms)
+                for k in range(-3, wu + wmax + 1):
+                    assert mode(u, k, v) == _mode_by_fractions(u, k, v, cache)
+                    checked += 1
+        assert checked > 200
+
+
+def test_term_mode_returns_integers_over_the_result_weight_factorial():
+    vertex.clear_mode_cache()
+    om = State.omega(4)
+    v = State.of_term(4, 1, (2, 1)) + State.of_term(4, -1, (1,))
+    for k in range(-2, 6):
+        mode(om, k, v)
+        mode(State.of_term(4, 1, (2, 1)), k, v)
+    assert vertex._MODE_CACHE
+    for (N, a, lam, k, m, mu), result in vertex._MODE_CACHE.items():
+        w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
+        oracle = _term_mode_by_fractions(N, a, lam, k, m, mu, {})
+        assert set(result) == set(oracle)
+        for t, c in result.items():
+            assert type(c) is int
+            assert Fraction(c, factorial(w_out)) == oracle[t]
 
 
 def test_poly_binom_handles_negative_upper_index():
