@@ -82,15 +82,20 @@ def _positive(text: str) -> int:
     return n
 
 
-# Ceilings on --max-weight for the subcommands that sweep modes over whole
-# graded bases; the cost at each ceiling is stated in the README.
+# Ceilings on the size flags of the subcommands that sweep modes over whole
+# graded bases, on the weight of the four-group fixed-space check, and on the
+# invariant-algebra family; the cost at each ceiling is stated in the README.
 MODE_CHECKS_MAX_WEIGHT = 12
 AUT_MAX_WEIGHT = 7
+AUT_N4_MAX_WEIGHT = 6
+SYMN_MAX_N = 12
 
 
-def _at_most(ceiling: int):
+def _at_most(ceiling: int, floor: int = 0):
     def parse(text: str) -> int:
         n = _nonneg(text)
+        if n < floor:
+            raise argparse.ArgumentTypeError(f"value must be at least {floor}")
         if n > ceiling:
             raise argparse.ArgumentTypeError(f"value must be at most {ceiling}")
         return n
@@ -152,19 +157,28 @@ def _mode_checks_report(max_weight: int) -> Report:
     for p in range(-3, 4):
         for q in range(p + 1, 4):
             central = Fraction(p**3 - p, 12) if p + q == 0 else Fraction(0)
-            defects = 0
+            defects = []
             for b in flat:
                 lhs = virasoro(p, virasoro(q, b)) - virasoro(q, virasoro(p, b))
                 rhs = (p - q) * virasoro(p + q, b)
                 if central:
                     rhs = rhs + b * central
                 if lhs != rhs:
-                    defects += 1
+                    defects.append((b, lhs - rhs))
+            # a failing row names its first defective basis state
+            actual = 0
+            if defects:
+                b, diff = defects[0]
+                actual = {
+                    "defects": len(defects),
+                    "first-defective-state": b,
+                    "lhs-minus-rhs": diff,
+                }
             rep.check(
                 f"central-charge-one bracket p={p} q={q} on states of weight <= {max_weight}",
                 "virasoro-relations",
                 0,
-                defects,
+                actual,
             )
 
     pool = bases.get(2, []) + bases.get(3, [])
@@ -325,9 +339,11 @@ def _aut_report(case: str, max_weight: int) -> Report:
             )
         return rep
     # case == "n4"
+    if max_weight > AUT_N4_MAX_WEIGHT:
+        raise _UsageError(f"--max-weight for --case n4 must be at most {AUT_N4_MAX_WEIGHT}")
     res = sym3_report()
     rep.add_rows(res["rows"])
-    fixed = e_fixed_check(min(max_weight, 6))
+    fixed = e_fixed_check(max_weight)
     for row in fixed["rows"]:
         rep.check(
             f"four-group fixed space at weight {row['weight']}",
@@ -442,7 +458,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=lambda a: _aut_report(a.case, a.max_weight))
 
     p = sub.add_parser("symn", parents=[common])
-    p.add_argument("--n", type=_positive, default=8)
+    p.add_argument("--n", type=_at_most(SYMN_MAX_N, floor=3), default=8)
     p.set_defaults(handler=lambda a: _symn_report(a.n))
 
     p = sub.add_parser("all", parents=[common])
@@ -457,8 +473,6 @@ def run(argv) -> tuple:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "n", None) is not None and args.command == "symn" and args.n < 3:
-            raise _UsageError("--n must be at least 3")
         rep = args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

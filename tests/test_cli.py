@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import voaplus.cli as cli
-from voaplus.report import parse_report
+from voaplus.fock import graded_basis
+from voaplus.report import parse_report, render_json
 
 
 def run_cli(argv):
@@ -58,6 +60,36 @@ def test_mode_engine_weight_ceiling_refused_exit_2(argv, ceiling, capsys):
     assert f"at most {ceiling}" in capsys.readouterr().err
 
 
+def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
+    # the fixed-space check receives the requested weight, never a clamped one
+    ceiling = cli.AUT_N4_MAX_WEIGHT
+    assert ceiling == 6  # the desk battery's n4 weight
+    seen = []
+    monkeypatch.setattr(cli, "sym3_report", lambda: {"rows": []})
+    monkeypatch.setattr(cli, "e_fixed_check", lambda w: seen.append(w) or {"rows": []})
+    code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling)])
+    assert code == 0
+    assert rep.parameters["max-weight"] == ceiling
+    assert seen == [ceiling]
+    capsys.readouterr()
+    code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling + 1)])
+    assert code == 2
+    assert rep is None
+    assert seen == [ceiling]
+    assert f"at most {ceiling}" in capsys.readouterr().err
+
+
+def test_symn_size_ceiling_refused_exit_2(capsys):
+    ceiling = cli.SYMN_MAX_N
+    assert ceiling >= 8  # the desk battery's n
+    args = cli._build_parser().parse_args(["symn", "--n", str(ceiling)])
+    assert args.n == ceiling  # parsed only; running it would cost seconds
+    code, rep = run_cli(["symn", "--n", str(ceiling + 1)])
+    assert code == 2
+    assert rep is None
+    assert f"at most {ceiling}" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
@@ -84,6 +116,48 @@ def test_injected_failure_exits_1(monkeypatch, capsys):
     assert code == 1
     assert rep.status == "fail"
     assert len(rep.failures()) == 4  # the four telescoping rows
+
+
+def test_virasoro_rows_name_their_first_defective_state(monkeypatch):
+    # L(0) shifted by one on weight 2 breaks the rows with p, q or p + q zero
+    real = cli.virasoro
+
+    def broken(p, s):
+        out = real(p, s)
+        if p == 0 and s and s.is_homogeneous() and s.weight() == 2:
+            out = out + s
+        return out
+
+    def defect(p, q, b):
+        lhs = broken(p, broken(q, b)) - broken(q, broken(p, b))
+        rhs = (p - q) * broken(p + q, b)
+        if p + q == 0:
+            rhs = rhs + b * Fraction(p**3 - p, 12)
+        return lhs - rhs
+
+    monkeypatch.setattr(cli, "virasoro", broken)
+    max_weight = 2
+    rep = cli._mode_checks_report(max_weight)
+    rows = [c for c in rep.checks if c.location == "virasoro-relations"]
+    pairs = [(p, q) for p in range(-3, 4) for q in range(p + 1, 4)]
+    assert len(rows) == len(pairs)
+    flat = [b for w in range(max_weight + 1) for b in graded_basis(2, w, "full")]
+    failed = 0
+    for (p, q), row in zip(pairs, rows):
+        defects = [b for b in flat if defect(p, q, b)]
+        if not defects:
+            assert row.status == "pass" and row.actual == 0
+            continue
+        failed += 1
+        assert row.status == "fail"
+        assert row.actual == {
+            "defects": len(defects),
+            "first-defective-state": defects[0],
+            "lhs-minus-rhs": defect(p, q, defects[0]),
+        }
+    assert 0 < failed < len(pairs)
+    text = render_json(rep)  # the witness serializes
+    assert '"first-defective-state"' in text
 
 
 def test_json_report_parses_and_is_deterministic(tmp_path):

@@ -1,11 +1,43 @@
 """Exact linear algebra: echelon bases, rref, kernels, column solves."""
 
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
-from voaplus.linalg import EchelonBasis, kernel_basis, mat_mul, rref, solve_columns
-from voaplus.numeric import Scalar
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from voaplus import linalg
+from voaplus.linalg import EchelonBasis, kernel_basis, mat_mul, rank, rref, solve_columns
+from voaplus.numeric import ONE, ZERO, Scalar
 
 F = Fraction
+
+
+def _rref_by_fractions(matrix: list) -> tuple:
+    """The field Gauss-Jordan that the integer kernel replaced (test oracle)."""
+    if not matrix:
+        return [], []
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col]
+        rows[r] = [c / inv for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
 
 
 def test_echelon_basis_rank_membership_and_determinism():
@@ -66,3 +98,107 @@ def test_mat_mul_over_gaussian_rationals_and_fractions():
     assert all(isinstance(x, Scalar) for row in got for x in row)
     got = mat_mul([[F(1, 2), F(1, 3)]], [[F(3)], [F(6)]])  # 1x2 times 2x1
     assert got == [[F(7, 2)]] and isinstance(got[0][0], Fraction)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the field oracle
+
+_small = st.integers(-6, 6)
+_large = st.integers(-(10**30), 10**30)
+_den = st.one_of(st.integers(1, 12), st.sampled_from((2**61 - 1, 10**18 + 9, 3**40)))
+_rational = st.one_of(
+    st.just(F(0)),
+    st.builds(F, _small, _den),
+    st.builds(F, _large, _den),
+)
+_gaussian = st.builds(Scalar, _rational, st.one_of(st.just(F(0)), _rational))
+
+
+@st.composite
+def _matrices(draw, entry, zero):
+    """Matrices with zero rows, repeated and scaled rows, sums of rows, and
+    fresh rows, in every shape up to 7 x 6 (zero rows: the empty matrix)."""
+    ncols = draw(st.integers(1, 6))
+    fresh = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(fresh, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        how = draw(st.sampled_from(("fresh", "zero", "copy", "scaled", "sum")))
+        if how == "fresh" or (how != "zero" and not base):
+            rows.append(draw(fresh))
+        elif how == "zero":
+            rows.append([zero] * ncols)
+        elif how == "copy":
+            rows.append(list(draw(st.sampled_from(base))))
+        elif how == "scaled":
+            c = draw(entry.filter(bool))
+            rows.append([c * x for x in draw(st.sampled_from(base))])
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            rows.append([x + y for x, y in zip(a, b)])
+    return rows
+
+
+def _assert_matches_oracle(matrix, field, zero, one):
+    rows, pivots = rref(matrix)
+    want_rows, want_pivots = _rref_by_fractions(matrix)
+    assert pivots == want_pivots
+    assert rows == want_rows
+    assert all(type(x) is field for row in rows for x in row)
+    assert rank(matrix) == len(want_pivots)
+
+    # the integer rows under the final division: primitive, nonzero at their
+    # own pivot and zero at every other one
+    int_rows, int_pivots = linalg._eliminate(matrix)
+    assert int_pivots == want_pivots
+    for (re, im), col in zip(int_rows, int_pivots):
+        im = im if im is not None else [0] * len(re)
+        assert all(type(x) is int for x in re + im)
+        assert gcd(*re, *im) == 1
+        assert re[col] or im[col]
+        assert not any(re[c] or im[c] for c in int_pivots if c != col)
+
+    ncols = len(matrix[0]) if matrix else 3
+    target = [sum((r[i] for r in matrix[:2]), zero) for i in range(ncols)]
+    targets = [target, [one] + [zero] * (ncols - 1)]
+    with mock.patch.object(linalg, "rref", _rref_by_fractions):
+        want_kernel = kernel_basis(matrix, ncols, zero, one)
+        want_solutions = [solve_columns(matrix, t) for t in targets]
+    kernel = kernel_basis(matrix, ncols, zero, one)
+    assert kernel == want_kernel
+    assert all(type(x) is field for vec in kernel for x in vec)
+    for t, want in zip(targets, want_solutions):
+        got = solve_columns(matrix, t)
+        assert got == want
+        assert got is None or all(type(x) is field for x in got)
+    if matrix[:2]:
+        assert want_solutions[0] is not None  # a sum of columns is solvable
+
+
+_KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@_KERNEL
+@given(matrix=_matrices(_rational, F(0)))
+@example(matrix=[])
+@example(matrix=[[F(0)] * 4] * 3)  # rank 0
+@example(matrix=[[F(int(i == j)) for j in range(4)] for i in range(4)])  # full rank
+@example(matrix=[[F(1, 2**61 - 1), F(3, 10**18 + 9)], [F(5, 7), F(-2, 3**40)]])
+def test_integer_kernel_matches_the_oracle_over_fractions(matrix):
+    _assert_matches_oracle(matrix, Fraction, F(0), F(1))
+
+
+@_KERNEL
+@given(matrix=_matrices(_gaussian, ZERO))
+@example(matrix=[])
+@example(matrix=[[ZERO] * 3] * 2)  # rank 0
+@example(matrix=[[Scalar(0, 1), ONE], [Scalar(2), Scalar(0, -2)]])  # a pivot i
+@example(matrix=[[Scalar(F(1, 3), F(2, 5)), Scalar(1, 1)], [Scalar(3, -1), Scalar(0, F(1, 7))]])
+def test_integer_kernel_matches_the_oracle_over_gaussian_rationals(matrix):
+    _assert_matches_oracle(matrix, Scalar, ZERO, ONE)
+
+
+def test_rank_takes_integer_rows():
+    assert rank([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
+    assert rank([[0, 1], [1, 0], [1, 1]]) == 2
+    assert rank([]) == 0

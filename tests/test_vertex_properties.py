@@ -3,7 +3,9 @@
 States are Gaussian-rational combinations of basis states of one weight <= 3
 on the lattices N = 2, 4, 6, 8.  Runs are derandomized, so every run checks
 the same cases; the landmark states of the hand-checked tests are explicit
-examples.
+examples.  The identities: the commutator formula, skew-symmetry, the
+Virasoro relations, and compatibility of torus scalings and sector phases
+with every mode.
 """
 
 from fractions import Fraction
@@ -12,8 +14,9 @@ from math import factorial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from voaplus.aut4 import apply, phase_spec, torus_spec
 from voaplus.fock import State, graded_basis
-from voaplus.numeric import Scalar
+from voaplus.numeric import I, Scalar
 from voaplus.vertex import mode, poly_binom, virasoro
 
 LATTICES = (2, 4, 6, 8)
@@ -99,3 +102,25 @@ def test_virasoro_relations(states, p, q):
         rhs = rhs + b * Fraction(p**3 - p, 12)
     assert lhs == rhs
 
+
+
+# torus scalings c^m on sector m, and sector phases i^(s*m) for s = 1, 2, 3
+_AUTOMORPHISMS = {
+    "torus c=2": lambda N: torus_spec(N, 2),
+    "torus c=-1": lambda N: torus_spec(N, -1),
+    "torus c=i": lambda N: torus_spec(N, I),
+    "phase i^1": lambda N: phase_spec(N, Fraction(1, 2 * N)),
+    "phase i^2": lambda N: phase_spec(N, Fraction(2, 2 * N)),
+    "phase i^3": lambda N: phase_spec(N, Fraction(3, 2 * N)),
+}
+
+
+@_PROPERTY
+@given(states=_states(2), k=st.integers(-2, 5), name=st.sampled_from(sorted(_AUTOMORPHISMS)))
+@example(states=(_exp_pair(2), _exp_pair(2)), k=1, name="torus c=i")
+@example(states=(_exp_pair(4), State.of_term(4, 1, (1,))), k=0, name="phase i^1")
+def test_automorphisms_commute_with_modes(states, k, name):
+    # g(u_k v) = (g u)_k (g v)
+    u, v = states
+    g = _AUTOMORPHISMS[name](u.lattice)
+    assert apply(g, mode(u, k, v)) == mode(apply(g, u), k, apply(g, v))
