@@ -393,31 +393,17 @@ def _line_permutation(spec) -> tuple:
     return tuple(out)
 
 
-def sym3_report() -> dict:
+def sym3_report(rep) -> dict:
     """The weight-4 computation: coset representatives, faithfulness, the
-    projected pairing on H, and the match with the n=3 invariant algebra."""
-    rows = []
-    ok_all = True
+    projected pairing on H, and the match with the n=3 invariant algebra.
 
-    def check(name, location, expected, actual):
-        nonlocal ok_all
-        good = expected == actual
-        ok_all = ok_all and good
-        rows.append(
-            {
-                "name": name,
-                "status": "pass" if good else "fail",
-                "expected": expected,
-                "actual": actual,
-                "location": location,
-            }
-        )
-
+    Adds its checks to the report rep and returns the data they rest on.
+    """
     basis4 = graded_basis(2, 4, "efixed")
-    check("weight-4 E-fixed dimension", "v4-span", 4, len(basis4))
+    rep.check("weight-4 E-fixed dimension", "v4-span", 4, len(basis4))
     sub4 = GradedSubspace(2, 4)
     inserted = sum(1 for b in basis4 if sub4.insert(b) is not None)
-    check("spanning set independent", "v4-span", 4, inserted)
+    rep.check("spanning set independent", "v4-span", 4, inserted)
 
     s1, s2, s3 = rotation_sigma(1), rotation_sigma(2), rotation_sigma(3)
     perms = {"id": (0, 1, 2)}
@@ -427,9 +413,9 @@ def sym3_report() -> dict:
     for name, spec in (("s1", s1), ("s2", s2), ("s3", s3)):
         perms[name] = _line_permutation(spec)
         mats[name] = _efixed4_matrix(spec, basis4, sub4)
-    check("s1 line action", "line-permutations", (0, 2, 1), perms["s1"])
-    check("s2 line action", "line-permutations", (1, 0, 2), perms["s2"])
-    check("s3 line action", "line-permutations", (2, 1, 0), perms["s3"])
+    rep.check("s1 line action", "line-permutations", (0, 2, 1), perms["s1"])
+    rep.check("s2 line action", "line-permutations", (1, 0, 2), perms["s2"])
+    rep.check("s3 line action", "line-permutations", (2, 1, 0), perms["s3"])
 
     # three-cycles as matrix products (E acts trivially here, so products of
     # representatives represent the product cosets)
@@ -437,20 +423,20 @@ def sym3_report() -> dict:
     mats["rho2"] = mat_mul(mats["s1"], mats["s2"])
     perms["rho"] = tuple(perms["s2"][perms["s1"][i]] for i in range(3))
     perms["rho2"] = tuple(perms["s1"][perms["s2"][i]] for i in range(3))
-    check("three-cycle line action", "line-permutations", (1, 2, 0), perms["rho"])
-    check(
+    rep.check("three-cycle line action", "line-permutations", (1, 2, 0), perms["rho"])
+    rep.check(
         "all six line permutations",
         "line-permutations",
         6,
         len(set(perms.values())),
     )
-    check(
+    rep.check(
         "faithful on weight 4",
         "v4-faithfulness",
         6,
         len({tuple(tuple(c for c in row) for row in m) for m in mats.values()}),
     )
-    check("involutions differ", "v4-faithfulness", False, mats["s1"] == mats["s2"])
+    rep.check("involutions differ", "v4-faithfulness", False, mats["s1"] == mats["s2"])
 
     # s1 fixes every sector-0 (polynomial) vector; s2 moves at least one
     poly_indices = [i for i, b in enumerate(basis4) if all(t[0] == 0 for t in b.terms)]
@@ -466,20 +452,20 @@ def sym3_report() -> dict:
         )
         for i in poly_indices
     )
-    check("first involution fixes polynomials", "polynomial-part", True, s1_fixes_poly)
-    check("second involution moves polynomials", "polynomial-part", False, s2_fixes_poly)
+    rep.check("first involution fixes polynomials", "polynomial-part", True, s1_fixes_poly)
+    rep.check("second involution moves polynomials", "polynomial-part", False, s2_fixes_poly)
 
     H, J, q = split_H_J()
-    check("dim H", "h-j-split", 2, len(H))
-    check("dim J", "h-j-split", 2, len(J))
+    rep.check("dim H", "h-j-split", 2, len(H))
+    rep.check("dim J", "h-j-split", 2, len(J))
     a31 = State.of_term(2, 0, (3, 1))
-    check("projector keeps the cross term", "h-j-split", False, q(a31).is_zero())
-    check("projector annihilates J", "h-j-split", True, all(q(j).is_zero() for j in J))
+    rep.check("projector keeps the cross term", "h-j-split", False, q(a31).is_zero())
+    rep.check("projector annihilates J", "h-j-split", True, all(q(j).is_zero() for j in J))
     qq_ok = True
     for h in H:
         if q(h) != h:
             qq_ok = False
-    check("projector restricts to identity on H", "h-j-split", True, qq_ok)
+    rep.check("projector restricts to identity on H", "h-j-split", True, qq_ok)
 
     # J is fixed pointwise by the representatives
     j_fixed = True
@@ -487,7 +473,7 @@ def sym3_report() -> dict:
         for jv in J:
             if apply(spec, jv) != jv:
                 j_fixed = False
-    check("J fixed pointwise", "h-j-split", True, j_fixed)
+    rep.check("J fixed pointwise", "h-j-split", True, j_fixed)
 
     # restriction to H: matrices in the basis H, via coordinates
     sub_h = GradedSubspace(2, 4)
@@ -512,14 +498,14 @@ def sym3_report() -> dict:
         "rho2": h_restriction(lambda v: apply(s1, apply(s2, v))),
     }
     traces = {name: m[0][0] + m[1][1] for name, m in h_mats.items()}
-    check("H trace of identity", "h-irreducible", Scalar(2), traces["id"])
-    check(
+    rep.check("H trace of identity", "h-irreducible", Scalar(2), traces["id"])
+    rep.check(
         "H traces of involutions",
         "h-irreducible",
         [ZERO, ZERO, ZERO],
         [traces["s1"], traces["s2"], traces["s3"]],
     )
-    check(
+    rep.check(
         "H traces of three-cycles",
         "h-irreducible",
         [Scalar(-1), Scalar(-1)],
@@ -534,7 +520,7 @@ def sym3_report() -> dict:
             for v in basis4:
                 if form(apply(spec, u), apply(spec, v)) != form(u, v):
                     gram_ok = False
-    check("invariant form on weight 4", "form-invariance", True, gram_ok)
+    rep.check("invariant form on weight 4", "form-invariance", True, gram_ok)
 
     # the product on H and the equivariant identification with the n=3 algebra
     def star(u, v):
@@ -543,9 +529,9 @@ def sym3_report() -> dict:
     product_nonzero = any(
         not star(H[i], H[j]).is_zero() for i in range(2) for j in range(2)
     )
-    check("projected pairing nonzero on H", "h-algebra", True, product_nonzero)
+    rep.check("projected pairing nonzero on H", "h-algebra", True, product_nonzero)
     comm_ok = star(H[0], H[1]) == star(H[1], H[0])
-    check("projected pairing commutative", "h-algebra", True, comm_ok)
+    rep.check("projected pairing commutative", "h-algebra", True, comm_ok)
 
     # axis states: the +1 eigenvector of the first involution on H, and its
     # rotations under the three-cycle
@@ -555,13 +541,13 @@ def sym3_report() -> dict:
         [M1[1][0], M1[1][1] - ONE],
     ]
     plus_space = kernel_basis(shifted, 2, ZERO, ONE)
-    check("first involution has a 1-dim fixed line in H", "h-algebra", 1, len(plus_space))
+    rep.check("first involution has a 1-dim fixed line in H", "h-algebra", 1, len(plus_space))
     c0, c1 = plus_space[0]
     h1 = c0 * H[0] + c1 * H[1]
     rho = lambda v: apply(s2, apply(s1, v))
     h2 = rho(h1)
     h3 = rho(h2)
-    check("axis orbit sums to zero", "h-algebra", True, (h1 + h2 + h3).is_zero())
+    rep.check("axis orbit sums to zero", "h-algebra", True, (h1 + h2 + h3).is_zero())
 
     A3 = symn.build(3)
     third = Scalar(Fraction(1, 3))
@@ -600,7 +586,7 @@ def sym3_report() -> dict:
             scale = s_here
         elif scale != s_here:
             match = False
-    check("H algebra matches the n=3 invariant algebra up to one scalar", "h-algebra", True, match and scale is not None and not scale.is_zero())
+    rep.check("H algebra matches the n=3 invariant algebra up to one scalar", "h-algebra", True, match and scale is not None and not scale.is_zero())
 
     # equivariance of the identification on both generators of the group:
     # the first involution fixes axis 1 (permutation (0)(12) on axes), the
@@ -612,11 +598,9 @@ def sym3_report() -> dict:
             rhs = apply(spec, phi(vec))
             if lhs != rhs:
                 equi_ok = False
-    check("identification is equivariant", "h-algebra", True, equi_ok)
+    rep.check("identification is equivariant", "h-algebra", True, equi_ok)
 
     return {
-        "rows": rows,
-        "ok": ok_all,
         "scale": scale,
         "matrices": mats,
         "h_matrices": h_mats,

@@ -43,7 +43,7 @@ from .reptheory import (
     singular_vectors,
 )
 from .symn import invariant_algebra_report
-from .vertex import mode, poly_binom, virasoro
+from .vertex import clear_mode_cache, mode, poly_binom, virasoro
 
 
 class _UsageError(Exception):
@@ -122,7 +122,7 @@ def _characters_report(lattice: int, max_weight: int, order: int) -> Report:
     rep = Report(
         "characters", {"lattice": lattice, "max-weight": max_weight, "order": order}
     )
-    rep.add_rows(character_decomposition_suite(lattice, max_weight, order))
+    character_decomposition_suite(rep, lattice, max_weight, order)
     for m, k in ((1, 1), (2, 1), (1, 2), (2, 2)):
         rep.check(
             f"telescoping m={m} k={k} below order {order}",
@@ -341,8 +341,7 @@ def _aut_report(case: str, max_weight: int) -> Report:
     # case == "n4"
     if max_weight > AUT_N4_MAX_WEIGHT:
         raise _UsageError(f"--max-weight for --case n4 must be at most {AUT_N4_MAX_WEIGHT}")
-    res = sym3_report()
-    rep.add_rows(res["rows"])
+    sym3_report(rep)
     fixed = e_fixed_check(max_weight)
     for row in fixed["rows"]:
         rep.check(
@@ -365,7 +364,7 @@ def _aut_report(case: str, max_weight: int) -> Report:
 
 def _symn_report(n_max: int) -> Report:
     rep = Report("symn", {"n": n_max})
-    rep.add_rows(invariant_algebra_report(range(3, n_max + 1)))
+    invariant_algebra_report(rep, range(3, n_max + 1))
     return rep
 
 
@@ -396,6 +395,7 @@ def _all_report(seed) -> Report:
         random.Random(seed).shuffle(order)
     results = {}
     for i in order:
+        clear_mode_cache()  # the mode table lives for one part only
         results[i] = parts[i][1]()
     for i, (label, _) in enumerate(parts):
         for c in results[i].checks:
@@ -471,6 +471,7 @@ def _build_parser() -> _Parser:
 def run(argv) -> tuple:
     """Parse and execute one invocation; returns (exit code, report or None)."""
     parser = _build_parser()
+    clear_mode_cache()
     try:
         args = parser.parse_args(argv)
         rep = args.handler(args)

@@ -41,19 +41,6 @@ class Report:
     def skip(self, name, location, reason):
         self.checks.append(Check(name, "skipped", reason, None, location))
 
-    def add_rows(self, rows, prefix: str = ""):
-        """Absorb suite rows already shaped {name, status, expected, actual, location}."""
-        for row in rows:
-            self.checks.append(
-                Check(
-                    prefix + row["name"],
-                    row["status"],
-                    row["expected"],
-                    row["actual"],
-                    row["location"],
-                )
-            )
-
     @property
     def status(self) -> str:
         return "fail" if any(c.status == "fail" for c in self.checks) else "pass"

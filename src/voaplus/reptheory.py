@@ -1,9 +1,12 @@
 """Module structure tools: singular vectors, mode-closure spans, branching data.
 
-The closure engine is the workhorse: starting from the vacuum and a generator
-list it saturates a graded subspace under the generators' modes with results
-in a weight window, inserting through reduced echelon bases so membership,
-spans and dimensions are exact.
+`saturate` is the one engine behind generation closures and fusion spans: it
+inserts seed states into a graded subspace and then, breadth first, the
+states a step function yields for each newly accepted vector, through
+reduced echelon bases so membership, spans and dimensions are exact.
+`closure` seeds it with the vacuum and the generators and steps by the
+generators' modes with results in the weight window; `fusion_span` seeds it
+with the modes of a singular pair and steps by the Virasoro operators.
 """
 
 from __future__ import annotations
@@ -113,6 +116,29 @@ class GradedSubspace:
         return True
 
 
+def saturate(sub: GradedSubspace, seeds, step) -> GradedSubspace:
+    """Insert the seeds into sub, then, breadth first, every state step(v)
+    yields for each newly accepted reduced vector v; zero states are skipped.
+
+    Insertion follows seed order, then queue order, so the echelon bases are
+    deterministic.
+    """
+    queue: deque = deque()
+
+    def add(s: State):
+        if s:
+            reduced = sub.insert(s)
+            if reduced is not None:
+                queue.append(reduced)
+
+    for s in seeds:
+        add(s)
+    while queue:
+        for s in step(queue.popleft()):
+            add(s)
+    return sub
+
+
 def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
     """Span of the windowed generator monomials g1_(n1) ... gr_(nr) vacuum.
 
@@ -133,27 +159,16 @@ def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
         if g.weight() > W:
             raise ValueError("closure generators must have weight within the window")
         gens.append((g, int(g.weight())))
-    sub = GradedSubspace(lattice, W)
-    queue: deque = deque()
 
-    def add(s: State):
-        reduced = sub.insert(s)
-        if reduced is not None:
-            queue.append(reduced)
-
-    add(State.vacuum(lattice))
-    for g, _ in gens:
-        add(g)
-    while queue:
-        v = queue.popleft()
+    def step(v: State):
         wv = int(v.weight())
         for g, wg in gens:
             total = wg + wv
             for k in range(total - 1 - W, total):
-                r = mode(g, k, v)
-                if r:
-                    add(r)
-    return sub
+                yield mode(g, k, v)
+
+    seeds = [State.vacuum(lattice)] + [g for g, _ in gens]
+    return saturate(GradedSubspace(lattice, W), seeds, step)
 
 
 def singular_vectors(lattice: int, w, ambient="full") -> list[State]:
@@ -314,27 +329,15 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> dict:
     u = lower_u(m_idx)
     v = lower_u(n_idx)
     wu, wv = m_idx * m_idx, n_idx * n_idx
-    sub = GradedSubspace(2, W)
-    queue: deque = deque()
 
-    def add(s: State):
-        reduced = sub.insert(s)
-        if reduced is not None:
-            queue.append(reduced)
-
-    for k in range(wu + wv - 1 - W, wu + wv):
-        r = mode(u, k, v)
-        if r:
-            add(r)
-    while queue:
-        s = queue.popleft()
+    def step(s: State):
         w = int(s.weight())
         for j in range(-(W - w), w + 1):
-            if j == 0:
-                continue
-            r = virasoro(j, s)
-            if r:
-                add(r)
+            if j:
+                yield virasoro(j, s)
+
+    seeds = (mode(u, k, v) for k in range(wu + wv - 1 - W, wu + wv))
+    sub = saturate(GradedSubspace(2, W), seeds, step)
 
     components = list(range(m_idx - n_idx, m_idx + n_idx + 1, 2))
     orders = Fraction(W + 1)
@@ -423,11 +426,10 @@ def expected_plus_decomposition(N: int, order: Fraction) -> dict:
     return out
 
 
-def character_decomposition_suite(N: int, max_weight: int, order) -> list:
-    """Branching checks for one lattice: enumerated characters against greedy
-    peels and against the predicted constituent multiplicities.
-
-    Returns plain check rows (name, status, expected, actual, location).
+def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
+    """Branching checks for one lattice, added to the report rep: enumerated
+    characters against greedy peels and against the predicted constituent
+    multiplicities.
     """
     from .numeric import DecompositionError, decompose
 
@@ -435,18 +437,6 @@ def character_decomposition_suite(N: int, max_weight: int, order) -> list:
     W = int(max_weight)
     if order <= W:
         raise ValueError("series order must exceed the enumeration weight")
-    rows = []
-
-    def check(name, location, expected, actual):
-        rows.append(
-            {
-                "name": name,
-                "status": "pass" if expected == actual else "fail",
-                "expected": expected,
-                "actual": actual,
-                "location": location,
-            }
-        )
 
     def peel(series, candidates):
         try:
@@ -457,22 +447,22 @@ def character_decomposition_suite(N: int, max_weight: int, order) -> list:
     # dual route at low weight: enumerated bases against pure counting
     enum_dims = [len(graded_basis(N, w, "full")) for w in range(W + 1)]
     count_dims = [graded_dim(N, w, "full") for w in range(W + 1)]
-    check(f"basis-vs-count full N={N} to w={W}", "graded-dims", count_dims, enum_dims)
+    rep.check(f"basis-vs-count full N={N} to w={W}", "graded-dims", count_dims, enum_dims)
     enum_plus = [len(graded_basis(N, w, "plus")) for w in range(W + 1)]
     count_plus = [graded_dim(N, w, "plus") for w in range(W + 1)]
-    check(f"basis-vs-count plus N={N} to w={W}", "graded-dims", count_plus, enum_plus)
+    rep.check(f"basis-vs-count plus N={N} to w={W}", "graded-dims", count_plus, enum_plus)
 
     char_full = _counted_character(N, "full", order)
     expected_full = expected_full_decomposition(N, order)
     got_full = peel(char_full, list(expected_full))
-    check(f"full-character branching N={N}", "lattice-branching", expected_full, got_full)
+    rep.check(f"full-character branching N={N}", "lattice-branching", expected_full, got_full)
 
     root = _two_lattice_is_square(N)
     if root is None:
         char_plus = _counted_character(N, "plus", order)
         expected_plus = expected_plus_decomposition(N, order)
         got_plus = peel(char_plus, list(expected_plus))
-        check(f"plus-character branching N={N}", "plus-branching", expected_plus, got_plus)
+        rep.check(f"plus-character branching N={N}", "plus-branching", expected_plus, got_plus)
 
     # Heisenberg halves are lattice independent; phrased here for convenience
     expected_meven = {}
@@ -481,7 +471,7 @@ def character_decomposition_suite(N: int, max_weight: int, order) -> list:
         expected_meven[Fraction(4 * m * m)] = 1
         m += 1
     got_meven = peel(_counted_character(N, "pair+:0", order), list(expected_meven))
-    check("heisenberg-plus branching", "heisenberg-split", expected_meven, got_meven)
+    rep.check("heisenberg-plus branching", "heisenberg-split", expected_meven, got_meven)
 
     expected_modd = {}
     m = 0
@@ -489,6 +479,4 @@ def character_decomposition_suite(N: int, max_weight: int, order) -> list:
         expected_modd[Fraction((2 * m + 1) ** 2)] = 1
         m += 1
     got_modd = peel(_counted_character(N, "pair-:0", order), list(expected_modd))
-    check("heisenberg-minus branching", "heisenberg-split", expected_modd, got_modd)
-
-    return rows
+    rep.check("heisenberg-minus branching", "heisenberg-split", expected_modd, got_modd)

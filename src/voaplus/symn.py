@@ -435,40 +435,27 @@ def nonassociativity_witness(n: int):
     return left, right
 
 
-def invariant_algebra_report(n_range=range(3, 9)) -> list:
-    """Check rows for the invariant-algebra suite across a range of n."""
-    rows = []
-
-    def check(name, location, expected, actual):
-        rows.append(
-            {
-                "name": name,
-                "status": "pass" if expected == actual else "fail",
-                "expected": expected,
-                "actual": actual,
-                "location": location,
-            }
-        )
-
+def invariant_algebra_report(rep, n_range) -> None:
+    """Add the invariant-algebra checks across a range of n to the report rep."""
     for n in n_range:
         A = build(n)
-        check(f"equivariance n={n}", "perm-algebra", True, A.is_equivariant())
+        rep.check(f"equivariance n={n}", "perm-algebra", True, A.is_equivariant())
         fs = distinguished_idempotents(n)
         ok_idem = all(A.multiply(f, f) == f for f in fs)
-        check(f"idempotents n={n}", "axis-idempotents", True, ok_idem)
+        rep.check(f"idempotents n={n}", "axis-idempotents", True, ok_idem)
         want = {F1: 1, Fraction(-1, n - 2): n - 2}
         ok_spec = True
         for f in fs:
             roots, rem = ad_spectrum(A, f)
             if roots != want or len(rem) > 1:
                 ok_spec = False
-        check(f"ad-spectrum n={n}", "axis-spectrum", True, ok_spec)
+        rep.check(f"ad-spectrum n={n}", "axis-spectrum", True, ok_spec)
         coords = [diff_coords(f) for f in fs]
-        check(f"idempotents span n={n}", "axis-span", n - 1, rank(coords))
+        rep.check(f"idempotents span n={n}", "axis-span", n - 1, rank(coords))
         if n <= 6:
             left, right = nonassociativity_witness(n)
-            check(f"nonassociative n={n}", "nonassociativity", False, left == right)
-            check(
+            rep.check(f"nonassociative n={n}", "nonassociativity", False, left == right)
+            rep.check(
                 f"equivariant products n={n}",
                 "product-uniqueness",
                 1,
@@ -476,5 +463,4 @@ def invariant_algebra_report(n_range=range(3, 9)) -> list:
             )
     survivors = sorted(tuple(v) for v in enumerate_idempotents_n3())
     distinguished = sorted(tuple(v) for v in distinguished_idempotents(3))
-    check("n=3 exhaustive filter", "idempotent-enumeration", distinguished, survivors)
-    return rows
+    rep.check("n=3 exhaustive filter", "idempotent-enumeration", distinguished, survivors)

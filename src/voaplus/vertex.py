@@ -60,6 +60,8 @@ def _merge_parts(*part_groups) -> tuple:
     return tuple(merged)
 
 
+# Term-mode table.  `cli.run` empties it at the start of every invocation and
+# before each part of `all`, so it lives for one report part.
 _MODE_CACHE: dict = {}
 
 

@@ -17,6 +17,7 @@ from voaplus.aut4 import (
 )
 from voaplus.fock import State, graded_basis, graded_dim
 from voaplus.numeric import I, Scalar, telescoping_check, virasoro_character
+from voaplus.report import Report
 from voaplus.reptheory import (
     character_decomposition_suite,
     closure,
@@ -44,12 +45,13 @@ def _virasoro_dims(h, max_weight: int) -> list:
 
 
 def test_01_full_character_multiplicities():
-    rows = character_decomposition_suite(2, 12, ORDER)
-    ok = bool(rows) and all(r["status"] == "pass" for r in rows)
-    branching = [r for r in rows if r["name"] == "full-character branching N=2"]
+    rep = Report("characters")
+    character_decomposition_suite(rep, 2, 12, ORDER)
+    ok = bool(rep.checks) and all(c.status == "pass" for c in rep.checks)
+    branching = [c for c in rep.checks if c.name == "full-character branching N=2"]
     ok = ok and len(branching) == 1
     if ok:
-        got = branching[0]["actual"]
+        got = branching[0].actual
         for m in range(4):
             ok = ok and got.get(F(m * m)) == 2 * m + 1
     _verdict(1, "norm-2 character splits with multiplicity 2m+1 at weight m^2", ok)
@@ -60,9 +62,10 @@ def test_02_plus_character_branchings():
     for N in (4, 6, 10):
         r = isqrt(2 * N)
         ok = ok and r * r != 2 * N  # the branching rule needs 2N non-square
-        rows = character_decomposition_suite(N, 8, ORDER)
-        ok = ok and bool(rows) and all(row["status"] == "pass" for row in rows)
-        plus = [row for row in rows if row["name"] == f"plus-character branching N={N}"]
+        rep = Report("characters")
+        character_decomposition_suite(rep, N, 8, ORDER)
+        ok = ok and bool(rep.checks) and all(c.status == "pass" for c in rep.checks)
+        plus = [c for c in rep.checks if c.name == f"plus-character branching N={N}"]
         ok = ok and len(plus) == 1
         if not ok:
             break
@@ -75,7 +78,7 @@ def test_02_plus_character_branchings():
         while F(m * m * N, 2) - F(1, 24) < ORDER:
             predicted[F(m * m * N, 2)] = predicted.get(F(m * m * N, 2), 0) + 1
             m += 1
-        ok = ok and plus[0]["actual"] == predicted
+        ok = ok and plus[0].actual == predicted
     _verdict(2, "fixed-subalgebra characters branch into the predicted constituents", ok)
 
 
@@ -217,10 +220,11 @@ def test_11_coupling_parity_sweep():
 
 
 def test_12_weight_four_group_action():
-    rep = sym3_report()
-    ok = rep["ok"] and all(r["status"] == "pass" for r in rep["rows"])
-    ok = ok and rep["scale"] is not None and not rep["scale"].is_zero()
-    names = {r["name"] for r in rep["rows"]}
+    rep = Report("aut")
+    data = sym3_report(rep)
+    ok = rep.status == "pass" and all(c.status == "pass" for c in rep.checks)
+    ok = ok and data["scale"] is not None and not data["scale"].is_zero()
+    names = {c.name for c in rep.checks}
     for needed in (
         "weight-4 E-fixed dimension",
         "spanning set independent",
@@ -257,9 +261,10 @@ def test_14_fixed_character_equals_norm_eight_character():
 
 
 def test_15_invariant_algebra_family():
-    rows = invariant_algebra_report(range(3, 9))
-    ok = bool(rows) and all(r["status"] == "pass" for r in rows)
-    names = {r["name"] for r in rows}
+    rep = Report("symn")
+    invariant_algebra_report(rep, range(3, 9))
+    ok = bool(rep.checks) and all(c.status == "pass" for c in rep.checks)
+    names = {c.name for c in rep.checks}
     for n in range(3, 9):
         for stem in ("equivariance", "idempotents", "ad-spectrum"):
             ok = ok and f"{stem} n={n}" in names

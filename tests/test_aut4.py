@@ -26,6 +26,7 @@ from voaplus.aut4 import (
 )
 from voaplus.fock import State, graded_basis, graded_dim
 from voaplus.numeric import I, Scalar
+from voaplus.report import Report
 from voaplus.reptheory import GradedSubspace
 from voaplus.vertex import bracket, mode
 
@@ -158,11 +159,12 @@ def test_weight_four_split_and_projector():
 
 
 def test_sym3_report_is_green_with_a_nonzero_scale():
-    rep = sym3_report()
-    assert rep["ok"] is True
-    assert all(r["status"] == "pass" for r in rep["rows"])
-    assert rep["scale"] is not None and not rep["scale"].is_zero()
-    assert rep["line_permutations"]["rho"] == (1, 2, 0)
+    rep = Report("aut")
+    data = sym3_report(rep)
+    assert rep.status == "pass"
+    assert all(c.status == "pass" for c in rep.checks)
+    assert data["scale"] is not None and not data["scale"].is_zero()
+    assert data["line_permutations"]["rho"] == (1, 2, 0)
 
 
 def test_rotations_preserve_the_distinguished_lines_exactly():

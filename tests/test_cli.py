@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line driver."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import voaplus.cli as cli
+from voaplus import vertex
 from voaplus.fock import graded_basis
-from voaplus.report import parse_report, render_json
+from voaplus.report import Report, parse_report, render_json
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run_cli(argv):
@@ -65,7 +70,7 @@ def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
     ceiling = cli.AUT_N4_MAX_WEIGHT
     assert ceiling == 6  # the desk battery's n4 weight
     seen = []
-    monkeypatch.setattr(cli, "sym3_report", lambda: {"rows": []})
+    monkeypatch.setattr(cli, "sym3_report", lambda rep: {})
     monkeypatch.setattr(cli, "e_fixed_check", lambda w: seen.append(w) or {"rows": []})
     code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling)])
     assert code == 0
@@ -207,6 +212,53 @@ def test_generation_subcommand_is_deterministic(tmp_path):
         assert rep.status == "pass"
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characters", "--lattice", "4", "--max-weight", "8", "--order", "40"],
+        ["symn", "--n", "8"],
+        ["aut", "--case", "n4", "--max-weight", "6"],
+        ["fusion", "--m", "2", "--n", "1", "--max-weight", "8"],
+        ["generation", "--lattice", "6", "--max-weight", "8"],
+    ],
+    ids=" ".join,
+)
+def test_reports_match_the_committed_reference_digests(argv, capsys):
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    code, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == reference[" ".join(argv)]
+
+
+def test_mode_table_lives_for_one_invocation(capsys):
+    fusion = ["fusion", "--m", "1", "--n", "1", "--max-weight", "4"]
+    run_cli(fusion)
+    fresh = len(vertex._MODE_CACHE)
+    run_cli(["mode-checks", "--max-weight", "2"])
+    assert vertex._MODE_CACHE
+    run_cli(fusion)
+    assert len(vertex._MODE_CACHE) == fresh
+
+
+def test_every_part_of_all_starts_with_an_empty_mode_table(monkeypatch, capsys):
+    monkeypatch.setattr(vertex, "_MODE_CACHE", {})  # the fake parts' entries stay here
+    sizes = []
+
+    def part(*args):
+        sizes.append(len(vertex._MODE_CACHE))
+        vertex._MODE_CACHE[("part", len(sizes))] = {}
+        return Report("part")
+
+    for name in ("_characters_report", "_mode_checks_report", "_generation_report",
+                 "_fusion_report", "_cg_report", "_aut_report", "_symn_report"):
+        monkeypatch.setattr(cli, name, part)
+    code, _ = run_cli(["all", "--seed", "5"])
+    assert code == 0
+    assert len(sizes) == 16 and set(sizes) == {0}
 
 
 def test_module_entry_point():

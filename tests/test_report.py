@@ -83,17 +83,6 @@ def test_report_status_and_failures():
     assert [c["status"] for c in data["checks"]] == ["pass", "fail", "pass", "skipped"]
 
 
-def test_add_rows_with_prefix():
-    rep = Report("demo")
-    rows = [
-        {"name": "a", "status": "pass", "expected": 1, "actual": 1, "location": "x"},
-        {"name": "b", "status": "fail", "expected": 1, "actual": 2, "location": "y"},
-    ]
-    rep.add_rows(rows, prefix="suite :: ")
-    assert rep.checks[0].name == "suite :: a"
-    assert rep.status == "fail"
-
-
 def test_render_parse_render_is_a_fixed_point():
     rep = Report("demo", {"order": F(40), "lattice": 2})
     rep.check("value", "loc", Scalar(0, F(1, 2)), Scalar(0, F(1, 2)))

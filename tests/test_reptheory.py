@@ -7,6 +7,7 @@ import pytest
 
 from voaplus.fock import State, graded_dim
 from voaplus.numeric import Scalar, virasoro_character
+from voaplus.report import Report
 from voaplus.reptheory import (
     CGLabel,
     GradedSubspace,
@@ -17,6 +18,7 @@ from voaplus.reptheory import (
     lower_u,
     parity_sweep,
     rescale_heisenberg_state,
+    saturate,
     singular_vectors,
     tensor_decompose,
 )
@@ -46,6 +48,46 @@ def test_graded_subspace_insert_and_membership():
 def test_closure_of_the_conformal_vector_is_the_vacuum_module():
     sub = closure(2, [State.omega(2)], 8)
     assert sub.dims() == character_dims(0, 8)
+
+
+def test_saturate_skips_zero_states_and_runs_breadth_first():
+    sub = GradedSubspace(2, 4)
+    seen = []
+    insert = sub.insert
+    sub.insert = lambda s: seen.append(s) or insert(s)
+    zero = State(2, {})
+    a = State.of_term(2, 0, (1,))
+    b = State.of_term(2, 0, (1, 1))
+
+    def step(v):
+        yield zero
+        if v.weight() < 4:
+            yield virasoro(-1, v)
+
+    saturate(sub, [zero, a, zero, b], step)
+    assert not any(s.is_zero() for s in seen)
+    # seeds in order, then the images of each accepted vector in queue order
+    a2 = virasoro(-1, a)
+    b3 = virasoro(-1, b)
+    a3 = virasoro(-1, a2)
+    assert seen == [a, b, a2, b3, a3, virasoro(-1, b3), virasoro(-1, a3)]
+    assert sub.dims() == [0, 1, 2, 2, 2]
+
+
+def _echelon_rows(sub):
+    return {w: dict(p["ech"].rows) for w, p in sub.pieces.items()}
+
+
+def test_saturating_a_finished_space_with_its_own_basis_adds_nothing():
+    J, E, om = _named_generators(4)
+    spaces = [closure(4, [J, E, om], 6), fusion_span(2, 1, 6)["subspace"]]
+    for sub in spaces:
+        before = _echelon_rows(sub)
+        basis = [b for w in range(sub.max_weight + 1) for b in sub.basis_states(w)]
+        followed = []
+        saturate(sub, basis, lambda v: followed.append(v) or ())
+        assert followed == []
+        assert _echelon_rows(sub) == before
 
 
 def _closure_all_pairs(lattice, generators, max_weight):
@@ -288,9 +330,10 @@ def test_fusion_span_matches_and_never_exceeds():
 
 
 def test_character_decomposition_suite_small():
-    rows = character_decomposition_suite(2, 6, 20)
-    assert rows and all(r["status"] == "pass" for r in rows)
-    names = [r["name"] for r in rows]
+    rep = Report("characters")
+    character_decomposition_suite(rep, 2, 6, 20)
+    assert rep.checks and all(c.status == "pass" for c in rep.checks)
+    names = [c.name for c in rep.checks]
     assert any("full" in x for x in names)
     with pytest.raises(ValueError):
-        character_decomposition_suite(2, 20, 10)  # order must exceed the window
+        character_decomposition_suite(rep, 2, 20, 10)  # order must exceed the window

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from voaplus.report import Report
 from voaplus.symn import (
     PermAlgebra,
     ad_spectrum,
@@ -146,8 +147,9 @@ def test_nonassociativity_for_larger_n():
 
 
 def test_invariant_algebra_report_is_all_green():
-    rows = invariant_algebra_report(range(3, 9))
-    assert rows and all(r["status"] == "pass" for r in rows)
-    names = [r["name"] for r in rows]
+    rep = Report("symn")
+    invariant_algebra_report(rep, range(3, 9))
+    assert rep.checks and all(c.status == "pass" for c in rep.checks)
+    names = [c.name for c in rep.checks]
     assert "n=3 exhaustive filter" in names
     assert any(name.startswith("ad-spectrum n=8") for name in names)
