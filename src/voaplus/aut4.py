@@ -208,54 +208,45 @@ def apply(spec: AutomorphismSpec, s: State) -> State:
     return out
 
 
-def check_automorphism(spec: AutomorphismSpec, max_weight: int) -> dict:
+def check_automorphism(
+    rep, spec: AutomorphismSpec, max_weight: int, label: str, location: str
+) -> None:
     """Verify the defining compatibility with every mode on graded bases.
 
-    For all basis states u, v of weight <= max_weight and every mode index
-    whose result weight stays in range, the image of u_k v must equal
-    (image u)_k (image v); the conformal vector and the vacuum must be fixed.
-    Returns per-weight-pair rows, an overall flag, and a witness: None when
-    every weight pair passes, else the first failing (u, v, k, lhs - rhs).
+    Adds to the report rep one row each for the vacuum and the conformal
+    vector being fixed, then one row per weight pair (a, b): for all basis
+    states u of weight a, v of weight b and every mode index k whose result
+    weight stays in range, the image of u_k v must equal (image u)_k (image v).
+    A passing pair row reports true, a failing one its first failing case.
     """
     N = spec.lattice
     W = int(max_weight)
-    rows = []
-    ok_all = True
-    witness = None
-    vac = State.vacuum(N)
-    om = State.omega(N)
-    fixed_vac = apply(spec, vac) == vac
-    fixed_om = apply(spec, om) == om
-    rows.append({"pair": "vacuum", "ok": fixed_vac})
-    rows.append({"pair": "conformal-vector", "ok": fixed_om})
-    ok_all = ok_all and fixed_vac and fixed_om
+    for name, s in (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N))):
+        rep.check(f"{label}: {name} fixed", location, True, apply(spec, s) == s)
     bases = {w: graded_basis(N, w, "full") for w in range(W + 1)}
-    images = {
-        w: [apply(spec, b) for b in bases[w]] for w in range(W + 1)
-    }
+    images = {w: [apply(spec, b) for b in bases[w]] for w in range(W + 1)}
     for wu in range(W + 1):
         for wv in range(W + 1):
-            good = True
-            total = wu + wv
-            for iu, u in enumerate(bases[wu]):
-                gu = images[wu][iu]
-                for iv, v in enumerate(bases[wv]):
-                    gv = images[wv][iv]
-                    for k in range(total - 1 - W, total):
-                        lhs = apply(spec, mode(u, k, v))
-                        rhs = mode(gu, k, gv)
-                        if lhs != rhs:
-                            good = False
-                            if witness is None:
-                                witness = (u, v, k, lhs - rhs)
-                            break
-                    if not good:
-                        break
-                if not good:
-                    break
-            rows.append({"pair": (wu, wv), "ok": good})
-            ok_all = ok_all and good
-    return {"rows": rows, "ok": ok_all, "witness": witness}
+            ks = range(wu + wv - 1 - W, wu + wv)
+            defect = _first_mode_defect(spec, bases[wu], images[wu], bases[wv], images[wv], ks)
+            rep.check(
+                f"{label}: modes on weights {wu},{wv}",
+                location,
+                True,
+                True if defect is None else defect,
+            )
+
+
+def _first_mode_defect(spec, us, gus, vs, gvs, ks):
+    """The first (u, v, k) with image(u_k v) != (image u)_k (image v), or None."""
+    for u, gu in zip(us, gus):
+        for v, gv in zip(vs, gvs):
+            for k in ks:
+                lhs = apply(spec, mode(u, k, v))
+                rhs = mode(gu, k, gv)
+                if lhs != rhs:
+                    return {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
+    return None
 
 
 def y_basis():
@@ -291,32 +282,20 @@ def e_group():
     return (tau1, th, compose_specs(th, tau1))
 
 
-def e_fixed_check(max_weight: int) -> dict:
-    """Graded dimensions of the E-fixed subspace against the norm-8 plus space."""
-    W = int(max_weight)
-    rows = []
-    ok_all = True
+def e_fixed_check(rep, max_weight: int) -> None:
+    """Graded dimensions of the E-fixed subspace against the norm-8 plus space,
+    and pointwise fixedness of its basis, as one report row per weight."""
     specs = e_group()
-    for w in range(W + 1):
+    for w in range(int(max_weight) + 1):
         efixed = graded_dim(2, w, "efixed")
         target = graded_dim(8, w, "plus")
-        fixed_ok = True
-        for b in graded_basis(2, w, "efixed"):
-            for spec in specs:
-                if apply(spec, b) != b:
-                    fixed_ok = False
-        good = efixed == target and fixed_ok
-        rows.append(
-            {
-                "weight": w,
-                "efixed_dim": efixed,
-                "plus8_dim": target,
-                "pointwise_fixed": fixed_ok,
-                "ok": good,
-            }
+        fixed = all(apply(spec, b) == b for b in graded_basis(2, w, "efixed") for spec in specs)
+        rep.check(
+            f"four-group fixed space at weight {w}",
+            "efixed-space",
+            {"dim": target, "pointwise-fixed": True},
+            {"dim": efixed, "pointwise-fixed": fixed},
         )
-        ok_all = ok_all and good
-    return {"rows": rows, "ok": ok_all}
 
 
 def pairing_p(x: State, y: State) -> State:

@@ -246,8 +246,12 @@ def partition_count_by_parity(n: int) -> tuple[int, int]:
     return (even[n], odd[n])
 
 
-def _parse_constraint(constraint):
+def _parse_constraint(N: int, constraint):
+    """Split a graded-basis constraint into (kind, sector-pair label), rejecting
+    negative labels and the efixed constraint away from the N=2 lattice."""
     if constraint in ("full", "plus", "minus", "efixed"):
+        if constraint == "efixed" and N != 2:
+            raise ValueError("the efixed constraint is only defined on the N=2 lattice")
         return (constraint, None)
     if isinstance(constraint, str) and constraint.startswith("pair"):
         head, _, tail = constraint.partition(":")
@@ -255,12 +259,10 @@ def _parse_constraint(constraint):
             m = int(tail)
         except ValueError:
             raise ValueError(f"bad sector-pair constraint {constraint!r}") from None
-        if head == "pair":
-            return ("pair", m)
-        if head == "pair+":
-            return ("pair+", m)
-        if head == "pair-":
-            return ("pair-", m)
+        if head in ("pair", "pair+", "pair-"):
+            if m < 0:
+                raise ValueError("sector-pair label must be nonnegative")
+            return (head, m)
     raise ValueError(f"unknown graded-basis constraint {constraint!r}")
 
 
@@ -299,9 +301,7 @@ def graded_basis(N: int, w, constraint="full") -> list[State]:
     plus subalgebra of the norm-8 lattice).
     """
     check_lattice(N)
-    kind, pair_m = _parse_constraint(constraint)
-    if kind == "efixed" and N != 2:
-        raise ValueError("the efixed constraint is only defined on the N=2 lattice")
+    kind, pair_m = _parse_constraint(N, constraint)
     w = Fraction(w)
     if w < 0 or w.denominator != 1:
         return []
@@ -313,8 +313,6 @@ def graded_basis(N: int, w, constraint="full") -> list[State]:
     out: list[State] = []
     sectors = sorted(set(abs(m) for m in _sectors_at_weight(N, w)))
     if kind in ("pair", "pair+", "pair-"):
-        if pair_m < 0:
-            raise ValueError("sector-pair label must be nonnegative")
         sectors = [m for m in sectors if m == pair_m]
     for m in sectors:
         rest = w - (m * m * N) // 2
@@ -346,9 +344,7 @@ def graded_basis(N: int, w, constraint="full") -> list[State]:
 def graded_dim(N: int, w, constraint="full") -> int:
     """Dimension of graded_basis(N, w, constraint), computed by counting only."""
     check_lattice(N)
-    kind, pair_m = _parse_constraint(constraint)
-    if kind == "efixed" and N != 2:
-        raise ValueError("the efixed constraint is only defined on the N=2 lattice")
+    kind, pair_m = _parse_constraint(N, constraint)
     w = Fraction(w)
     if w < 0 or w.denominator != 1:
         return 0

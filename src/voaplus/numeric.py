@@ -111,9 +111,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_rational(self) -> bool:
-        return not self.im
-
     def is_integer(self) -> bool:
         return not self.im and self.re.denominator == 1
 
@@ -143,10 +140,6 @@ I = Scalar(0, 1)
 
 def fraction_str(x: Fraction) -> str:
     return str(as_fraction(x))
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class QSeriesError(ValueError):

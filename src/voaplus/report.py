@@ -21,7 +21,7 @@ from .numeric import Scalar, fraction_str
 @dataclass
 class Check:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     expected: object
     actual: object
     location: str
@@ -37,9 +37,6 @@ class Report:
         if ok is None:
             ok = expected == actual
         self.checks.append(Check(name, "pass" if ok else "fail", expected, actual, location))
-
-    def skip(self, name, location, reason):
-        self.checks.append(Check(name, "skipped", reason, None, location))
 
     @property
     def status(self) -> str:
@@ -172,9 +169,7 @@ def render_text(report: Report) -> str:
     lines.append(f"checks: {len(report.checks)}")
     for c in report.checks:
         lines.append(f"  [{c.status:^7}] {c.name}  @{c.location}")
-        if c.status == "skipped":
-            lines.append(f"            reason:   {_compact(c.expected)}")
-        elif c.status == "fail" or _compact(c.expected) != _compact(c.actual):
+        if c.status == "fail" or _compact(c.expected) != _compact(c.actual):
             lines.append(f"            expected: {_compact(c.expected)}")
             lines.append(f"            actual:   {_compact(c.actual)}")
     lines.append(f"status: {report.status}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction, virasoro_character
+from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction
 from .fock import (
     State,
     graded_basis,
@@ -289,37 +289,27 @@ def tensor_decompose(m: int, n: int) -> list:
     return list(range(m - n, m + n + 1, 2))
 
 
-def parity_sweep(max_m: int) -> dict:
-    """Check vanishing of the coupling against the parity rule for all labels."""
-    entries = []
-    ok = True
+def parity_sweep(rep, max_m: int) -> None:
+    """Check vanishing of the coupling against the parity rule for all labels,
+    one row per label added to the report rep."""
     for m in range(0, max_m + 1, 2):
         for n in range(0, max_m + 1, 2):
             for i in tensor_decompose(m, n):
                 value = cg_coefficient(CGLabel(max(m, n), min(m, n), i))
-                vanish = value.is_zero()
-                expected_vanish = ((m + n + i) // 2) % 2 == 1
-                good = vanish == expected_vanish
-                ok = ok and good
-                entries.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "i": i,
-                        "vanishes": vanish,
-                        "parity_predicts_zero": expected_vanish,
-                        "match": good,
-                    }
+                rep.check(
+                    f"coupling m={m} n={n} i={i}",
+                    "cg-parity",
+                    {"vanishes": ((m + n + i) // 2) % 2 == 1},
+                    {"vanishes": value.is_zero()},
                 )
-    return {"entries": entries, "all_match": ok}
 
 
-def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> dict:
+def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
     """Span of all modes of one singular pair, closed under the Virasoro action.
 
-    Returns the subspace together with the per-weight comparison against the
-    predicted character sum over labels i = m-n, m-n+2, ..., m+n, the label-i
-    constituent contributing the weight-i^2 character.
+    Its graded dimensions are predicted by the character sum over labels
+    i = m-n, m-n+2, ..., m+n, the label-i constituent contributing the
+    weight-i^2 character.
     """
     if m_idx < n_idx:
         m_idx, n_idx = n_idx, m_idx
@@ -337,28 +327,7 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> dict:
                 yield virasoro(j, s)
 
     seeds = (mode(u, k, v) for k in range(wu + wv - 1 - W, wu + wv))
-    sub = saturate(GradedSubspace(2, W), seeds, step)
-
-    components = list(range(m_idx - n_idx, m_idx + n_idx + 1, 2))
-    orders = Fraction(W + 1)
-    predicted = QSeries.zero(orders)
-    for i in components:
-        predicted = predicted + virasoro_character(Fraction(i * i), orders)
-    per_weight = {}
-    all_match = True
-    for w in range(W + 1):
-        want = predicted.coeff(Fraction(w) - Fraction(1, 24))
-        want_n = int(want.re) if want.is_integer() else None
-        got = sub.dim(w)
-        okw = want_n == got
-        all_match = all_match and okw
-        per_weight[w] = {"predicted": want_n, "actual": got, "match": okw}
-    return {
-        "subspace": sub,
-        "components": components,
-        "per_weight": per_weight,
-        "all_match": all_match,
-    }
+    return saturate(GradedSubspace(2, W), seeds, step)
 
 
 def _counted_character(N: int, constraint: str, order: Fraction) -> QSeries:

@@ -205,17 +205,18 @@ def test_09_singular_vector_closures():
 def test_10_fusion_spans():
     ok = True
     for m, n in ((1, 1), (2, 1), (2, 2)):
-        res = fusion_span(m, n, 8)
+        sub = fusion_span(m, n, 8)
+        per_label = [_virasoro_dims(i * i, 8) for i in range(m - n, m + n + 1, 2)]
         for w in range(9):
-            row = res["per_weight"][w]
-            ok = ok and row["predicted"] == row["actual"]
+            ok = ok and sum(dims[w] for dims in per_label) == sub.dim(w)
     _verdict(10, "mode spans of singular pairs fill the predicted character sums", ok)
 
 
 def test_11_coupling_parity_sweep():
-    res = parity_sweep(8)
-    ok = res["all_match"] and bool(res["entries"])
-    ok = ok and all(e["match"] for e in res["entries"])
+    rep = Report("cg")
+    parity_sweep(rep, 8)
+    ok = rep.status == "pass" and bool(rep.checks)
+    ok = ok and all(c.status == "pass" for c in rep.checks)
     _verdict(11, "coupling constants vanish exactly on the odd-parity labels", ok)
 
 
@@ -240,16 +241,19 @@ def test_12_weight_four_group_action():
 
 
 def test_13_automorphism_mode_compatibility():
-    ok = check_automorphism(theta_spec(2), 5)["ok"]
+    rep = Report("aut")
+    check_automorphism(rep, theta_spec(2), 5, "theta", "theta-check")
+    ok = True
     th = theta_spec(8)
     for c in (Scalar(2), Scalar(-1), I):
-        ok = ok and check_automorphism(torus_spec(8, c), 5)["ok"]
+        check_automorphism(rep, torus_spec(8, c), 5, f"torus c={c}", "torus-check")
         conj = compose_specs(th, torus_spec(8, c), th)
         inv = torus_spec(8, c.inverse())
         for w in range(5):
             for b in graded_basis(8, w, "full"):
                 if apply(conj, b) != apply(inv, b):
                     ok = False
+    ok = ok and rep.status == "pass"
     _verdict(13, "involution and sector scalings respect every mode; conjugation inverts", ok)
 
 

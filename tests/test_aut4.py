@@ -1,5 +1,6 @@
 """Tests for the finite-order automorphisms and the weight-4 computation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from voaplus.aut4 import (
 )
 from voaplus.fock import State, graded_basis, graded_dim
 from voaplus.numeric import I, Scalar
-from voaplus.report import Report
+from voaplus.report import Report, encode_value, render_json
 from voaplus.reptheory import GradedSubspace
 from voaplus.vertex import bracket, mode
 
@@ -88,11 +89,17 @@ def test_compose_applies_right_to_left():
     assert apply(compose_specs(tor, th), XP) == XM * Scalar(Fraction(1, 2))
 
 
+def _automorphism_rows(spec, max_weight):
+    rep = Report("aut")
+    check_automorphism(rep, spec, max_weight, "spec", "aut-check")
+    return rep
+
+
 def test_mode_compatibility_of_the_primitive_kinds():
-    assert check_automorphism(theta_spec(2), 3)["ok"] is True
-    assert check_automorphism(torus_spec(2, Scalar(3)), 2)["ok"] is True
-    assert check_automorphism(phase_spec(2, Fraction(1, 2)), 2)["ok"] is True
-    assert check_automorphism(theta_spec(2), 2)["witness"] is None
+    assert _automorphism_rows(theta_spec(2), 3).status == "pass"
+    assert _automorphism_rows(torus_spec(2, Scalar(3)), 2).status == "pass"
+    assert _automorphism_rows(phase_spec(2, Fraction(1, 2)), 2).status == "pass"
+    assert all(c.actual is True for c in _automorphism_rows(theta_spec(2), 2).checks)
 
 
 def test_failing_automorphism_check_carries_a_witness(monkeypatch):
@@ -102,13 +109,18 @@ def test_failing_automorphism_check_carries_a_witness(monkeypatch):
 
     monkeypatch.setattr(aut4, "theta", flip)
     spec = theta_spec(2)
-    result = check_automorphism(spec, 2)
-    assert result["ok"] is False
-    u, v, k, diff = result["witness"]
+    rep = _automorphism_rows(spec, 2)
+    assert rep.status == "fail"
+    first = next(c for c in rep.checks if c.status == "fail")
+    witness = first.actual
+    assert set(witness) == {"u", "v", "k", "lhs-minus-rhs"}
+    u, v, k, diff = (witness[key] for key in ("u", "v", "k", "lhs-minus-rhs"))
     assert diff
     assert diff == apply(spec, mode(u, k, v)) - mode(apply(spec, u), k, apply(spec, v))
-    first_failing = next(row["pair"] for row in result["rows"] if not row["ok"])
-    assert first_failing == (u.weight(), v.weight())
+    assert first.name == f"spec: modes on weights {u.weight()},{v.weight()}"
+    encoded = json.loads(render_json(rep))["checks"][rep.checks.index(first)]["actual"]
+    assert encoded["k"] == k
+    assert encoded["lhs-minus-rhs"] == encode_value(diff)
 
 
 def test_y_basis_cyclic_brackets():
@@ -139,9 +151,10 @@ def test_line_permutations_of_the_three_rotations():
 def test_four_group_fixed_space_matches_the_norm_8_plus_space():
     specs = e_group()
     assert len(specs) == 3
-    out = e_fixed_check(6)
-    assert out["ok"] is True
-    dims = [row["efixed_dim"] for row in out["rows"]]
+    rep = Report("aut")
+    e_fixed_check(rep, 6)
+    assert rep.status == "pass"
+    dims = [c.actual["dim"] for c in rep.checks]
     assert dims == [1, 0, 1, 1, 4, 4, 8]
     assert dims == [graded_dim(8, w, "plus") for w in range(7)]
 

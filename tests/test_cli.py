@@ -71,7 +71,7 @@ def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
     assert ceiling == 6  # the desk battery's n4 weight
     seen = []
     monkeypatch.setattr(cli, "sym3_report", lambda rep: {})
-    monkeypatch.setattr(cli, "e_fixed_check", lambda w: seen.append(w) or {"rows": []})
+    monkeypatch.setattr(cli, "e_fixed_check", lambda rep, w: seen.append(w))
     code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling)])
     assert code == 0
     assert rep.parameters["max-weight"] == ceiling
@@ -220,6 +220,9 @@ def test_generation_subcommand_is_deterministic(tmp_path):
         ["characters", "--lattice", "4", "--max-weight", "8", "--order", "40"],
         ["symn", "--n", "8"],
         ["aut", "--case", "n4", "--max-weight", "6"],
+        ["aut", "--case", "theta", "--max-weight", "5"],
+        ["aut", "--case", "torus", "--max-weight", "5"],
+        ["cg", "--max", "8"],
         ["fusion", "--m", "2", "--n", "1", "--max-weight", "8"],
         ["generation", "--lattice", "6", "--max-weight", "8"],
     ],

@@ -105,6 +105,13 @@ def test_graded_basis_agrees_with_dim_for_every_constraint():
                 assert b.weight() == Fraction(w)
 
 
+def test_basis_and_dim_reject_the_same_constraints():
+    for N, constraint in ((2, "pair:-1"), (2, "pair+:-1"), (4, "efixed")):
+        for graded in (graded_basis, graded_dim):
+            with pytest.raises(ValueError):
+                graded(N, 4, constraint)
+
+
 def test_form_norm_of_the_weight_four_vector():
     # <g(-3)g(-1)1, g(-3)g(-1)1> = 3 N^2
     for N in (2, 4, 6):

@@ -48,7 +48,6 @@ def test_scalar_arithmetic():
     assert (a * a.inverse()) == Scalar(1)
     assert Scalar(0, 1) ** 2 == Scalar(-1)
     assert a.conjugate().conjugate() == a
-    assert not Scalar(0).is_rational() or Scalar(0).is_rational()
     assert Scalar(3).is_integer() and not Scalar(Fraction(1, 2)).is_integer()
 
 

@@ -75,19 +75,17 @@ def test_report_status_and_failures():
     rep.check("first", "loc-a", 2, 2)
     rep.check("second", "loc-b", 2, 3)
     rep.check("third", "loc-c", "ignored", "values", ok=True)
-    rep.skip("fourth", "loc-d", "too expensive at this size")
     assert rep.status == "fail"
     assert rep.failures() == ["second"]
     data = report_to_json(rep)
     assert data["status"] == "fail"
-    assert [c["status"] for c in data["checks"]] == ["pass", "fail", "pass", "skipped"]
+    assert [c["status"] for c in data["checks"]] == ["pass", "fail", "pass"]
 
 
 def test_render_parse_render_is_a_fixed_point():
     rep = Report("demo", {"order": F(40), "lattice": 2})
     rep.check("value", "loc", Scalar(0, F(1, 2)), Scalar(0, F(1, 2)))
     rep.check("state", "loc", State.of_term(2, 1, (3,)), State.of_term(2, 1, (3,)))
-    rep.skip("later", "loc", "not requested")
     text = render_json(rep)
     again = render_json(parse_report(text))
     assert text == again
@@ -102,12 +100,10 @@ def test_render_text_shows_mismatches_and_skips():
     rep = Report("demo")
     rep.check("good", "loc", 5, 5)
     rep.check("bad", "loc", 5, 6)
-    rep.skip("skipped-one", "loc", "because")
     out = render_text(rep)
     assert "task: demo" in out
     assert "[ pass  ] good" in out
     assert "expected: 5" in out and "actual:   6" in out
-    assert "reason:   \"because\"" in out
     assert out.rstrip().endswith("status: fail")
     # a passing check whose encodings differ still shows both sides
     rep2 = Report("demo2")

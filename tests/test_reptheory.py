@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from voaplus import cli, reptheory
 from voaplus.fock import State, graded_dim
-from voaplus.numeric import Scalar, virasoro_character
+from voaplus.numeric import ZERO, Scalar, virasoro_character
 from voaplus.report import Report
 from voaplus.reptheory import (
     CGLabel,
@@ -80,7 +81,7 @@ def _echelon_rows(sub):
 
 def test_saturating_a_finished_space_with_its_own_basis_adds_nothing():
     J, E, om = _named_generators(4)
-    spaces = [closure(4, [J, E, om], 6), fusion_span(2, 1, 6)["subspace"]]
+    spaces = [closure(4, [J, E, om], 6), fusion_span(2, 1, 6)]
     for sub in spaces:
         before = _echelon_rows(sub)
         basis = [b for w in range(sub.max_weight + 1) for b in sub.basis_states(w)]
@@ -309,22 +310,32 @@ def test_cg_symmetry_and_parity():
                 assert a == cg_coefficient((m, n, i))
                 odd = ((m + n + i) // 2) % 2 == 1
                 assert a.is_zero() == odd
-    sweep = parity_sweep(8)
-    assert sweep["all_match"]
-    assert len(sweep["entries"]) == sum(
+    rep = Report("cg")
+    parity_sweep(rep, 8)
+    assert rep.status == "pass"
+    assert len(rep.checks) == sum(
         len(tensor_decompose(m, n)) for m in range(0, 9, 2) for n in range(0, 9, 2)
     )
 
 
+def test_parity_sweep_fails_exactly_the_rows_predicting_a_coupling(monkeypatch):
+    monkeypatch.setattr(reptheory, "cg_coefficient", lambda label: ZERO)
+    rep = Report("cg")
+    parity_sweep(rep, 8)
+    predicted_nonzero = [c.name for c in rep.checks if not c.expected["vanishes"]]
+    assert predicted_nonzero
+    assert rep.failures() == predicted_nonzero
+
+
 def test_fusion_span_matches_and_never_exceeds():
-    res = fusion_span(1, 1, 6)
-    assert res["components"] == [0, 2]
-    assert res["all_match"]
-    for w, row in res["per_weight"].items():
-        assert row["actual"] <= row["predicted"]
-    res21 = fusion_span(1, 2, 6)  # arguments swap to (2, 1)
-    assert res21["components"] == [1, 3]
-    assert res21["all_match"]
+    for (m, n), constituents in (((1, 1), [0, 2]), ((1, 2), [1, 3])):  # (1, 2) swaps to (2, 1)
+        rep = cli._fusion_report(m, n, 6)
+        assert rep.parameters["constituents"] == constituents
+        predicted = [sum(col) for col in zip(*(character_dims(i * i, 6) for i in constituents))]
+        sub = fusion_span(m, n, 6)
+        assert isinstance(sub, GradedSubspace)
+        assert sub.dims() == predicted
+        assert all(d <= p for d, p in zip(sub.dims(), predicted))
     with pytest.raises(ValueError):
         fusion_span(1, 0, 4)
 
