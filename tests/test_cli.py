@@ -88,7 +88,7 @@ def test_symn_size_ceiling_refused_exit_2(capsys):
     ceiling = cli.SYMN_MAX_N
     assert ceiling >= 8  # the desk battery's n
     args = cli._build_parser().parse_args(["symn", "--n", str(ceiling)])
-    assert args.n == ceiling  # parsed only; running it would cost seconds
+    assert args.n == ceiling  # parsed only; the n = 12 run is pinned below
     code, rep = run_cli(["symn", "--n", str(ceiling + 1)])
     assert code == 2
     assert rep is None
@@ -235,6 +235,14 @@ def test_reports_match_the_committed_reference_digests(argv, capsys):
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == reference[" ".join(argv)]
+
+
+def test_symn_n_12_report_matches_its_digest(capsys):
+    capsys.readouterr()
+    code, _ = run_cli(["symn", "--n", "12", "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "fbaa103fed20af1758ac6af2453a757a509c636d9227ced2d70702b0cf62d99c"
 
 
 def test_mode_table_lives_for_one_invocation(capsys):

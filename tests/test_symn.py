@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from voaplus import symn
 from voaplus.report import Report
 from voaplus.symn import (
     PermAlgebra,
@@ -16,6 +17,7 @@ from voaplus.symn import (
     distinguished_idempotents,
     enumerate_idempotents_n3,
     equivariant_product_space_dim,
+    has_axis_spectrum,
     nonassociativity_witness,
     rational_roots,
     trace_form,
@@ -73,6 +75,24 @@ def test_equivariance_for_small_n():
         assert build(n).is_equivariant()
 
 
+def test_equivariance_checks_the_product_kernel(monkeypatch):
+    # a product that doubles coordinate 0 before projecting is symmetric but
+    # not equivariant; is_equivariant must see it through the shared kernel
+    A = build(5)
+    b0 = A.basis[0]
+    honest = A.multiply(b0, b0)
+    assert A.is_equivariant()
+
+    def skewed(a, b):
+        p = [x * y for x, y in zip(a, b)]
+        p[0] *= 2
+        return tuple(len(p) * x - sum(p) for x in p)
+
+    monkeypatch.setattr(symn, "_product", skewed)
+    assert A.multiply(b0, b0) != honest
+    assert not A.is_equivariant()
+
+
 def test_distinguished_idempotents_n3_values():
     fs = distinguished_idempotents(3)
     assert fs[0] == (F(2), F(-1), F(-1))
@@ -100,6 +120,48 @@ def test_ad_spectrum_of_an_axis():
         roots, remainder = ad_spectrum(A, f)
         assert roots == {F(1): 1, F(-1, n - 2): n - 2}
         assert len(remainder) == 1  # constant: the polynomial split completely
+
+
+def _oracle_has_axis_spectrum(matrix, n):
+    roots, remainder = rational_roots(char_poly(matrix))
+    return roots == {F(1): 1, F(-1, n - 2): n - 2} and len(remainder) == 1
+
+
+def test_axis_spectrum_certificate_agrees_with_the_oracle_on_every_axis():
+    for n in range(3, 13):
+        A = build(n)
+        want = {F(1): 1, F(-1, n - 2): n - 2}
+        for f in distinguished_idempotents(n):
+            roots, remainder = ad_spectrum(A, f)
+            assert roots == want and len(remainder) == 1
+            assert has_axis_spectrum(A.ad_matrix(f), n)
+
+
+def test_axis_spectrum_certificate_refuses_a_jordan_block():
+    # diag(1) + J_2(-1/2) at n = 4: the characteristic polynomial of an axis,
+    # trace 0, but not diagonalizable
+    h = F(-1, 2)
+    M = [[F(1), F(0), F(0)], [F(0), h, F(1)], [F(0), F(0), h]]
+    assert _oracle_has_axis_spectrum(M, 4)
+    assert not has_axis_spectrum(M, 4)
+
+
+def test_axis_spectrum_certificate_refuses_the_identity():
+    # (I - I)(I + I/(n-2)) = 0 holds, but tr I = n - 1
+    for n in (3, 4, 6):
+        identity = [[F(int(i == j)) for j in range(n - 1)] for i in range(n - 1)]
+        assert not _oracle_has_axis_spectrum(identity, n)
+        assert not has_axis_spectrum(identity, n)
+
+
+def test_axis_spectrum_certificate_refuses_a_sum_of_two_axes():
+    # at n = 3, f0 + f1 = -f2 has the spectrum {-1: 1, 1: 1}, so start at 4
+    for n in range(4, 9):
+        A = build(n)
+        f = distinguished_idempotents(n)
+        M = A.ad_matrix(tuple(x + y for x, y in zip(f[0], f[1])))
+        assert not _oracle_has_axis_spectrum(M, n)
+        assert not has_axis_spectrum(M, n)
 
 
 def test_char_poly_and_rational_roots_on_a_known_matrix():
