@@ -4,7 +4,10 @@ Four primitive kinds act here: the parity involution, the torus scaling c^m on
 sector m, diagonal sector phases, and quarter-turn exponentials of weight-one
 zero-modes.  Exponentials are evaluated exactly: the zero-mode is diagonalized
 over the Gaussian rationals on each graded piece (its spectrum must lie in
-i*Z) and each eigenspace is multiplied by the appropriate power of i.
+i*Z) and each eigenspace is multiplied by the appropriate power of i.  The
+module's one cache holds, per (x, q mod 4, weight), the image of every basis
+term under P diag(i^(k q)) P^-1, built once from that eigendecomposition; an
+exponential is applied to a state as the sum of its terms' cached images.
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
-from .fock import State, form, graded_basis, graded_dim, term_weight, theta, weight_terms
+from .fock import State, form, graded_basis, graded_dim, theta, weight_terms
 from .linalg import kernel_basis, mat_mul, rref, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
@@ -88,7 +91,9 @@ class SpectralError(ValueError):
     """Zero-mode failed to diagonalize with spectrum in i*Z."""
 
 
-_EIGEN_CACHE: dict = {}
+# One entry per (x.fingerprint(), q % 4, w): every weight-w term mapped to its
+# image under the quarter-turn exponential, as a {term: Scalar} dict.
+_EXP_IMAGES: dict = {}
 
 
 def _zero_mode_matrix(x: State, w: int):
@@ -115,10 +120,6 @@ def _eigen_data(x: State, w: int):
     SpectralError if the eigenspaces do not fill the piece within the scanned
     band |k| <= 2w + 2.
     """
-    key = (x.fingerprint(), w)
-    hit = _EIGEN_CACHE.get(key)
-    if hit is not None:
-        return hit
     M, terms = _zero_mode_matrix(x, w)
     d = len(terms)
     ks: list = []
@@ -143,42 +144,44 @@ def _eigen_data(x: State, w: int):
     if pivots != list(range(d)):
         raise SpectralError("eigenvectors failed to form a basis")
     inv = [row[d:] for row in reduced]
-    data = (terms, ks, cols, inv)
-    _EIGEN_CACHE[key] = data
-    return data
+    return terms, ks, cols, inv
+
+
+def _exp_images(x: State, q: int, w: int) -> dict:
+    """{term: {term: Scalar}}: the image of every weight-w term under the
+    exponential, column by column of P diag(i^(k q)) P^-1, with P the
+    eigenvector columns of `_eigen_data`; built once per (x, q mod 4, w)."""
+    key = (x.fingerprint(), q % 4, w)
+    hit = _EXP_IMAGES.get(key)
+    if hit is not None:
+        return hit
+    terms, ks, cols, inv = _eigen_data(x, w)
+    images = {t: {} for t in terms}
+    for k, col, inv_row in zip(ks, cols, inv):
+        phase = I ** ((k * q) % 4)
+        for t, p in zip(terms, inv_row):
+            if not p:
+                continue
+            scale = phase * p
+            image = images[t]
+            for tt, c in zip(terms, col):
+                if c:
+                    image[tt] = image.get(tt, ZERO) + scale * c
+    images = {t: {tt: c for tt, c in image.items() if c} for t, image in images.items()}
+    _EXP_IMAGES[key] = images
+    return images
 
 
 def _apply_exp(x: State, q: int, s: State) -> State:
+    """The sum over the terms t of s of c_t times the cached image of t."""
     N = s.lattice
-    by_weight: dict = {}
-    for t, c in s.terms.items():
-        wt = term_weight(N, t)
-        if wt.denominator != 1:
-            raise ValueError("exponentials need integral weights")
-        by_weight.setdefault(int(wt), {})[t] = c
-    out = State(N, {})
-    for w, terms_dict in by_weight.items():
-        terms, ks, cols, inv = _eigen_data(x, w)
-        index = {t: i for i, t in enumerate(terms)}
-        vec = [ZERO] * len(terms)
-        for t, c in terms_dict.items():
-            vec[index[t]] = c
-        coords = [
-            sum((inv[r][j] * vec[j] for j in range(len(vec))), ZERO)
-            for r in range(len(vec))
-        ]
-        new = [ZERO] * len(vec)
-        for j, (k, col) in enumerate(zip(ks, cols)):
-            cj = coords[j]
-            if cj.is_zero():
-                continue
-            phase = I ** ((k * q) % 4)
-            scale = phase * cj
-            for r in range(len(vec)):
-                if col[r]:
-                    new[r] = new[r] + scale * col[r]
-        out = out + State(N, {terms[r]: new[r] for r in range(len(vec)) if new[r]})
-    return out
+    half = N // 2
+    acc: dict = {}
+    for (m, lam), c in s.terms.items():
+        image = _exp_images(x, q, m * m * half + sum(lam))[(m, lam)]
+        for t, e in image.items():
+            acc[t] = acc.get(t, ZERO) + c * e
+    return State(N, acc)
 
 
 def apply(spec: AutomorphismSpec, s: State) -> State:
@@ -187,15 +190,15 @@ def apply(spec: AutomorphismSpec, s: State) -> State:
         raise ValueError("spec and state live on different lattices")
     if spec.kind == "theta":
         return theta(s)
+    # torus scalings and phases multiply each term by a nonzero scalar, so no
+    # coefficient vanishes
     if spec.kind == "torus":
         (c,) = spec.payload
-        return State(
-            s.lattice, {t: coeff * c ** t[0] for t, coeff in s.terms.items()}
-        )
+        return State._of(s.lattice, {t: coeff * c ** t[0] for t, coeff in s.terms.items()})
     if spec.kind == "phase":
         (h,) = spec.payload
         step = int(2 * h * s.lattice)
-        return State(
+        return State._of(
             s.lattice,
             {t: coeff * I ** ((step * t[0]) % 4) for t, coeff in s.terms.items()},
         )

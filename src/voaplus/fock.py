@@ -59,6 +59,16 @@ class State:
                     clean[t] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, lattice: int, terms: dict) -> "State":
+        """A State that takes ownership of terms, unchecked: the lattice must
+        be valid and every coefficient a nonzero Scalar.  For values the
+        package built itself."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "lattice", lattice)
+        object.__setattr__(s, "terms", terms)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("State is immutable")
 
@@ -114,8 +124,9 @@ class State:
         return sorted(self.terms.items(), key=lambda it: (term_weight(N, it[0]),) + it[0][:1] + (it[0][1],))
 
     def is_homogeneous(self) -> bool:
-        ws = {term_weight(self.lattice, t) for t in self.terms}
-        return len(ws) <= 1
+        # the lattice norm is even, so term weights are the integers m^2 N/2 + |lam|
+        half = self.lattice // 2
+        return len({m * m * half + sum(lam) for m, lam in self.terms}) <= 1
 
     def weight(self):
         """Common weight of all terms; None for the zero state."""
@@ -164,11 +175,8 @@ def heisenberg(k: int, s: State) -> State:
 
 def theta(s: State) -> State:
     """The parity involution: negate the sector, sign (-1)^(number of parts)."""
-    out = {}
-    for (m, lam), c in s.terms.items():
-        sign = -1 if len(lam) % 2 else 1
-        out[(-m, lam)] = c * sign
-    return State(s.lattice, out)
+    out = {(-m, lam): -c if len(lam) % 2 else c for (m, lam), c in s.terms.items()}
+    return State._of(s.lattice, out)
 
 
 def _term_norm(N: int, lam: tuple) -> int:

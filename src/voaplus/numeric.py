@@ -34,6 +34,15 @@ class Scalar:
         object.__setattr__(self, "re", as_fraction(re))
         object.__setattr__(self, "im", as_fraction(im))
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "Scalar":
+        """A Scalar from parts that are already Fractions, unchecked; for
+        values the package built itself."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "re", re)
+        object.__setattr__(s, "im", im)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
@@ -63,7 +72,7 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return Scalar._of(-self.re, -self.im)
 
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):

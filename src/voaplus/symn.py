@@ -37,11 +37,16 @@ def _as_vec(v, n):
     return vec
 
 
+def _p_product(a, b):
+    """The product of P: coordinatewise, with the axes e_i as idempotents."""
+    return [x * y for x, y in zip(a, b)]
+
+
 def _product(a, b):
     """n times the product a*b on M: n*(a_i b_i) - sum_j a_j b_j, the
     coordinatewise P-product projected onto the zero-sum hyperplane and scaled
     by n, so it is integral when a and b are."""
-    p = [x * y for x, y in zip(a, b)]
+    p = _p_product(a, b)
     s = sum(p)
     n = len(p)
     return tuple(n * x - s for x in p)
@@ -154,19 +159,23 @@ def build(n: int) -> PermAlgebra:
     return PermAlgebra(n)
 
 
+def _axes(n: int):
+    """The n axis vectors (n/(n-2)) * (e_i - (1/n) * sum e_j), unchecked: the
+    i-th is w/(n-2) with w = n e_i - sum e_j integral."""
+    return [tuple(Fraction(n - 1 if j == i else -1, n - 2) for j in range(n)) for i in range(n)]
+
+
 def distinguished_idempotents(n: int):
     """The n axis idempotents (n/(n-2)) * (e_i - (1/n) * sum e_j), verified.
 
     The i-th is w/(n-2) with w = n e_i - sum e_j integral, and it is idempotent
     exactly when n times the product w*w equals n(n-2) w."""
     _require_n(n)
-    out = []
     for i in range(n):
         w = tuple(n - 1 if j == i else -1 for j in range(n))
         if _product(w, w) != tuple(n * (n - 2) * x for x in w):
             raise AssertionError("distinguished vector failed the idempotent identity")
-        out.append(tuple(Fraction(x, n - 2) for x in w))
-    return out
+    return _axes(n)
 
 
 def has_axis_spectrum(matrix, n: int) -> bool:
@@ -318,27 +327,38 @@ def ad_spectrum(A: PermAlgebra, e):
     return roots, remainder
 
 
+def _ad_p(a):
+    """The matrix (rows) of x -> a*x on P in the axis basis, read column by
+    column from the P-product of a with each axis."""
+    n = len(a)
+    cols = [_p_product(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def trace_form(n: int):
     """The form tr(ad_P(a) ad_P(b)) on M, returned as a callable, after
     verifying it equals the coordinate dot product (the orthonormal-axis form
-    restricted to M, positive multiple exactly 1) and respects the action."""
-    A = build(n)
+    restricted to M, positive multiple exactly 1) and respects the action.
+
+    The verification computes the trace from ad_P matrices built with the
+    P-product, on every pair of the difference basis, and compares it with
+    the dot product that the returned form evaluates."""
+    _require_n(n)
+    basis = difference_basis(n)
 
     def form(a, b):
         a = _as_vec(a, n)
         b = _as_vec(b, n)
-        # ad_P of a zero-sum vector is the diagonal matrix of its entries,
-        # so the trace of the product is the dot product
         return sum(x * y for x, y in zip(a, b))
 
-    for bi in A.basis:
-        for bj in A.basis:
-            dot = sum(x * y for x, y in zip(bi, bj))
-            if form(bi, bj) != dot:
+    for bi in basis:
+        for bj in basis:
+            prod = mat_mul(_ad_p(bi), _ad_p(bj))
+            if sum(prod[i][i] for i in range(n)) != form(bi, bj):
                 raise AssertionError("trace form drifted from the dot product")
-    for sigma in A.adjacent_transpositions():
-        for bi in A.basis:
-            for bj in A.basis:
+    for sigma in _adjacent_transpositions(n):
+        for bi in basis:
+            for bj in basis:
                 if form(_permute(sigma, bi), _permute(sigma, bj)) != form(bi, bj):
                     raise AssertionError("trace form is not invariant")
     return form
@@ -354,6 +374,8 @@ def enumerate_idempotents_n3():
     `has_axis_spectrum` at n = 3: multiplication by e is diagonalizable with
     eigenvalues 1 and -1.  Two distinct eigenvalues make every such matrix
     diagonalizable (Cayley-Hamilton), so this is the spectrum {1: 1, -1: 1}.
+    Returns None when the resultant does not factor over the rationals, since
+    the enumeration is then not certified exhaustive.
     """
     A = build(3)
     d1, d2 = A.basis
@@ -389,7 +411,7 @@ def enumerate_idempotents_n3():
     res = _sylvester_resultant(P, Q)
     roots, remainder = rational_roots(res)
     if len(remainder) > 1:
-        raise AssertionError("resultant did not factor over the rationals; enumeration incomplete")
+        return None
     solutions = set()
     for a0 in roots:
         # substitute a0 into both quadratics in b and collect common rational roots
@@ -497,7 +519,8 @@ def equivariant_product_space_dim(n: int) -> int:
 
 def nonassociativity_witness(n: int):
     """Returns ((f1*f1)*f2, f1*(f1*f2)) — unequal for every n >= 3 in play."""
-    f = distinguished_idempotents(n)
+    _require_n(n)
+    f = _axes(n)
     left = _multiply(_multiply(f[0], f[0]), f[1])
     right = _multiply(f[0], _multiply(f[0], f[1]))
     return left, right
@@ -506,12 +529,14 @@ def nonassociativity_witness(n: int):
 def invariant_algebra_report(rep, n_range) -> None:
     """Add the invariant-algebra checks across a range of n to the report rep.
 
-    The "ad-spectrum" row holds when `has_axis_spectrum` proves the spectrum
-    {1: 1, -1/(n-2): n-2} for multiplication by every axis idempotent."""
+    The axes are built unchecked, so a wrong product fails the "idempotents"
+    row instead of ending the report.  The "ad-spectrum" row holds when
+    `has_axis_spectrum` proves the spectrum {1: 1, -1/(n-2): n-2} for
+    multiplication by every axis."""
     for n in n_range:
         A = build(n)
         rep.check(f"equivariance n={n}", "perm-algebra", True, A.is_equivariant())
-        fs = distinguished_idempotents(n)
+        fs = _axes(n)
         ok_idem = all(_multiply(f, f) == f for f in fs)
         rep.check(f"idempotents n={n}", "axis-idempotents", True, ok_idem)
         ok_spec = all(has_axis_spectrum(A._ad_matrix(f), n) for f in fs)
@@ -527,6 +552,8 @@ def invariant_algebra_report(rep, n_range) -> None:
                 1,
                 equivariant_product_space_dim(n),
             )
-    survivors = sorted(tuple(v) for v in enumerate_idempotents_n3())
-    distinguished = sorted(tuple(v) for v in distinguished_idempotents(3))
+    survivors = enumerate_idempotents_n3()
+    if survivors is not None:
+        survivors = sorted(tuple(v) for v in survivors)
+    distinguished = sorted(tuple(v) for v in _axes(3))
     rep.check("n=3 exhaustive filter", "idempotent-enumeration", distinguished, survivors)

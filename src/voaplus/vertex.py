@@ -16,8 +16,13 @@ Conventions, fixed once here:
   * Term modes are integer numerators over w_out!, w_out the weight of the
     result: the creation exponential contributes a^len(nu)/z_nu, and w!/z_nu
     is an integer (a conjugacy-class size) for |nu| <= w.  `mode` scales its
-    arguments to Gaussian integers over one denominator each, accumulates
-    integer pairs, and divides once per output term.
+    arguments to Gaussian integers over one denominator each (no lcm work when
+    every denominator is 1), accumulates integer pairs, and divides once per
+    output term.
+  * `mode` builds its result with the unchecked constructors `Scalar._of` and
+    `State._of`: each part it divides out is a reduced Fraction and it keeps
+    only nonzero terms, so re-validation would check nothing.  The public
+    constructors keep every check for values from outside.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -26,6 +31,7 @@ homogeneous state is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial, lcm
 
@@ -33,6 +39,8 @@ from .numeric import Scalar
 from .fock import State, partitions
 
 __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
+
+_F0 = Fraction(0)
 
 
 def poly_binom(x: int, r: int) -> int:
@@ -176,6 +184,14 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
 
 def _scaled(s: State) -> tuple:
     """(d, {term: (re, im)}): the coefficients of s as Gaussian integers over d."""
+    out = {}
+    for t, c in s.terms.items():
+        re, im = c.re, c.im
+        if re.denominator != 1 or im.denominator != 1:
+            break
+        out[t] = (re.numerator, im.numerator)
+    else:
+        return 1, out
     d = 1
     for c in s.terms.values():
         d = lcm(d, c.re.denominator, c.im.denominator)
@@ -212,17 +228,25 @@ def mode(v: State, k: int, w: State) -> State:
             for t, c in sub.items():
                 pr, pi = acc.get(t, (0, 0))
                 acc[t] = (pr + ccr * c, pi + cci * c)
+    dvw = dv * dw
+    half = N // 2
     out = {}
     for (mm, ll), (r, i) in acc.items():
         if r or i:
-            d = dv * dw * factorial(mm * mm * N // 2 + sum(ll))
-            out[(mm, ll)] = Scalar(Fraction(r, d), Fraction(i, d))
-    return State(N, out)
+            d = dvw * factorial(mm * mm * half + sum(ll))
+            out[(mm, ll)] = Scalar._of(Fraction(r, d) if r else _F0, Fraction(i, d) if i else _F0)
+    return State._of(N, out)
+
+
+@lru_cache(maxsize=None)
+def _omega(N: int) -> State:
+    """The conformal vector, built once per lattice (States are immutable)."""
+    return State.omega(N)
 
 
 def virasoro(k: int, w: State) -> State:
     """L(k) acting on w: the (k+1)-st mode of the conformal vector."""
-    return mode(State.omega(w.lattice), k + 1, w)
+    return mode(_omega(w.lattice), k + 1, w)
 
 
 def bracket(a: State, b: State) -> State:

@@ -64,6 +64,41 @@ def test_exponential_of_a_real_spectrum_zero_mode_is_rejected():
         apply(exp_spec(ALPHA, 1), ALPHA)
 
 
+def _dense_exp(eigen, q, s):
+    """The exponential by the dense round trip through the eigenbasis: the
+    coordinates P^-1 v of each graded piece, scaled by i^(k q), mapped back by P."""
+    N = s.lattice
+    out = State(N, {})
+    for w, (terms, ks, cols, inv) in eigen.items():
+        vec = [s.terms.get(t, Scalar(0)) for t in terms]
+        if not any(vec):
+            continue
+        coords = [sum((p * c for p, c in zip(row, vec)), Scalar(0)) for row in inv]
+        new = [Scalar(0)] * len(terms)
+        for k, col, cj in zip(ks, cols, coords):
+            scale = I ** ((k * q) % 4) * cj
+            new = [a + scale * b for a, b in zip(new, col)]
+        out = out + State(N, dict(zip(terms, new)))
+    return out
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_sparse_exponential_matches_the_dense_eigenbasis_round_trip(j):
+    spec = rotation_sigma(j)
+    x, q = spec.payload
+    eigen = {w: aut4._eigen_data(x, w) for w in range(5)}
+    for w in range(5):
+        for b in graded_basis(2, w, "full"):
+            assert apply(spec, b) == _dense_exp(eigen, q, b)
+    gaussian = (
+        Scalar(1, 2) * ALPHA
+        + Scalar(Fraction(-1, 3), Fraction(1, 2)) * XP
+        + I * State.of_term(2, -1, (2, 1))
+        + Scalar(Fraction(5, 7)) * State.of_term(2, 2)
+    )
+    assert apply(spec, gaussian) == _dense_exp(eigen, q, gaussian)
+
+
 def test_theta_squares_to_the_identity():
     th = theta_spec(2)
     for w in range(5):

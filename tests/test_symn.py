@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from voaplus import symn
+from voaplus import cli, symn
 from voaplus.report import Report
 from voaplus.symn import (
     PermAlgebra,
@@ -179,6 +179,35 @@ def test_trace_form_is_the_dot_product():
     assert form(d1, d1) == F(2)
     assert form(d1, d2) == F(-1)
     assert form(d2, d2) == F(2)
+
+
+def test_trace_form_check_fails_on_a_wrong_p_product(monkeypatch):
+    # the check builds ad_P from the P-product, so a wrong product shows up
+    real = symn._p_product
+
+    def doubled(a, b):
+        p = real(a, b)
+        return [2 * p[0]] + p[1:]
+
+    monkeypatch.setattr(symn, "_p_product", doubled)
+    with pytest.raises(AssertionError):
+        trace_form(3)
+
+
+def test_a_wrong_product_fails_the_report_rows_without_a_traceback(monkeypatch, capsys):
+    real = symn._product
+
+    def doubled(a, b):
+        p = real(a, b)
+        return (2 * p[0],) + p[1:]
+
+    monkeypatch.setattr(symn, "_product", doubled)
+    code, rep = cli.run(["symn", "--n", "4"])
+    capsys.readouterr()
+    assert code == 1
+    failed = rep.failures()
+    assert "equivariance n=3" in failed
+    assert "idempotents n=3" in failed
 
 
 def test_n3_enumeration_finds_exactly_the_three_axes():

@@ -5,17 +5,21 @@ on the lattices N = 2, 4, 6, 8.  Runs are derandomized, so every run checks
 the same cases; the landmark states of the hand-checked tests are explicit
 examples.  The identities: the commutator formula, skew-symmetry, the
 Virasoro relations, and compatibility of torus scalings and sector phases
-with every mode.
+with every mode.  Each property also checks that the values the engine
+builds without re-validation (mode results, parity images, torus and phase
+images) are what the public constructor would build: nonzero coefficients
+with Fraction parts.
 """
 
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voaplus.aut4 import apply, phase_spec, torus_spec
-from voaplus.fock import State, graded_basis
+from voaplus.fock import State, graded_basis, theta
 from voaplus.numeric import I, Scalar
 from voaplus.vertex import mode, poly_binom, virasoro
 
@@ -58,6 +62,14 @@ def _exp_pair(N):
     return State.of_term(N, 1) + State.of_term(N, -1)
 
 
+def _is_engine_built(r):
+    """r equals its rebuild through the public constructor, and every stored
+    coefficient is nonzero with Fraction parts."""
+    return State(r.lattice, dict(r.terms)) == r and all(
+        c and type(c.re) is Fraction and type(c.im) is Fraction for c in r.terms.values()
+    )
+
+
 @_PROPERTY
 @given(states=_states(3), p=st.integers(-2, 3), q=st.integers(-2, 3))
 @example(states=(_SQUARE, _SQUARE, State.vacuum(2)), p=3, q=-1)
@@ -70,6 +82,7 @@ def test_commutator_formula(states, p, q):
     for j in range(int(u.weight() + v.weight())):
         rhs = rhs + poly_binom(p, j) * mode(mode(u, j, v), p + q - j, w)
     assert lhs == rhs
+    assert _is_engine_built(mode(u, p, mode(v, q, w)))
 
 
 @_PROPERTY
@@ -87,6 +100,7 @@ def test_skew_symmetry(states, k):
             t = virasoro(-1, t)
         rhs = rhs + t * Fraction((-1) ** (k + 1 + j), factorial(j))
     assert mode(u, k, v) == rhs
+    assert _is_engine_built(mode(u, k, v)) and _is_engine_built(theta(u))
 
 
 @_PROPERTY
@@ -101,6 +115,7 @@ def test_virasoro_relations(states, p, q):
     if p + q == 0:
         rhs = rhs + b * Fraction(p**3 - p, 12)
     assert lhs == rhs
+    assert _is_engine_built(virasoro(p, b))
 
 
 
@@ -124,3 +139,8 @@ def test_automorphisms_commute_with_modes(states, k, name):
     u, v = states
     g = _AUTOMORPHISMS[name](u.lattice)
     assert apply(g, mode(u, k, v)) == mode(apply(g, u), k, apply(g, v))
+    assert _is_engine_built(apply(g, u))
+    # a first argument of two weights is refused
+    if u.weight() != v.weight():
+        with pytest.raises(ValueError):
+            mode(u + v, k, v)
