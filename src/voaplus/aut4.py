@@ -147,14 +147,15 @@ def _eigen_data(x: State, w: int):
     return terms, ks, cols, inv
 
 
-def _exp_images(x: State, q: int, w: int) -> dict:
+def _exp_images(x: State, key: tuple) -> dict:
     """{term: {term: Scalar}}: the image of every weight-w term under the
     exponential, column by column of P diag(i^(k q)) P^-1, with P the
-    eigenvector columns of `_eigen_data`; built once per (x, q mod 4, w)."""
-    key = (x.fingerprint(), q % 4, w)
+    eigenvector columns of `_eigen_data`; built once per
+    key = (x.fingerprint(), q mod 4, w)."""
     hit = _EXP_IMAGES.get(key)
     if hit is not None:
         return hit
+    _, q, w = key
     terms, ks, cols, inv = _eigen_data(x, w)
     images = {t: {} for t in terms}
     for k, col, inv_row in zip(ks, cols, inv):
@@ -173,13 +174,19 @@ def _exp_images(x: State, q: int, w: int) -> dict:
 
 
 def _apply_exp(x: State, q: int, s: State) -> State:
-    """The sum over the terms t of s of c_t times the cached image of t."""
+    """The sum over the terms t of s of c_t times the cached image of t; the
+    image table of each weight is looked up once per call."""
     N = s.lattice
     half = N // 2
+    fp, q4 = x.fingerprint(), q % 4
+    tables: dict = {}
     acc: dict = {}
     for (m, lam), c in s.terms.items():
-        image = _exp_images(x, q, m * m * half + sum(lam))[(m, lam)]
-        for t, e in image.items():
+        w = m * m * half + sum(lam)
+        table = tables.get(w)
+        if table is None:
+            table = tables[w] = _exp_images(x, (fp, q4, w))
+        for t, e in table[(m, lam)].items():
             acc[t] = acc.get(t, ZERO) + c * e
     return State(N, acc)
 

@@ -159,23 +159,12 @@ def build(n: int) -> PermAlgebra:
     return PermAlgebra(n)
 
 
-def _axes(n: int):
-    """The n axis vectors (n/(n-2)) * (e_i - (1/n) * sum e_j), unchecked: the
-    i-th is w/(n-2) with w = n e_i - sum e_j integral."""
-    return [tuple(Fraction(n - 1 if j == i else -1, n - 2) for j in range(n)) for i in range(n)]
-
-
 def distinguished_idempotents(n: int):
-    """The n axis idempotents (n/(n-2)) * (e_i - (1/n) * sum e_j), verified.
-
-    The i-th is w/(n-2) with w = n e_i - sum e_j integral, and it is idempotent
-    exactly when n times the product w*w equals n(n-2) w."""
+    """The n axis vectors (n/(n-2)) * (e_i - (1/n) * sum e_j), unchecked: the
+    i-th is w/(n-2) with w = n e_i - sum e_j integral.  Their idempotence is
+    the "idempotents" row of `invariant_algebra_report`."""
     _require_n(n)
-    for i in range(n):
-        w = tuple(n - 1 if j == i else -1 for j in range(n))
-        if _product(w, w) != tuple(n * (n - 2) * x for x in w):
-            raise AssertionError("distinguished vector failed the idempotent identity")
-    return _axes(n)
+    return [tuple(Fraction(n - 1 if j == i else -1, n - 2) for j in range(n)) for i in range(n)]
 
 
 def has_axis_spectrum(matrix, n: int) -> bool:
@@ -520,7 +509,7 @@ def equivariant_product_space_dim(n: int) -> int:
 def nonassociativity_witness(n: int):
     """Returns ((f1*f1)*f2, f1*(f1*f2)) — unequal for every n >= 3 in play."""
     _require_n(n)
-    f = _axes(n)
+    f = distinguished_idempotents(n)
     left = _multiply(_multiply(f[0], f[0]), f[1])
     right = _multiply(f[0], _multiply(f[0], f[1]))
     return left, right
@@ -536,7 +525,7 @@ def invariant_algebra_report(rep, n_range) -> None:
     for n in n_range:
         A = build(n)
         rep.check(f"equivariance n={n}", "perm-algebra", True, A.is_equivariant())
-        fs = _axes(n)
+        fs = distinguished_idempotents(n)
         ok_idem = all(_multiply(f, f) == f for f in fs)
         rep.check(f"idempotents n={n}", "axis-idempotents", True, ok_idem)
         ok_spec = all(has_axis_spectrum(A._ad_matrix(f), n) for f in fs)
@@ -555,5 +544,5 @@ def invariant_algebra_report(rep, n_range) -> None:
     survivors = enumerate_idempotents_n3()
     if survivors is not None:
         survivors = sorted(tuple(v) for v in survivors)
-    distinguished = sorted(tuple(v) for v in _axes(3))
+    distinguished = sorted(tuple(v) for v in distinguished_idempotents(3))
     rep.check("n=3 exhaustive filter", "idempotent-enumeration", distinguished, survivors)
