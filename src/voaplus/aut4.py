@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
 from .fock import State, form, graded_basis, graded_dim, theta, weight_terms
-from .linalg import kernel_basis, mat_mul, rref, solve_columns
+from .linalg import kernel_basis, mat_mul, rank, rref, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
 from . import symn
@@ -325,20 +326,16 @@ def split_H_J():
     J = [virasoro(-2, om), virasoro(-4, vac)]
     if len(H) != 2:
         raise AssertionError("singular block is not 2-dimensional")
-    sub = GradedSubspace(2, 4)
-    basis_cols = [sub.coords(v, 4) for v in H + J]
-    probe = GradedSubspace(2, 4)
-    for v in H + J:
-        if probe.insert(v) is None:
-            raise AssertionError("weight-4 sum is not direct")
+    basis_cols = [_coords4(v) for v in H + J]
+    if rank(basis_cols) != 4:
+        raise AssertionError("weight-4 sum is not direct")
 
     def q(v: State) -> State:
         if v.is_zero():
             return v
         if not v.is_homogeneous() or v.weight() != 4:
             raise ValueError("the projector acts on weight-4 states")
-        target = sub.coords(v, 4)
-        combo = solve_columns(basis_cols, target)
+        combo = solve_columns(basis_cols, _coords4(v))
         if combo is None:
             raise ValueError("state lies outside the E-fixed weight-4 piece")
         out = State(2, {})
@@ -350,15 +347,27 @@ def split_H_J():
     return H, J, q
 
 
-def _efixed4_matrix(spec_or_matrix, basis, sub):
-    """Matrix (rows) of an automorphism on the E-fixed weight-4 basis."""
+def _coords4(s: State) -> list:
+    """Coordinates of s on the canonical weight-4 terms of the norm-2
+    lattice; a term outside that piece raises ValueError."""
+    terms = weight_terms(2, 4)
+    vec = [ZERO] * len(terms)
+    for t, c in s.terms.items():
+        if t not in terms:
+            raise ValueError("state has a term outside the weight-4 piece")
+        vec[terms.index(t)] = c
+    return vec
+
+
+def _matrix_on(basis: list, image) -> list:
+    """Matrix (rows) of the map image on the weight-4 basis, whose span the
+    map must preserve."""
+    basis_cols = [_coords4(b) for b in basis]
     cols = []
-    basis_cols = [sub.coords(b, 4) for b in basis]
     for b in basis:
-        img = apply(spec_or_matrix, b)
-        combo = solve_columns(basis_cols, sub.coords(img, 4))
+        combo = solve_columns(basis_cols, _coords4(image(b)))
         if combo is None:
-            raise AssertionError("automorphism left the E-fixed weight-4 piece")
+            raise AssertionError("the map does not preserve the span of the basis")
         cols.append(combo)
     d = len(basis)
     return [[cols[j][i] for j in range(d)] for i in range(d)]
@@ -390,9 +399,7 @@ def sym3_report(rep) -> dict:
     """
     basis4 = graded_basis(2, 4, "efixed")
     rep.check("weight-4 E-fixed dimension", "v4-span", 4, len(basis4))
-    sub4 = GradedSubspace(2, 4)
-    inserted = sum(1 for b in basis4 if sub4.insert(b) is not None)
-    rep.check("spanning set independent", "v4-span", 4, inserted)
+    rep.check("spanning set independent", "v4-span", 4, rank([_coords4(b) for b in basis4]))
 
     s1, s2, s3 = rotation_sigma(1), rotation_sigma(2), rotation_sigma(3)
     perms = {"id": (0, 1, 2)}
@@ -401,7 +408,7 @@ def sym3_report(rep) -> dict:
     mats["id"] = ident
     for name, spec in (("s1", s1), ("s2", s2), ("s3", s3)):
         perms[name] = _line_permutation(spec)
-        mats[name] = _efixed4_matrix(spec, basis4, sub4)
+        mats[name] = _matrix_on(basis4, partial(apply, spec))
     rep.check("s1 line action", "line-permutations", (0, 2, 1), perms["s1"])
     rep.check("s2 line action", "line-permutations", (1, 0, 2), perms["s2"])
     rep.check("s3 line action", "line-permutations", (2, 1, 0), perms["s3"])
@@ -429,20 +436,12 @@ def sym3_report(rep) -> dict:
 
     # s1 fixes every sector-0 (polynomial) vector; s2 moves at least one
     poly_indices = [i for i, b in enumerate(basis4) if all(t[0] == 0 for t in b.terms)]
-    s1_fixes_poly = all(
-        all(
-            (mats["s1"][r][i] == (ONE if r == i else ZERO)) for r in range(4)
-        )
-        for i in poly_indices
-    )
-    s2_fixes_poly = all(
-        all(
-            (mats["s2"][r][i] == (ONE if r == i else ZERO)) for r in range(4)
-        )
-        for i in poly_indices
-    )
-    rep.check("first involution fixes polynomials", "polynomial-part", True, s1_fixes_poly)
-    rep.check("second involution moves polynomials", "polynomial-part", False, s2_fixes_poly)
+
+    def fixes_poly(m):
+        return all(m[r][i] == ident[r][i] for i in poly_indices for r in range(4))
+
+    rep.check("first involution fixes polynomials", "polynomial-part", True, fixes_poly(mats["s1"]))
+    rep.check("second involution moves polynomials", "polynomial-part", False, fixes_poly(mats["s2"]))
 
     H, J, q = split_H_J()
     rep.check("dim H", "h-j-split", 2, len(H))
@@ -465,26 +464,13 @@ def sym3_report(rep) -> dict:
     rep.check("J fixed pointwise", "h-j-split", True, j_fixed)
 
     # restriction to H: matrices in the basis H, via coordinates
-    sub_h = GradedSubspace(2, 4)
-    h_cols = [sub_h.coords(h, 4) for h in H]
-
-    def h_restriction(apply_state):
-        cols = []
-        for h in H:
-            img = apply_state(h)
-            combo = solve_columns(h_cols, sub_h.coords(img, 4))
-            if combo is None:
-                raise AssertionError("H is not preserved")
-            cols.append(combo)
-        return [[cols[j][i] for j in range(len(H))] for i in range(len(H))]
-
     h_mats = {
-        "id": h_restriction(lambda v: v),
-        "s1": h_restriction(lambda v: apply(s1, v)),
-        "s2": h_restriction(lambda v: apply(s2, v)),
-        "s3": h_restriction(lambda v: apply(s3, v)),
-        "rho": h_restriction(lambda v: apply(s2, apply(s1, v))),
-        "rho2": h_restriction(lambda v: apply(s1, apply(s2, v))),
+        "id": _matrix_on(H, lambda v: v),
+        "s1": _matrix_on(H, partial(apply, s1)),
+        "s2": _matrix_on(H, partial(apply, s2)),
+        "s3": _matrix_on(H, partial(apply, s3)),
+        "rho": _matrix_on(H, lambda v: apply(s2, apply(s1, v))),
+        "rho2": _matrix_on(H, lambda v: apply(s1, apply(s2, v))),
     }
     traces = {name: m[0][0] + m[1][1] for name, m in h_mats.items()}
     rep.check("H trace of identity", "h-irreducible", Scalar(2), traces["id"])
@@ -557,9 +543,8 @@ def sym3_report(rep) -> dict:
                 match = False
             continue
         # find s with lhs = s * rhs by comparing any nonzero coordinate
-        sub_c = GradedSubspace(2, 4)
-        lv = sub_c.coords(lhs, 4)
-        rv = sub_c.coords(rhs, 4)
+        lv = _coords4(lhs)
+        rv = _coords4(rhs)
         s_here = None
         for a, b in zip(lv, rv):
             if b:

@@ -191,7 +191,7 @@ def _mode_checks_report(max_weight: int) -> Report:
     stride = max(1, len(combos) // 20)
     picked = combos[::stride][:20]
     for idx, (u, v, w, (p, q)) in enumerate(picked):
-        wu, wv = int(u.weight()), int(v.weight())
+        wu, wv = u.weight(), v.weight()
         lhs = mode(u, p, mode(v, q, w)) - mode(v, q, mode(u, p, w))
         rhs = zero2
         for j in range(wu + wv):

@@ -27,9 +27,10 @@ def check_lattice(N: int):
         raise ValueError(f"lattice norm must be a positive even integer, got {N!r}")
 
 
-def term_weight(N: int, term: Term) -> Fraction:
+def term_weight(N: int, term: Term) -> int:
+    """m^2 N/2 + |lam|, an integer since the lattice norm N is even."""
     m, lam = term
-    return Fraction(m * m * N, 2) + sum(lam)
+    return m * m * (N // 2) + sum(lam)
 
 
 def _canonical_partition(parts) -> tuple[int, ...]:
@@ -129,7 +130,7 @@ class State:
         return len({m * m * half + sum(lam) for m, lam in self.terms}) <= 1
 
     def weight(self):
-        """Common weight of all terms; None for the zero state."""
+        """Common (integer) weight of all terms; None for the zero state."""
         ws = {term_weight(self.lattice, t) for t in self.terms}
         if not ws:
             return None

@@ -1,86 +1,31 @@
 """Dense exact linear algebra over the rationals and the Gaussian rationals.
 
-Row echelon form here is fully reduced with unit pivots, so a subspace has one
-canonical row set under a fixed column order and bases compare by equality.
+There is one elimination: `EchelonBasis`, an incremental fraction-free
+Gauss-Jordan over the Gaussian integers (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+A row is stored as a pair of integer lists (re, im), im None when real:
+  * an inserted vector is scaled by the lcm of its denominators; scaling
+    leaves the spanned line, and so the subspace, unchanged;
+  * eliminating a pivot replaces row by p*row - q*prow, with p the stored
+    row's pivot and q row's entry in the pivot column, then divides by the
+    integer content of the entries; no rational is built inside the loop;
+  * a new row is back-substituted into the stored ones the same way, so each
+    stored row is zero at every other pivot column.
+Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
+echelon form, which is unique under a fixed column order; bases built in any
+insertion order then compare by equality.
 
-`EchelonBasis` works uniformly on any exact field element type (Scalar or
-Fraction): elements only need +, -, *, /, truthiness and an additive zero
-obtained as x - x.
-
-`rref`, `rank`, `kernel_basis` and `solve_columns` share one fraction-free
-Gauss-Jordan kernel over Gaussian integers, stored as integer lists (re, im)
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968):
-  * each input row is scaled by the lcm of its denominators; scaling a row
-    leaves the row space, and so the reduced form, unchanged;
-  * a pivot step replaces row_i by p*row_i - q*row_r, with p the pivot and q
-    row_i's entry in the pivot column, then divides row_i by the integer
-    content of its entries; no rational is built inside the loop;
-  * `rref` divides each surviving row by its pivot once, at the end, and
-    returns Scalar entries if any input entry is a Scalar, else Fraction;
-    `rank` only counts the surviving rows.
-The unit-pivot reduced form is unique, so the result equals the one of
-Gauss-Jordan carried out in field arithmetic.
+`rref` and `rank` insert the rows of a matrix into one `EchelonBasis`;
+`kernel_basis` and `solve_columns` read `rref`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
 from .numeric import ZERO, Scalar
-
-
-class EchelonBasis:
-    """Reduced echelon row basis of a subspace, grown by insertion."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: dict = {}  # pivot column -> row (list), unit pivot, reduced
-        self._order: list = []  # pivot columns, ascending
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: list) -> list:
-        """Residual of vec after elimination against the stored rows."""
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match basis dimension")
-        v = list(vec)
-        for piv in self._order:
-            c = v[piv]
-            if c:
-                row = self.rows[piv]
-                for i in range(piv, self.dim):
-                    if row[i]:
-                        v[i] = v[i] - c * row[i]
-        return v
-
-    def insert(self, vec: list) -> bool:
-        """Insert vec; True if it enlarged the subspace."""
-        v = self.reduce(vec)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            return False
-        inv = v[piv]
-        v = [c / inv for c in v]
-        for other in self.rows.values():
-            c = other[piv]
-            if c:
-                for i in range(piv, self.dim):
-                    if v[i]:
-                        other[i] = other[i] - c * v[i]
-        self.rows[piv] = v
-        self._order.append(piv)
-        self._order.sort()
-        return True
-
-    def contains(self, vec: list) -> bool:
-        return not any(self.reduce(vec))
-
-    def vectors(self) -> list:
-        return [list(self.rows[p]) for p in self._order]
 
 
 def _integer_row(row: list) -> tuple:
@@ -129,34 +74,6 @@ def _eliminated(row: tuple, prow: tuple, col: int) -> tuple | None:
     )
 
 
-def _eliminate(matrix: list) -> tuple:
-    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
-
-    Returns (rows, pivots): primitive integer rows (re, im), im None when
-    real, in pivot order; each row is nonzero at its pivot column and zero at
-    every other pivot column, so dividing it by its pivot gives the unique
-    reduced echelon form.
-    """
-    pending = [r for r in (_primitive(*_integer_row(row)) for row in matrix) if r]
-    rows: list = []
-    pivots: list = []
-    for col in range(len(matrix[0]) if matrix else 0):
-        k = next(
-            (k for k, (re, im) in enumerate(pending) if re[col] or (im is not None and im[col])),
-            None,
-        )
-        if k is None:
-            continue
-        prow = pending.pop(k)
-        pending = [r for r in (_eliminated(row, prow, col) for row in pending) if r]
-        rows = [_eliminated(row, prow, col) for row in rows]
-        rows.append(prow)
-        pivots.append(col)
-        if not pending:
-            break
-    return rows, pivots
-
-
 def _unit_pivot(row: tuple, col: int, field) -> list:
     """row divided by its entry at col, as field elements (Fraction or Scalar)."""
     re, im = row
@@ -173,20 +90,76 @@ def _unit_pivot(row: tuple, col: int, field) -> list:
     ]
 
 
+class EchelonBasis:
+    """Echelon row basis of a subspace of int, Fraction or Scalar vectors,
+    grown by insertion and kept as primitive Gaussian-integer rows."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # pivot column -> primitive row (re, im), zero at every other pivot
+        self.rows: dict = {}
+        self._order: list = []  # pivot columns, ascending
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: list) -> tuple | None:
+        """Primitive integer residual of vec after elimination against the
+        stored rows, a nonzero multiple of the field residual; None when vec
+        lies in the span."""
+        if len(vec) != self.dim:
+            raise ValueError("vector length does not match basis dimension")
+        row = _primitive(*_integer_row(vec))
+        for piv in self._order:
+            if row is None:
+                break
+            row = _eliminated(row, self.rows[piv], piv)
+        return row
+
+    def insert(self, vec: list) -> tuple | None:
+        """Insert vec; returns its primitive integer residual (see `reduce`)
+        if it enlarged the subspace, else None."""
+        row = self.reduce(vec)
+        if row is None:
+            return None
+        re, im = row
+        piv = next(i for i, x in enumerate(re) if x or (im is not None and im[i]))
+        for p, other in self.rows.items():
+            self.rows[p] = _eliminated(other, row, piv)
+        self.rows[piv] = row
+        insort(self._order, piv)
+        return row
+
+    def contains(self, vec: list) -> bool:
+        return self.reduce(vec) is None
+
+    def vectors(self, field=Scalar) -> list:
+        """The unit-pivot reduced rows in pivot order, as field elements."""
+        return [_unit_pivot(self.rows[p], p, field) for p in self._order]
+
+
+def _echelon(matrix: list) -> EchelonBasis:
+    ech = EchelonBasis(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        ech.insert(row)
+    return ech
+
+
 def rref(matrix: list) -> tuple:
     """Reduced row echelon form; returns (rows, pivot column list).
 
     Entries come back as Scalar if any input entry is a Scalar, else as
     Fraction.
     """
-    rows, pivots = _eliminate(matrix)
+    ech = _echelon(matrix)
     field = Scalar if any(isinstance(x, Scalar) for row in matrix for x in row) else Fraction
-    return [_unit_pivot(row, col, field) for row, col in zip(rows, pivots)], pivots
+    return ech.vectors(field), list(ech._order)
 
 
 def rank(matrix: list) -> int:
     """Rank of a matrix of int, Fraction or Scalar entries."""
-    return len(_eliminate(matrix)[1])
+    return _echelon(matrix).rank
 
 
 def mat_mul(A: list, B: list) -> list:

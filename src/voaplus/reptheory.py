@@ -30,9 +30,9 @@ from .vertex import mode, virasoro
 class GradedSubspace:
     """A weight-graded subspace of one lattice Fock space with exact bases.
 
-    Each weight piece keeps a reduced echelon basis in the canonical term
-    coordinates, so rank, membership and the canonical basis states are all
-    deterministic.
+    Each weight piece keeps an `EchelonBasis` in the canonical term
+    coordinates, so rank, membership and the canonical (unit-pivot reduced)
+    basis states are all deterministic.
     """
 
     def __init__(self, lattice: int, max_weight: int):
@@ -52,42 +52,41 @@ class GradedSubspace:
             self.pieces[w] = piece
         return piece
 
-    def coords(self, s: State, w: int | None = None) -> list:
-        if w is None:
-            w = int(s.weight())
+    def coords(self, s: State, w: int) -> list:
         piece = self._piece(w)
         vec = [ZERO] * len(piece["terms"])
         for t, c in s.terms.items():
             vec[piece["index"][t]] = c
         return vec
 
-    def _state_from(self, w: int, vec: list) -> State:
-        terms = self.pieces[w]["terms"]
-        return State(self.lattice, {terms[i]: c for i, c in enumerate(vec) if c})
-
     def insert(self, s: State):
-        """Insert a homogeneous state; returns the reduced residual State if it
-        enlarged the subspace, else None."""
+        """Insert a homogeneous state; if it enlarged the subspace, returns
+        its residual as a State with Gaussian-integer coefficients (the
+        primitive integer residual, a nonzero multiple of the field one),
+        else None."""
         if s.is_zero():
             return None
-        wt = s.weight()
-        if wt.denominator != 1 or wt < 0 or wt > self.max_weight:
-            raise ValueError(f"state weight {wt} outside the window [0, {self.max_weight}]")
-        w = int(wt)
+        w = s.weight()
+        if w > self.max_weight:
+            raise ValueError(f"state weight {w} outside the window [0, {self.max_weight}]")
         piece = self._piece(w)
-        residual = piece["ech"].reduce(self.coords(s, w))
-        if not any(residual):
+        row = piece["ech"].insert(self.coords(s, w))
+        if row is None:
             return None
-        piece["ech"].insert(residual)
-        return self._state_from(w, residual)
+        re, im = row
+        im = im or [0] * len(re)
+        terms = piece["terms"]
+        return State._of(
+            self.lattice,
+            {terms[i]: Scalar._of(Fraction(a), Fraction(b)) for i, (a, b) in enumerate(zip(re, im)) if a or b},
+        )
 
     def contains(self, s: State) -> bool:
         if s.is_zero():
             return True
-        wt = s.weight()
-        if wt.denominator != 1 or wt < 0 or wt > self.max_weight:
+        w = s.weight()
+        if w > self.max_weight:
             return False
-        w = int(wt)
         return self._piece(w)["ech"].contains(self.coords(s, w))
 
     def dim(self, w: int) -> int:
@@ -101,19 +100,18 @@ class GradedSubspace:
         piece = self.pieces.get(w)
         if piece is None:
             return []
-        return [self._state_from(w, row) for row in piece["ech"].vectors()]
+        terms = piece["terms"]
+        return [
+            State(self.lattice, {terms[i]: c for i, c in enumerate(vec) if c})
+            for vec in piece["ech"].vectors()
+        ]
 
     def same_space(self, other: "GradedSubspace") -> bool:
         if self.lattice != other.lattice or self.max_weight != other.max_weight:
             return False
-        for w in range(self.max_weight + 1):
-            a = self.pieces.get(w)
-            b = other.pieces.get(w)
-            ra = a["ech"].rows if a else {}
-            rb = b["ech"].rows if b else {}
-            if ra != rb:
-                return False
-        return True
+        # primitive integer rows are unique only up to a Gaussian unit, so
+        # compare the unit-pivot reduced bases
+        return all(self.basis_states(w) == other.basis_states(w) for w in range(self.max_weight + 1))
 
 
 def saturate(sub: GradedSubspace, seeds, step) -> GradedSubspace:
@@ -158,10 +156,10 @@ def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
             raise ValueError("closure generators must be nonzero homogeneous states")
         if g.weight() > W:
             raise ValueError("closure generators must have weight within the window")
-        gens.append((g, int(g.weight())))
+        gens.append((g, g.weight()))
 
     def step(v: State):
-        wv = int(v.weight())
+        wv = v.weight()
         for g, wg in gens:
             total = wg + wv
             for k in range(total - 1 - W, total):
@@ -321,7 +319,7 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
     wu, wv = m_idx * m_idx, n_idx * n_idx
 
     def step(s: State):
-        w = int(s.weight())
+        w = s.weight()
         for j in range(-(W - w), w + 1):
             if j:
                 yield virasoro(j, s)

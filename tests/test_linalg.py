@@ -149,9 +149,11 @@ def _assert_matches_oracle(matrix, field, zero, one):
 
     # the integer rows under the final division: primitive, nonzero at their
     # own pivot and zero at every other one
-    int_rows, int_pivots = linalg._eliminate(matrix)
+    ech = linalg._echelon(matrix)
+    int_pivots = sorted(ech.rows)
     assert int_pivots == want_pivots
-    for (re, im), col in zip(int_rows, int_pivots):
+    for col in int_pivots:
+        re, im = ech.rows[col]
         im = im if im is not None else [0] * len(re)
         assert all(type(x) is int for x in re + im)
         assert gcd(*re, *im) == 1
@@ -202,3 +204,29 @@ def test_rank_takes_integer_rows():
     assert rank([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
     assert rank([[0, 1], [1, 0], [1, 1]]) == 2
     assert rank([]) == 0
+
+
+def _oracle_rank(matrix: list) -> int:
+    return len(_rref_by_fractions(matrix)[1])
+
+
+@settings(_KERNEL, max_examples=100)
+@given(matrix=st.one_of(_matrices(_rational, F(0)), _matrices(_gaussian, ZERO)))
+@example(matrix=[[Scalar(1, 1), Scalar(2)], [Scalar(1), Scalar(1, -1)]])  # one line
+@example(matrix=[[F(1), F(2)], [F(-1), F(-2)]])
+def test_echelon_basis_inserts_match_the_oracle_in_either_order(matrix):
+    ncols = len(matrix[0]) if matrix else 0
+    field = Scalar if any(isinstance(x, Scalar) for row in matrix for x in row) else Fraction
+    zero, one = field(0), field(1)
+    probes = [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
+    probes.append([one] * ncols)
+    want_rows, _ = _rref_by_fractions(matrix)
+    for order in (matrix, matrix[::-1]):
+        ranks = [_oracle_rank(order[:k]) for k in range(len(order) + 1)]
+        ech = EchelonBasis(ncols)
+        for k, row in enumerate(order):
+            assert (ech.insert(row) is None) == (ranks[k + 1] == ranks[k])
+            assert ech.contains(row)
+        assert ech.vectors(field) == want_rows
+        for probe in probes:
+            assert ech.contains(probe) == (_oracle_rank(matrix + [probe]) == len(want_rows))
