@@ -18,7 +18,6 @@ from .numeric import (
     decompose,
     eta,
     eta_inverse,
-    recompose,
     sector_character,
     telescoping_check,
     virasoro_character,
@@ -59,7 +58,6 @@ __all__ = [
     "lower_u",
     "mode",
     "parity_sweep",
-    "recompose",
     "sector_character",
     "singular_vectors",
     "telescoping_check",

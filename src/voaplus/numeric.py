@@ -413,14 +413,6 @@ def decompose(target: QSeries, weights) -> list:
         out.append((h, m))
 
 
-def recompose(parts, order) -> QSeries:
-    """Sum multiplicity * character; the exact inverse of decompose."""
-    out = QSeries.zero(order)
-    for h, m in parts:
-        out = out + virasoro_character(h, order).scale(m)
-    return out
-
-
 def telescoping_check(m: int, k: int, order) -> bool:
     """Whether q^((mk)^2)/eta telescopes into sum_p char((mk+p)^2) below `order`.
 

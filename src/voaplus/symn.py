@@ -8,8 +8,8 @@ One integer kernel, `_product`, returns n times the projected product, which
 is integral on integral vectors such as the difference basis; `multiply`, the
 structure constants and `is_equivariant` all go through it.  Vectors are
 validated by `_as_vec` once, at the public entry points (`multiply`,
-`permute`, `ad_matrix` and the form returned by `trace_form`); the module's
-own calls pass vectors it built itself and skip that step.
+`permute` and `ad_matrix`); the module's own calls pass vectors it built
+itself and skip that step.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def has_axis_spectrum(matrix, n: int) -> bool:
          m1 = 1, m2 = n - 2.
     Conversely every diagonalizable matrix with that spectrum passes both
     checks.  The cost is one integer matrix product, against a characteristic
-    polynomial for `ad_spectrum`, which stays as the oracle.
+    polynomial for the oracle in the tests.
     """
     d = n - 1
     if len(matrix) != d or any(len(row) != d for row in matrix):
@@ -196,26 +196,6 @@ def has_axis_spectrum(matrix, n: int) -> bool:
     right = [[(n - 2) * x + D if i == j else (n - 2) * x for j, x in enumerate(row)]
              for i, row in enumerate(N)]
     return not any(any(row) for row in mat_mul(left, right))
-
-
-def char_poly(matrix):
-    """Characteristic polynomial det(t*I - M), coefficients low to high, by
-    the trace recursion (Faddeev-LeVerrier)."""
-    d = len(matrix)
-    M = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [F0] * (d + 1)
-    coeffs[d] = F1
-    Bk = [[F1 if i == j else F0 for j in range(d)] for i in range(d)]
-    Ak = None
-    for k in range(1, d + 1):
-        Ak = mat_mul(M, Bk) if k > 1 else [row[:] for row in M]
-        ck = -sum(Ak[i][i] for i in range(d)) / k
-        coeffs[d - k] = ck
-        if k < d:
-            Bk = [row[:] for row in Ak]
-            for i in range(d):
-                Bk[i][i] += ck
-    return coeffs
 
 
 def _divisors(k: int):
@@ -297,60 +277,6 @@ def _deflate(ipoly, root):
     for c in low:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     return [int(c * lcm) for c in low]
-
-
-def ad_spectrum(A: PermAlgebra, e):
-    """Exact eigenvalues (with multiplicity) of multiplication by e on M.
-
-    Returns ({eigenvalue: multiplicity}, remainder_poly); the remainder is the
-    root-free factor of the characteristic polynomial (empty list of degree 0
-    means it factored completely).  The report proves the axis spectrum with
-    `has_axis_spectrum`; this route through `char_poly` is the oracle the
-    tests compare it with."""
-    poly = char_poly(A.ad_matrix(e))
-    roots, remainder = rational_roots(poly)
-    total = sum(roots.values())
-    missing = A.dim - total
-    if missing and len(remainder) - 1 != missing:
-        raise AssertionError("root bookkeeping mismatch")
-    return roots, remainder
-
-
-def _ad_p(a):
-    """The matrix (rows) of x -> a*x on P in the axis basis, read column by
-    column from the P-product of a with each axis."""
-    n = len(a)
-    cols = [_p_product(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def trace_form(n: int):
-    """The form tr(ad_P(a) ad_P(b)) on M, returned as a callable, after
-    verifying it equals the coordinate dot product (the orthonormal-axis form
-    restricted to M, positive multiple exactly 1) and respects the action.
-
-    The verification computes the trace from ad_P matrices built with the
-    P-product, on every pair of the difference basis, and compares it with
-    the dot product that the returned form evaluates."""
-    _require_n(n)
-    basis = difference_basis(n)
-
-    def form(a, b):
-        a = _as_vec(a, n)
-        b = _as_vec(b, n)
-        return sum(x * y for x, y in zip(a, b))
-
-    for bi in basis:
-        for bj in basis:
-            prod = mat_mul(_ad_p(bi), _ad_p(bj))
-            if sum(prod[i][i] for i in range(n)) != form(bi, bj):
-                raise AssertionError("trace form drifted from the dot product")
-    for sigma in _adjacent_transpositions(n):
-        for bi in basis:
-            for bj in basis:
-                if form(_permute(sigma, bi), _permute(sigma, bj)) != form(bi, bj):
-                    raise AssertionError("trace form is not invariant")
-    return form
 
 
 def enumerate_idempotents_n3():

@@ -25,8 +25,9 @@ from voaplus.aut4 import (
     y_basis,
     _line_permutation,
 )
-from voaplus.fock import State, graded_basis, graded_dim
-from voaplus.numeric import I, Scalar
+from voaplus.fock import State, graded_basis, graded_dim, weight_terms
+from voaplus.linalg import kernel_basis, rref
+from voaplus.numeric import I, ONE, ZERO, Scalar
 from voaplus.report import Report, encode_value, render_json
 from voaplus.reptheory import GradedSubspace
 from voaplus.vertex import bracket, mode
@@ -62,6 +63,41 @@ def test_exponential_of_a_real_spectrum_zero_mode_is_rejected():
     # sector m, which are not in i*Z, so the quarter-turn cannot be evaluated
     with pytest.raises(SpectralError):
         apply(exp_spec(ALPHA, 1), ALPHA)
+    # (i/4) alpha(0) has the eigenvalue i/2 on the sector-one term
+    with pytest.raises(SpectralError):
+        apply(exp_spec(Scalar(0, Fraction(1, 4)) * ALPHA, 1), XP)
+    # the e^alpha zero-mode is nilpotent: e^-alpha -> alpha -> e^alpha -> 0,
+    # a repeated root 0
+    with pytest.raises(SpectralError):
+        apply(exp_spec(XP, 1), XM)
+
+
+def _dense_eigen_data(x, w):
+    """Exact eigendecomposition of the zero-mode of x on the weight-w terms:
+    (terms, integer eigenvalues k, i*k eigenvector columns, inverse rows),
+    scanning k over |k| <= 2w + 2 with one kernel per candidate."""
+    N = x.lattice
+    terms = weight_terms(N, w)
+    index = {t: i for i, t in enumerate(terms)}
+    d = len(terms)
+    cols = []
+    for t in terms:
+        col = [ZERO] * d
+        for tt, c in mode(x, 0, State.of_term(N, t[0], t[1])).terms.items():
+            col[index[tt]] = c
+        cols.append(col)
+    M = [[cols[j][i] for j in range(d)] for i in range(d)]
+    ks, vecs = [], []
+    for k in range(-(2 * w + 2), 2 * w + 3):
+        shifted = [[M[i][j] - (I * k if i == j else ZERO) for j in range(d)] for i in range(d)]
+        for vec in kernel_basis(shifted, d, ZERO, ONE):
+            ks.append(k)
+            vecs.append(vec)
+    assert len(ks) == d, "zero-mode is not i*Z-diagonalizable in the band"
+    aug = [[vecs[j][i] for j in range(d)] + [ONE if r == i else ZERO for r in range(d)] for i in range(d)]
+    reduced, pivots = rref(aug)
+    assert pivots == list(range(d))
+    return terms, ks, vecs, [row[d:] for row in reduced]
 
 
 def _dense_exp(eigen, q, s):
@@ -86,7 +122,7 @@ def _dense_exp(eigen, q, s):
 def test_sparse_exponential_matches_the_dense_eigenbasis_round_trip(j):
     spec = rotation_sigma(j)
     x, q = spec.payload
-    eigen = {w: aut4._eigen_data(x, w) for w in range(5)}
+    eigen = {w: _dense_eigen_data(x, w) for w in range(5)}
     for w in range(5):
         for b in graded_basis(2, w, "full"):
             assert apply(spec, b) == _dense_exp(eigen, q, b)
@@ -135,6 +171,8 @@ def test_mode_compatibility_of_the_primitive_kinds():
     assert _automorphism_rows(torus_spec(2, Scalar(3)), 2).status == "pass"
     assert _automorphism_rows(phase_spec(2, Fraction(1, 2)), 2).status == "pass"
     assert all(c.actual is True for c in _automorphism_rows(theta_spec(2), 2).checks)
+    for j in (1, 2, 3):
+        assert _automorphism_rows(rotation_sigma(j), 3).status == "pass"
 
 
 def test_failing_automorphism_check_carries_a_witness(monkeypatch):

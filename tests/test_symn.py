@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from voaplus import cli, symn
+from voaplus.linalg import mat_mul
 from voaplus.report import Report
 from voaplus.symn import (
     PermAlgebra,
-    ad_spectrum,
     invariant_algebra_report,
     build,
-    char_poly,
     diff_coords,
     difference_basis,
     distinguished_idempotents,
@@ -20,10 +19,72 @@ from voaplus.symn import (
     has_axis_spectrum,
     nonassociativity_witness,
     rational_roots,
-    trace_form,
 )
 
 F = Fraction
+
+
+def char_poly(matrix):
+    """Characteristic polynomial det(t*I - M), coefficients low to high, by
+    the trace recursion (Faddeev-LeVerrier)."""
+    d = len(matrix)
+    M = [[F(x) for x in row] for row in matrix]
+    coeffs = [F(0)] * (d + 1)
+    coeffs[d] = F(1)
+    Bk = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        Ak = mat_mul(M, Bk) if k > 1 else [row[:] for row in M]
+        ck = -sum(Ak[i][i] for i in range(d)) / k
+        coeffs[d - k] = ck
+        if k < d:
+            Bk = [row[:] for row in Ak]
+            for i in range(d):
+                Bk[i][i] += ck
+    return coeffs
+
+
+def ad_spectrum(A, e):
+    """Exact eigenvalues (with multiplicity) of multiplication by e on M, as
+    ({eigenvalue: multiplicity}, remainder_poly): the oracle that the axis
+    spectrum certificate `has_axis_spectrum` is compared with.  The remainder
+    is the root-free factor of the characteristic polynomial; a constant means
+    it factored completely."""
+    roots, remainder = rational_roots(char_poly(A.ad_matrix(e)))
+    missing = A.dim - sum(roots.values())
+    if missing and len(remainder) - 1 != missing:
+        raise AssertionError("root bookkeeping mismatch")
+    return roots, remainder
+
+
+def _ad_p(a):
+    """The matrix (rows) of x -> a*x on P in the axis basis, read column by
+    column from the P-product of a with each axis."""
+    n = len(a)
+    cols = [symn._p_product(a, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def trace_form(n):
+    """The form tr(ad_P(a) ad_P(b)) on M, returned as a callable, after
+    verifying on every pair of the difference basis that it equals the
+    coordinate dot product (the orthonormal-axis form restricted to M) and
+    that the dot product respects the permutation action."""
+    basis = difference_basis(n)
+
+    def form(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    for bi in basis:
+        for bj in basis:
+            prod = mat_mul(_ad_p(bi), _ad_p(bj))
+            if sum(prod[i][i] for i in range(n)) != form(bi, bj):
+                raise AssertionError("trace form drifted from the dot product")
+    for sigma in build(n).adjacent_transpositions():
+        for bi in basis:
+            for bj in basis:
+                if form(symn._permute(sigma, bi), symn._permute(sigma, bj)) != form(bi, bj):
+                    raise AssertionError("trace form is not invariant")
+    return form
 
 
 def test_difference_basis_and_coordinates_invert_each_other():
