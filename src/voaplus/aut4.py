@@ -2,15 +2,17 @@
 
 Four primitive kinds act here: the parity involution, the torus scaling c^m on
 sector m, diagonal sector phases, and quarter-turn exponentials of weight-one
-zero-modes.  An exponential exp((pi/2) q x(0)) maps a term t to p(x(0))t: the
-Krylov vectors t, x(0)t, ... give the minimal polynomial mu_t of x(0) on t, and
-p is the Lagrange polynomial taking the value i^(kq) at each root ik of mu_t
-(Higham, Functions of Matrices, SIAM 2008, ch. 1).  The module's one cache
-holds the images of all terms of a graded piece, built together, so a piece is
-refused with SpectralError unless every mu_t on it has deg mu_t distinct roots
-ik with k an integer.  Applying rotation_sigma(2) to every norm-2 term takes
-about 0.5 s through weight 7 and 2.6 s through weight 9 (2-vCPU Intel Xeon,
-CPython 3.11).
+zero-modes.  An exponential exp((pi/2) q x(0)) maps a term t to p(x(0))t.  The
+Krylov vectors x(0)^j t enter one echelon basis as tagged sparse rows
+(x(0)^j t | e_j), and the first residual with a zero state part carries the
+relation sum_j c_j x(0)^j t = 0 in its tag: the minimal polynomial mu_t of
+x(0) on t.  p is the Lagrange polynomial taking the value i^(kq) at each root
+ik of mu_t (Higham, Functions of Matrices, SIAM 2008, ch. 1).  The module's one
+cache holds the images of all terms of a graded piece, built together, so a
+piece is refused with SpectralError unless every mu_t on it has deg mu_t
+distinct roots ik with k an integer.  Applying rotation_sigma(2) to every
+norm-2 term takes 0.2-0.4 s of CPU through weight 7 and 1.5-1.8 s through
+weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
-from .fock import State, form, graded_basis, graded_dim, theta, weight_terms
+from .fock import State, coordinates, form, graded_basis, graded_dim, theta, weight_terms
 from .linalg import EchelonBasis, kernel_basis, mat_mul, rank, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
@@ -122,24 +124,25 @@ def _lagrange(ks: list, q: int) -> list:
 def _term_image(x: State, q: int, term, index: dict) -> dict:
     """{term: Scalar}: the image p(x(0))t of the term t, with p from `_lagrange`.
 
-    The Krylov vectors of t go into one echelon basis over the piece's terms,
-    keyed by index, until one is rejected; its relation to the earlier ones is
-    mu_t, whose roots must be deg mu_t distinct values ik with k an integer."""
+    Each Krylov vector x(0)^j t enters one echelon basis as the row
+    (x(0)^j t | e_j), over the d = len(index) terms and d + 1 tags.  A row of
+    the span with tag (c_j) has state part sum_j c_j x(0)^j t, so the first
+    residual with a zero state part carries mu_t in its tag, c_m != 0."""
+    d = len(index)
     krylov = [State._of(x.lattice, {term: ONE})]
-    cols: list = []
-    ech = EchelonBasis(len(index))
+    ech = EchelonBasis(2 * d + 1)
     while True:
-        col = [ZERO] * len(index)
-        for t, c in krylov[-1].terms.items():
-            col[index[t]] = c
-        if ech.insert(col) is None:
+        row = {index[t]: c for t, c in krylov[-1].terms.items()}
+        row[d + len(krylov) - 1] = 1
+        re, im = ech.insert(row)
+        im = im or [0] * len(re)
+        if not any(re[:d]) and not any(im[:d]):
             break
-        cols.append(col)
         krylov.append(mode(x, 0, krylov[-1]))
-    rel = solve_columns(cols, col)  # x(0)^m t = sum_j rel_j x(0)^j t
-    m = len(cols)
-    # mu_t(iu) / i^m = u^m - sum_j rel_j i^(j-m) u^j, real when its roots are
-    coeffs = [-r * I ** ((j - m) % 4) for j, r in enumerate(rel)] + [ONE]
+    m = len(krylov) - 1
+    rel = [Scalar(a, b) for a, b in zip(re[d : d + m + 1], im[d : d + m + 1])]
+    # mu_t(iu) / (c_m i^m) = sum_j (c_j / c_m) i^(j-m) u^j, real when its roots are
+    coeffs = [c / rel[m] * I ** ((j - m) % 4) for j, c in enumerate(rel)]
     roots = {} if any(c.im for c in coeffs) else symn.rational_roots([c.re for c in coeffs])[0]
     ks = sorted(int(k) for k in roots if k.denominator == 1)
     if len(ks) != m:
@@ -160,9 +163,8 @@ def _exp_images(x: State, key: tuple) -> dict:
     if hit is not None:
         return hit
     _, q, w = key
-    terms = weight_terms(x.lattice, w)
-    index = {t: i for i, t in enumerate(terms)}
-    images = _EXP_IMAGES[key] = {t: _term_image(x, q, t, index) for t in terms}
+    index = {t: i for i, t in enumerate(weight_terms(x.lattice, w))}
+    images = _EXP_IMAGES[key] = {t: _term_image(x, q, t, index) for t in index}
     return images
 
 
@@ -318,7 +320,7 @@ def split_H_J():
     J = [virasoro(-2, om), virasoro(-4, vac)]
     if len(H) != 2:
         raise AssertionError("singular block is not 2-dimensional")
-    basis_cols = [_coords4(v) for v in H + J]
+    basis_cols = [coordinates(v, 4) for v in H + J]
     if rank(basis_cols) != 4:
         raise AssertionError("weight-4 sum is not direct")
 
@@ -327,7 +329,7 @@ def split_H_J():
             return v
         if not v.is_homogeneous() or v.weight() != 4:
             raise ValueError("the projector acts on weight-4 states")
-        combo = solve_columns(basis_cols, _coords4(v))
+        combo = solve_columns(basis_cols, coordinates(v, 4))
         if combo is None:
             raise ValueError("state lies outside the E-fixed weight-4 piece")
         out = State(2, {})
@@ -339,25 +341,13 @@ def split_H_J():
     return H, J, q
 
 
-def _coords4(s: State) -> list:
-    """Coordinates of s on the canonical weight-4 terms of the norm-2
-    lattice; a term outside that piece raises ValueError."""
-    terms = weight_terms(2, 4)
-    vec = [ZERO] * len(terms)
-    for t, c in s.terms.items():
-        if t not in terms:
-            raise ValueError("state has a term outside the weight-4 piece")
-        vec[terms.index(t)] = c
-    return vec
-
-
 def _matrix_on(basis: list, image) -> list:
     """Matrix (rows) of the map image on the weight-4 basis, whose span the
     map must preserve."""
-    basis_cols = [_coords4(b) for b in basis]
+    basis_cols = [coordinates(b, 4) for b in basis]
     cols = []
     for b in basis:
-        combo = solve_columns(basis_cols, _coords4(image(b)))
+        combo = solve_columns(basis_cols, coordinates(image(b), 4))
         if combo is None:
             raise AssertionError("the map does not preserve the span of the basis")
         cols.append(combo)
@@ -391,7 +381,7 @@ def sym3_report(rep) -> dict:
     """
     basis4 = graded_basis(2, 4, "efixed")
     rep.check("weight-4 E-fixed dimension", "v4-span", 4, len(basis4))
-    rep.check("spanning set independent", "v4-span", 4, rank([_coords4(b) for b in basis4]))
+    rep.check("spanning set independent", "v4-span", 4, rank([coordinates(b, 4) for b in basis4]))
 
     s1, s2, s3 = rotation_sigma(1), rotation_sigma(2), rotation_sigma(3)
     perms = {"id": (0, 1, 2)}
@@ -535,8 +525,8 @@ def sym3_report(rep) -> dict:
                 match = False
             continue
         # find s with lhs = s * rhs by comparing any nonzero coordinate
-        lv = _coords4(lhs)
-        rv = _coords4(rhs)
+        lv = coordinates(lhs, 4)
+        rv = coordinates(rhs, 4)
         s_here = None
         for a, b in zip(lv, rv):
             if b:

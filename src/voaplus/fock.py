@@ -300,6 +300,15 @@ def weight_terms(N: int, w) -> list[Term]:
     return out
 
 
+def coordinates(s: State, w: int) -> list:
+    """Dense coordinates of s on `weight_terms(s.lattice, w)`; a term outside
+    that piece raises ValueError."""
+    terms = weight_terms(s.lattice, w)
+    if not s.terms.keys() <= set(terms):
+        raise ValueError(f"state has a term outside the weight-{w} piece")
+    return [s.terms.get(t, ZERO) for t in terms]
+
+
 def graded_basis(N: int, w, constraint="full") -> list[State]:
     """Deterministic basis of one graded piece under a symmetry constraint.
 

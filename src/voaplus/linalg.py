@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over the rationals and the Gaussian rationals.
+"""Exact linear algebra over the rationals and the Gaussian rationals.
 
 There is one elimination: `EchelonBasis`, an incremental fraction-free
 Gauss-Jordan over the Gaussian integers (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-A row is stored as a pair of integer lists (re, im), im None when real:
+It takes a vector as a sparse dict {column: entry} or as a dense list, which
+`reduce` turns into that dict once.  A row is stored as a pair of integer
+lists (re, im), im None when real:
   * an inserted vector is scaled by the lcm of its denominators; scaling
     leaves the spanned line, and so the subspace, unchanged;
   * eliminating a pivot replaces row by p*row - q*prow, with p the stored
@@ -28,16 +30,18 @@ from math import gcd, lcm
 from .numeric import ZERO, Scalar
 
 
-def _integer_row(row: list) -> tuple:
-    """Gaussian-integer row (re, im) proportional to row, over the lcm of its
-    denominators; im is None when every entry is real."""
-    re = [x.re if isinstance(x, Scalar) else x for x in row]
-    im = [x.im if isinstance(x, Scalar) else 0 for x in row]
-    den = lcm(*(x.denominator for x in re), *(x.denominator for x in im))
-    re = [x.numerator * (den // x.denominator) for x in re]
-    if not any(im):
-        return re, None
-    return re, [x.numerator * (den // x.denominator) for x in im]
+def _integer_row(vec: dict, dim: int) -> tuple:
+    """Gaussian-integer row (re, im) of length dim proportional to the sparse
+    vector {column: entry}, over the lcm of its denominators; im is None when
+    every entry is real.  Only the given entries are read."""
+    parts = [(i, x.re, x.im) if isinstance(x, Scalar) else (i, x, 0) for i, x in vec.items()]
+    den = lcm(*(a.denominator for _, a, _ in parts), *(b.denominator for _, _, b in parts))
+    re, im = [0] * dim, [0] * dim
+    for i, a, b in parts:
+        re[i] = a.numerator * (den // a.denominator)
+        if b:
+            im[i] = b.numerator * (den // b.denominator)
+    return re, (im if any(im) else None)
 
 
 def _primitive(re: list, im) -> tuple | None:
@@ -104,20 +108,25 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: list) -> tuple | None:
-        """Primitive integer residual of vec after elimination against the
-        stored rows, a nonzero multiple of the field residual; None when vec
-        lies in the span."""
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match basis dimension")
-        row = _primitive(*_integer_row(vec))
+    def reduce(self, vec) -> tuple | None:
+        """Primitive integer residual of vec, a dense list of length dim or a
+        sparse {column: entry} dict, after elimination against the stored
+        rows: a nonzero multiple of the field residual; None when vec lies in
+        the span."""
+        if not isinstance(vec, dict):
+            if len(vec) != self.dim:
+                raise ValueError("vector length does not match basis dimension")
+            vec = {i: x for i, x in enumerate(vec) if x}
+        elif vec and not 0 <= min(vec) <= max(vec) < self.dim:
+            raise ValueError("vector column outside the basis dimension")
+        row = _primitive(*_integer_row(vec, self.dim))
         for piv in self._order:
             if row is None:
                 break
             row = _eliminated(row, self.rows[piv], piv)
         return row
 
-    def insert(self, vec: list) -> tuple | None:
+    def insert(self, vec) -> tuple | None:
         """Insert vec; returns its primitive integer residual (see `reduce`)
         if it enlarged the subspace, else None."""
         row = self.reduce(vec)
@@ -131,7 +140,7 @@ class EchelonBasis:
         insort(self._order, piv)
         return row
 
-    def contains(self, vec: list) -> bool:
+    def contains(self, vec) -> bool:
         return self.reduce(vec) is None
 
     def vectors(self, field=Scalar) -> list:

@@ -18,7 +18,9 @@ from math import factorial, isqrt
 
 from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction
 from .fock import (
+    LatticeMismatch,
     State,
+    coordinates,
     graded_basis,
     graded_dim,
     weight_terms,
@@ -31,8 +33,9 @@ class GradedSubspace:
     """A weight-graded subspace of one lattice Fock space with exact bases.
 
     Each weight piece keeps an `EchelonBasis` in the canonical term
-    coordinates, so rank, membership and the canonical (unit-pivot reduced)
-    basis states are all deterministic.
+    coordinates, and a state enters it as the sparse row of its own terms,
+    so rank, membership and the canonical (unit-pivot reduced) basis states
+    are all deterministic.  A state of another lattice raises LatticeMismatch.
     """
 
     def __init__(self, lattice: int, max_weight: int):
@@ -52,42 +55,40 @@ class GradedSubspace:
             self.pieces[w] = piece
         return piece
 
-    def coords(self, s: State, w: int) -> list:
-        piece = self._piece(w)
-        vec = [ZERO] * len(piece["terms"])
-        for t, c in s.terms.items():
-            vec[piece["index"][t]] = c
-        return vec
-
     def insert(self, s: State):
         """Insert a homogeneous state; if it enlarged the subspace, returns
         its residual as a State with Gaussian-integer coefficients (the
         primitive integer residual, a nonzero multiple of the field one),
         else None."""
+        if s.lattice != self.lattice:
+            raise LatticeMismatch("state and subspace live on different lattices")
         if s.is_zero():
             return None
         w = s.weight()
         if w > self.max_weight:
             raise ValueError(f"state weight {w} outside the window [0, {self.max_weight}]")
         piece = self._piece(w)
-        row = piece["ech"].insert(self.coords(s, w))
+        index, terms = piece["index"], piece["terms"]
+        row = piece["ech"].insert({index[t]: c for t, c in s.terms.items()})
         if row is None:
             return None
         re, im = row
         im = im or [0] * len(re)
-        terms = piece["terms"]
         return State._of(
             self.lattice,
             {terms[i]: Scalar._of(Fraction(a), Fraction(b)) for i, (a, b) in enumerate(zip(re, im)) if a or b},
         )
 
     def contains(self, s: State) -> bool:
+        if s.lattice != self.lattice:
+            raise LatticeMismatch("state and subspace live on different lattices")
         if s.is_zero():
             return True
         w = s.weight()
         if w > self.max_weight:
             return False
-        return self._piece(w)["ech"].contains(self.coords(s, w))
+        piece = self._piece(w)
+        return piece["ech"].contains({piece["index"][t]: c for t, c in s.terms.items()})
 
     def dim(self, w: int) -> int:
         piece = self.pieces.get(w)
@@ -176,13 +177,12 @@ def singular_vectors(lattice: int, w, ambient="full") -> list[State]:
     if not basis:
         return []
     w = int(Fraction(w))
-    sub = GradedSubspace(lattice, max(w, 1))
     images = []
     for b in basis:
         col = []
         for kk, wt in ((1, w - 1), (2, w - 2)):
             if wt >= 0:
-                col.extend(sub.coords(virasoro(kk, b), wt))
+                col.extend(coordinates(virasoro(kk, b), wt))
         images.append(col)
     if images and images[0]:
         nrows = len(images[0])

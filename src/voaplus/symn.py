@@ -218,11 +218,7 @@ def rational_roots(coeffs):
         poly.pop()
     if not poly:
         raise ValueError("zero polynomial")
-    # clear denominators to an integer polynomial
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ipoly = [int(c * lcm) for c in poly]
+    ipoly, _ = _over_common_denominator(poly)
     roots = {}
     while len(ipoly) > 1:
         # strip powers of t
@@ -272,11 +268,7 @@ def _deflate(ipoly, root):
         quotient.append(carry)
     if quotient[-1] != 0:
         raise AssertionError("deflation by a non-root")
-    low = list(reversed(quotient[:-1]))
-    lcm = 1
-    for c in low:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in low]
+    return _over_common_denominator(quotient[-2::-1])[0]
 
 
 def enumerate_idempotents_n3():

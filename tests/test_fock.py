@@ -8,6 +8,7 @@ import pytest
 from voaplus.fock import (
     LatticeMismatch,
     State,
+    coordinates,
     form,
     graded_basis,
     graded_dim,
@@ -83,6 +84,13 @@ def test_weight_terms_canonical_and_complete():
     assert len(terms) == len(set(terms)) == graded_dim(2, 3, "full")
     assert all(term_weight(2, t) == Fraction(3) for t in terms)
     assert terms == sorted(terms)
+    # the dense coordinates used by the small solves read these columns
+    s = Scalar(2) * State.of_term(2, 1, (2,)) + Scalar(0, 1) * State.of_term(2, 0, (3,))
+    vec = coordinates(s, 3)
+    assert [terms[i] for i, c in enumerate(vec) if c] == sorted(s.terms)
+    assert vec[terms.index((1, (2,)))] == Scalar(2)
+    with pytest.raises(ValueError):
+        coordinates(s, 4)
 
 
 def test_graded_dims_known_values():

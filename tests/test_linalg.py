@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,11 @@ def test_echelon_basis_rank_membership_and_determinism():
     assert eb.rank == 2
     assert eb.contains([Scalar(2), Scalar(5), Scalar(7)])
     assert not eb.contains([Scalar(0), Scalar(0), Scalar(1)])
+    assert eb.contains({0: Scalar(2), 1: Scalar(5), 2: Scalar(7)}) and eb.contains({})
+    # a wrong length, or a sparse column outside [0, 3), is refused
+    for bad in ([Scalar(1)] * 2, {3: ONE}, {-1: ONE}):
+        with pytest.raises(ValueError):
+            eb.contains(bad)
     rows = eb.vectors()
     assert rows == [
         [Scalar(1), Scalar(0), Scalar(1)],
@@ -221,12 +227,13 @@ def test_echelon_basis_inserts_match_the_oracle_in_either_order(matrix):
     probes = [[one if j == i else zero for j in range(ncols)] for i in range(ncols)]
     probes.append([one] * ncols)
     want_rows, _ = _rref_by_fractions(matrix)
-    for order in (matrix, matrix[::-1]):
+    inside = [_oracle_rank(matrix + [probe]) == len(want_rows) for probe in probes]
+    sparse = lambda row: {j: x for j, x in enumerate(row) if x}
+    for order, form in ((matrix, list), (matrix[::-1], list), (matrix, sparse)):
         ranks = [_oracle_rank(order[:k]) for k in range(len(order) + 1)]
         ech = EchelonBasis(ncols)
         for k, row in enumerate(order):
-            assert (ech.insert(row) is None) == (ranks[k + 1] == ranks[k])
-            assert ech.contains(row)
+            assert (ech.insert(form(row)) is None) == (ranks[k + 1] == ranks[k])
+            assert ech.contains(form(row))
         assert ech.vectors(field) == want_rows
-        for probe in probes:
-            assert ech.contains(probe) == (_oracle_rank(matrix + [probe]) == len(want_rows))
+        assert [ech.contains(form(probe)) for probe in probes] == inside

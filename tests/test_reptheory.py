@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voaplus import cli, reptheory
-from voaplus.fock import State, graded_dim
+from voaplus.fock import LatticeMismatch, State, graded_dim
 from voaplus.numeric import ZERO, Scalar, virasoro_character
 from voaplus.report import Report
 from voaplus.reptheory import (
@@ -44,6 +44,19 @@ def test_graded_subspace_insert_and_membership():
         sub.insert(State.of_term(2, 0, (5,)))  # weight above the window
     with pytest.raises(ValueError):
         sub.insert(State.of_term(2, 1, (1,)) + State.of_term(2, 0, (1,)))  # mixed
+
+
+def test_graded_subspace_refuses_states_of_another_lattice():
+    sub = GradedSubspace(2, 4)
+    # the term (0, (2,)) also names a weight-2 state of the norm-2 lattice
+    with pytest.raises(LatticeMismatch):
+        sub.insert(State.of_term(4, 0, (2,)))
+    assert sub.dims() == [0, 0, 0, 0, 0]
+    sub.insert(State.of_term(2, 0, (2,)))
+    with pytest.raises(LatticeMismatch):
+        sub.contains(State.of_term(6, 0, (2,)))
+    with pytest.raises(LatticeMismatch):
+        sub.contains(State(6, {}))
 
 
 def test_closure_of_the_conformal_vector_is_the_vacuum_module():

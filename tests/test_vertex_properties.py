@@ -4,8 +4,8 @@ States are Gaussian-rational combinations of basis states of one weight <= 3
 on the lattices N = 2, 4, 6, 8.  Runs are derandomized, so every run checks
 the same cases; the landmark states of the hand-checked tests are explicit
 examples.  The identities: the commutator formula, skew-symmetry, the
-Virasoro relations, and compatibility of torus scalings and sector phases
-with every mode.  Each property also checks that the values the engine
+Virasoro relations, and compatibility of torus scalings, sector phases and
+the quarter-turn exponentials of the norm-2 lattice with every mode.  Each property also checks that the values the engine
 builds without re-validation (mode results, parity images, torus and phase
 images) are what the public constructor would build: nonzero coefficients
 with Fraction parts.
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voaplus.aut4 import apply, phase_spec, torus_spec
+from voaplus.aut4 import apply, phase_spec, rotation_sigma, torus_spec
 from voaplus.fock import State, graded_basis, theta
 from voaplus.numeric import I, Scalar
 from voaplus.vertex import mode, poly_binom, virasoro
@@ -144,3 +144,13 @@ def test_automorphisms_commute_with_modes(states, k, name):
     if u.weight() != v.weight():
         with pytest.raises(ValueError):
             mode(u + v, k, v)
+
+
+@_PROPERTY
+@given(states=st.tuples(_homogeneous(2), _homogeneous(2)), k=st.integers(-2, 5), j=st.integers(1, 3))
+@example(states=(State.of_term(2, 1), State.of_term(2, -1, (1,))), k=-1, j=2)
+def test_quarter_turn_exponentials_commute_with_modes(states, k, j):
+    # sigma_j(u_k v) = (sigma_j u)_k (sigma_j v), images read from the Krylov relation
+    u, v = states
+    g = rotation_sigma(j)
+    assert apply(g, mode(u, k, v)) == mode(apply(g, u), k, apply(g, v))
