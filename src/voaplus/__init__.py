@@ -25,6 +25,7 @@ from .numeric import (
 from .reptheory import (
     CGLabel,
     GradedSubspace,
+    OutsideBound,
     cg_coefficient,
     character_decomposition_suite,
     closure,
@@ -41,6 +42,7 @@ __all__ = [
     "CGLabel",
     "DecompositionError",
     "GradedSubspace",
+    "OutsideBound",
     "QSeries",
     "QSeriesError",
     "Scalar",

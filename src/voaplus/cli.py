@@ -83,11 +83,15 @@ def _positive(text: str) -> int:
 
 
 # Ceilings on the size flags of the subcommands that sweep modes over whole
-# graded bases, on the weight of the four-group fixed-space check, and on the
-# invariant-algebra family; the cost at each ceiling is stated in the README.
+# graded bases, on the weight of the four-group fixed-space check, on the
+# closures, spans and enumerated characters, and on the invariant-algebra
+# family; the cost at each ceiling is stated in the README.
 MODE_CHECKS_MAX_WEIGHT = 12
 AUT_MAX_WEIGHT = 7
 AUT_N4_MAX_WEIGHT = 6
+GENERATION_MAX_WEIGHT = 12
+FUSION_MAX_WEIGHT = 14
+CHARACTERS_MAX_WEIGHT = 30
 SYMN_MAX_N = 12
 
 
@@ -233,7 +237,7 @@ def _generation_report(lattice: int, max_weight: int) -> Report:
     om = State.omega(lattice)
 
     plus_dims = [graded_dim(lattice, w, "plus") for w in range(W + 1)]
-    sub = closure(lattice, [u4, e_sym, om], W)
+    sub = closure(lattice, [u4, e_sym, om], W, "plus")
     rep.check(
         f"fixed subspace generated by the weight-4 vector, the symmetric "
         f"exponential and the conformal vector, norm {lattice}",
@@ -243,7 +247,7 @@ def _generation_report(lattice: int, max_weight: int) -> Report:
     )
 
     heis_dims = [graded_dim(lattice, w, "pair+:0") for w in range(W + 1)]
-    sub2 = closure(lattice, [u4, om], W)
+    sub2 = closure(lattice, [u4, om], W, "pair+:0")
     rep.check(
         f"even Heisenberg subspace generated by the weight-4 vector and the "
         f"conformal vector, norm {lattice}",
@@ -257,7 +261,7 @@ def _generation_report(lattice: int, max_weight: int) -> Report:
         labels = ["virasoro-vacuum-module", "even-heisenberg-space"]
         for w in range(0, 7):
             for idx, s in enumerate(singular_vectors(2, w, "pair+:0")):
-                d = closure(2, [om, s], W).dims()
+                d = closure(2, [om, s], W, "pair+:0").dims()
                 if d == vac_dims:
                     tag = labels[0]
                 elif d == heis_dims:
@@ -405,7 +409,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("characters", parents=[common])
     p.add_argument("--lattice", type=_even_lattice, default=2)
-    p.add_argument("--max-weight", type=_nonneg, default=8)
+    p.add_argument("--max-weight", type=_at_most(CHARACTERS_MAX_WEIGHT), default=8)
     p.add_argument("--order", type=_positive, default=40)
     p.set_defaults(
         handler=lambda a: _characters_report(a.lattice, a.max_weight, a.order)
@@ -417,13 +421,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generation", parents=[common])
     p.add_argument("--lattice", type=_even_lattice, default=2)
-    p.add_argument("--max-weight", type=_nonneg, default=8)
+    p.add_argument("--max-weight", type=_at_most(GENERATION_MAX_WEIGHT), default=8)
     p.set_defaults(handler=lambda a: _generation_report(a.lattice, a.max_weight))
 
     p = sub.add_parser("fusion", parents=[common])
     p.add_argument("--m", type=_positive, default=1)
     p.add_argument("--n", type=_positive, default=1)
-    p.add_argument("--max-weight", type=_nonneg, default=8)
+    p.add_argument("--max-weight", type=_at_most(FUSION_MAX_WEIGHT), default=8)
     p.set_defaults(handler=lambda a: _fusion_report(a.m, a.n, a.max_weight))
 
     p = sub.add_parser("cg", parents=[common])

@@ -5,8 +5,11 @@ inserts seed states into a graded subspace and then, breadth first, the
 states a step function yields for each newly accepted vector, through
 reduced echelon bases so membership, spans and dimensions are exact.
 `closure` seeds it with the vacuum and the generators and steps by the
-generators' modes with results in the weight window; `fusion_span` seeds it
-with the modes of a singular pair and steps by the Virasoro operators.
+generators' modes with results in the weight window, carried in the
+coordinates of the upper bound it is compared with ("full", "plus" or
+"pair+:0") and skipping modes into pieces that already fill the bound;
+`fusion_span` seeds it with the modes of a singular pair and steps by the
+Virasoro operators.
 """
 
 from __future__ import annotations
@@ -29,37 +32,83 @@ from .linalg import EchelonBasis, kernel_basis
 from .vertex import mode, virasoro
 
 
-class GradedSubspace:
-    """A weight-graded subspace of one lattice Fock space with exact bases.
+class OutsideBound(ValueError):
+    """A state that does not lie in the bound of a `GradedSubspace`."""
 
-    Each weight piece keeps an `EchelonBasis` in the canonical term
-    coordinates, and a state enters it as the sparse row of its own terms,
-    so rank, membership and the canonical (unit-pivot reduced) basis states
-    are all deterministic.  A state of another lattice raises LatticeMismatch.
+
+BOUNDS = ("pair+:0", "plus", "full")  # each bound lies in the next
+
+
+def _bound_coordinates(lattice: int, w: int, bound: str) -> list:
+    """The coordinates of one weight piece of a bound, in canonical term
+    order: each is the list of (term, sign) pairs of the state it stands for.
+
+      * "full": every term;
+      * "plus": (m, lam) + (-1)^len(lam) (-m, lam) for m > 0, and (0, lam)
+        with len(lam) even -- a basis of the parity-fixed space V_L^+;
+      * "pair+:0": (0, lam) with len(lam) even -- the even Heisenberg space.
+    """
+    coords = []
+    for m, lam in weight_terms(lattice, w):
+        if bound == "full" or (m == 0 and len(lam) % 2 == 0):
+            coords.append([((m, lam), 1)])
+        elif bound == "plus" and m > 0:
+            coords.append([((m, lam), 1), ((-m, lam), -1 if len(lam) % 2 else 1)])
+    return coords
+
+
+class GradedSubspace:
+    """A weight-graded subspace, through weight W = max_weight, of a bound in
+    one lattice Fock space, with exact bases.
+
+    The bound is "full" (the whole lattice algebra V_L, the default), "plus"
+    (its parity-fixed subalgebra V_L^+) or "pair+:0" (the even Heisenberg
+    space), each taken through weight W.  Each weight piece keeps an
+    `EchelonBasis` in the coordinates of the bound (see
+    `_bound_coordinates`); a state enters it as the sparse row read off its
+    own terms, so rank, membership and the canonical (unit-pivot reduced)
+    basis are all deterministic.  A state outside the bound raises
+    OutsideBound, a state of another lattice LatticeMismatch.  States handed
+    back (residuals, basis states) are expanded to full States again.
     """
 
-    def __init__(self, lattice: int, max_weight: int):
+    def __init__(self, lattice: int, max_weight: int, bound: str = "full"):
+        if bound not in BOUNDS:
+            raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
         self.lattice = lattice
         self.max_weight = int(max_weight)
+        self.bound = bound
         self.pieces: dict = {}
 
     def _piece(self, w: int):
         piece = self.pieces.get(w)
         if piece is None:
-            terms = weight_terms(self.lattice, w)
+            coords = _bound_coordinates(self.lattice, w, self.bound)
             piece = {
-                "terms": terms,
-                "index": {t: i for i, t in enumerate(terms)},
-                "ech": EchelonBasis(len(terms)),
+                "coords": coords,
+                "index": {c[0][0]: i for i, c in enumerate(coords)},
+                "ech": EchelonBasis(len(coords)),
             }
             self.pieces[w] = piece
         return piece
 
+    def _row(self, s: State, w: int) -> tuple:
+        """(piece, sparse coordinate row) of a nonzero weight-w state of the
+        lattice; OutsideBound unless the row expands back to s."""
+        piece = self._piece(w)
+        index = piece["index"]
+        if self.bound == "full":
+            return piece, {index[t]: c for t, c in s.terms.items()}
+        row = {index[t]: c for t, c in s.terms.items() if t in index}
+        if _expand(piece, row) != s.terms:
+            raise OutsideBound(f"state does not lie in the {self.bound!r} bound")
+        return piece, row
+
     def insert(self, s: State):
-        """Insert a homogeneous state; if it enlarged the subspace, returns
-        its residual as a State with Gaussian-integer coefficients (the
-        primitive integer residual, a nonzero multiple of the field one),
-        else None."""
+        """Insert a homogeneous state of the bound; if it enlarged the
+        subspace, returns its residual as a State with Gaussian-integer
+        coefficients (the primitive integer residual, a nonzero multiple of
+        the field one), else None."""
         if s.lattice != self.lattice:
             raise LatticeMismatch("state and subspace live on different lattices")
         if s.is_zero():
@@ -67,17 +116,14 @@ class GradedSubspace:
         w = s.weight()
         if w > self.max_weight:
             raise ValueError(f"state weight {w} outside the window [0, {self.max_weight}]")
-        piece = self._piece(w)
-        index, terms = piece["index"], piece["terms"]
-        row = piece["ech"].insert({index[t]: c for t, c in s.terms.items()})
+        piece, row = self._row(s, w)
+        row = piece["ech"].insert(row)
         if row is None:
             return None
         re, im = row
         im = im or [0] * len(re)
-        return State._of(
-            self.lattice,
-            {terms[i]: Scalar._of(Fraction(a), Fraction(b)) for i, (a, b) in enumerate(zip(re, im)) if a or b},
-        )
+        residual = {i: Scalar._of(Fraction(a), Fraction(b)) for i, (a, b) in enumerate(zip(re, im)) if a or b}
+        return State._of(self.lattice, _expand(piece, residual))
 
     def contains(self, s: State) -> bool:
         if s.lattice != self.lattice:
@@ -87,8 +133,8 @@ class GradedSubspace:
         w = s.weight()
         if w > self.max_weight:
             return False
-        piece = self._piece(w)
-        return piece["ech"].contains({piece["index"][t]: c for t, c in s.terms.items()})
+        piece, row = self._row(s, w)
+        return piece["ech"].contains(row)
 
     def dim(self, w: int) -> int:
         piece = self.pieces.get(w)
@@ -97,22 +143,36 @@ class GradedSubspace:
     def dims(self) -> list:
         return [self.dim(w) for w in range(self.max_weight + 1)]
 
+    def full(self, w: int) -> bool:
+        """True when the weight-w piece is the whole weight-w piece of the
+        bound: its rank equals the bound's number of coordinates there."""
+        piece = self._piece(w)
+        return piece["ech"].rank == len(piece["coords"])
+
     def basis_states(self, w: int) -> list:
         piece = self.pieces.get(w)
         if piece is None:
             return []
-        terms = piece["terms"]
         return [
-            State(self.lattice, {terms[i]: c for i, c in enumerate(vec) if c})
+            State(self.lattice, _expand(piece, {i: c for i, c in enumerate(vec) if c}))
             for vec in piece["ech"].vectors()
         ]
 
     def same_space(self, other: "GradedSubspace") -> bool:
+        """Equal dimensions, and the basis of the one with the smaller bound
+        lies in the other, at every weight; the bounds may differ."""
         if self.lattice != other.lattice or self.max_weight != other.max_weight:
             return False
-        # primitive integer rows are unique only up to a Gaussian unit, so
-        # compare the unit-pivot reduced bases
-        return all(self.basis_states(w) == other.basis_states(w) for w in range(self.max_weight + 1))
+        narrow, wide = sorted((self, other), key=lambda sub: BOUNDS.index(sub.bound))
+        return narrow.dims() == wide.dims() and all(
+            wide.contains(b) for w in range(self.max_weight + 1) for b in narrow.basis_states(w)
+        )
+
+
+def _expand(piece: dict, row: dict) -> dict:
+    """The {term: coefficient} of the state a coordinate row stands for."""
+    coords = piece["coords"]
+    return {t: c if sign == 1 else -c for i, c in row.items() for t, sign in coords[i]}
 
 
 def saturate(sub: GradedSubspace, seeds, step) -> GradedSubspace:
@@ -138,17 +198,29 @@ def saturate(sub: GradedSubspace, seeds, step) -> GradedSubspace:
     return sub
 
 
-def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
-    """Span of the windowed generator monomials g1_(n1) ... gr_(nr) vacuum.
+def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> GradedSubspace:
+    """Span, through weight W = max_weight, of the generator monomials
+    g1_(n1) ... gr_(nr) vacuum, carried in the coordinates of `bound`.
 
     Starting from the vacuum and the generators, every newly accepted vector v
     is hit with g_(k) for each generator g and every k whose result weight lies
     in [0, max_weight].  The subalgebra generated by a set is spanned by such
     monomials, so every vector found lies in it and the dimensions are lower
-    bounds through max_weight.  Monomials that pass above max_weight on the
-    way down are not followed, so without the conformal vector among the
-    generators the result can fall short of the windowed closure under all
-    pairwise modes.
+    bounds through weight W.  Monomials that pass above W on the way down
+    are not followed, so without the conformal vector among the generators
+    the result can fall short of the windowed closure under all pairwise
+    modes.
+
+    The bound is the upper bound, through weight W: "full" (the lattice
+    algebra V_L), "plus" (its parity-fixed subalgebra V_L^+) or "pair+:0"
+    (the even Heisenberg space); see `GradedSubspace`.  The vacuum and the
+    generators are inserted first and refused with OutsideBound unless they
+    lie in it.  Modes preserve each bound (the parity involution commutes
+    with modes, and modes of sector-zero vectors keep the sector), so every
+    monomial lies in it too, and g_(k) v is not computed at all when its
+    weight piece is already the whole piece of the bound: it would be
+    rejected.  The dimensions meet the bound's exactly when the closure fills
+    it through weight W.
     """
     W = int(max_weight)
     gens = []
@@ -158,16 +230,18 @@ def closure(lattice: int, generators, max_weight: int) -> GradedSubspace:
         if g.weight() > W:
             raise ValueError("closure generators must have weight within the window")
         gens.append((g, g.weight()))
+    sub = GradedSubspace(lattice, W, bound)
 
     def step(v: State):
         wv = v.weight()
         for g, wg in gens:
             total = wg + wv
             for k in range(total - 1 - W, total):
-                yield mode(g, k, v)
+                if not sub.full(total - 1 - k):
+                    yield mode(g, k, v)
 
     seeds = [State.vacuum(lattice)] + [g for g, _ in gens]
-    return saturate(GradedSubspace(lattice, W), seeds, step)
+    return saturate(sub, seeds, step)
 
 
 def singular_vectors(lattice: int, w, ambient="full") -> list[State]:

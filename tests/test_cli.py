@@ -65,6 +65,32 @@ def test_mode_engine_weight_ceiling_refused_exit_2(argv, ceiling, capsys):
     assert f"at most {ceiling}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, ceiling, body",
+    [
+        (["generation", "--lattice", "2", "--max-weight"], cli.GENERATION_MAX_WEIGHT, "_generation_report"),
+        (["fusion", "--m", "2", "--n", "2", "--max-weight"], cli.FUSION_MAX_WEIGHT, "_fusion_report"),
+        (["characters", "--order", "999", "--max-weight"], cli.CHARACTERS_MAX_WEIGHT, "_characters_report"),
+    ],
+)
+def test_closure_span_and_character_weight_ceilings_refused_exit_2(
+    argv, ceiling, body, monkeypatch, capsys
+):
+    # the desk battery's weights stay inside the ceilings
+    assert ceiling >= 12
+    args = cli._build_parser().parse_args(argv + [str(ceiling)])
+    assert args.max_weight == ceiling  # parsed only; running it would cost seconds
+
+    def refuse(*args):
+        raise AssertionError("the report body ran")
+
+    monkeypatch.setattr(cli, body, refuse)
+    code, rep = run_cli(argv + [str(ceiling + 1)])
+    assert code == 2
+    assert rep is None
+    assert f"at most {ceiling}" in capsys.readouterr().err
+
+
 def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
     # the fixed-space check receives the requested weight, never a clamped one
     ceiling = cli.AUT_N4_MAX_WEIGHT

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from voaplus import cli, reptheory
-from voaplus.fock import LatticeMismatch, State, graded_dim
+from voaplus.fock import LatticeMismatch, State, graded_basis, graded_dim
 from voaplus.numeric import ZERO, Scalar, virasoro_character
 from voaplus.report import Report
 from voaplus.reptheory import (
     CGLabel,
     GradedSubspace,
+    OutsideBound,
     cg_coefficient,
     character_decomposition_suite,
     closure,
@@ -202,6 +203,113 @@ def test_generator_action_is_contained_in_all_pairs_without_omega():
     assert oracle.dims() == [1, 0, 1, 1, 4, 4, 8]
     for w in range(7):
         assert all(oracle.contains(b) for b in got.basis_states(w))
+
+
+def test_each_bound_is_filled_by_its_graded_basis_and_refuses_what_lies_outside():
+    for N in (2, 4, 6):
+        for bound in ("full", "plus", "pair+:0"):
+            sub = GradedSubspace(N, 6, bound)
+            for w in range(7):
+                assert not sub.full(w) or graded_dim(N, w, bound) == 0
+                for b in graded_basis(N, w, bound):
+                    sub.insert(b)
+                assert sub.full(w) and sub.dim(w) == graded_dim(N, w, bound), (N, bound, w)
+    with pytest.raises(ValueError):
+        GradedSubspace(2, 4, "minus")
+    plus, heis = GradedSubspace(2, 4, "plus"), GradedSubspace(2, 4, "pair+:0")
+    odd = State.of_term(2, 0, (2,))  # one part: theta-odd
+    half = State.of_term(2, 1, (1,))  # a sector term without its theta partner
+    wrong_sign = State.of_term(2, 1, (1,)) + State.of_term(2, -1, (1,))
+    sector = State.of_term(2, 1) + State.of_term(2, -1)  # theta-fixed, sector +-1
+    for sub, outside in ((plus, [odd, half, wrong_sign]), (heis, [odd, half, sector])):
+        for s in outside:
+            with pytest.raises(OutsideBound):
+                sub.insert(s)
+            with pytest.raises(OutsideBound):
+                sub.contains(s)
+        assert sub.dims() == [0, 0, 0, 0, 0]
+    fixed = State.of_term(2, 1, (1,)) - State.of_term(2, -1, (1,))
+    assert plus.insert(fixed) == fixed and plus.basis_states(2) == [fixed]
+    assert plus.insert(sector * 3) == sector and plus.contains(sector * Scalar(0, 1))
+
+
+def test_closure_refuses_a_generator_outside_its_bound():
+    for N in (2, 4, 6):
+        _, E, om = _named_generators(N)
+        with pytest.raises(OutsideBound):
+            closure(N, [State.of_term(N, 1)], 6, "plus")  # theta-odd
+        with pytest.raises(OutsideBound):
+            closure(N, [E, om], 6, "pair+:0")  # sectors +-1
+    with pytest.raises(ValueError):
+        closure(2, [State.omega(2)], 6, "minus")
+
+
+def test_capped_bounded_closures_equal_the_full_closures():
+    for N in (2, 4, 6):
+        J, E, om = _named_generators(N)
+        for gens, bound in (([J, E, om], "plus"), ([J, om], "pair+:0")):
+            capped = closure(N, gens, 8, bound)
+            full = closure(N, gens, 8)
+            assert capped.dims() == full.dims(), (N, bound)
+            assert capped.same_space(full) and full.same_space(capped)
+            for w in range(9):
+                basis = capped.basis_states(w)
+                assert all(capped.contains(b) and full.contains(b) for b in basis)
+
+
+def test_the_cap_skips_exactly_the_modes_into_full_pieces(monkeypatch):
+    # The cap is checked against the count of the bound's graded basis here,
+    # independently of the coordinates the subspace keeps.
+    subs = []
+    insert = GradedSubspace.insert
+
+    def recording_insert(self, s):
+        if not subs or subs[-1] is not self:
+            subs.append(self)
+        return insert(self, s)
+
+    monkeypatch.setattr(GradedSubspace, "insert", recording_insert)
+    for N in (2, 6):
+        J, E, om = _named_generators(N)
+        exps = [State.of_term(N, 1), State.of_term(N, -1)]
+        for gens, bound in (([J, E, om], "plus"), ([J, om], "pair+:0"), (exps + [om], "full")):
+            calls = []
+
+            def counting_mode(g, k, v):
+                w = g.weight() + v.weight() - k - 1
+                calls.append(subs[-1].dim(w) < graded_dim(N, w, bound))
+                return mode(g, k, v)
+
+            monkeypatch.setattr(reptheory, "mode", counting_mode)
+            got = closure(N, gens, 7, bound)
+            # every accepted vector is stepped once, by each generator, into
+            # each of the W + 1 weights of the window
+            steps = sum(got.dims()) * len(gens) * 8
+            assert calls and all(calls), (N, bound)
+            assert len(calls) < steps / 2, (N, bound, len(calls), steps)
+            assert got.dims() == [graded_dim(N, w, bound) for w in range(8)]
+
+
+def test_conformal_vector_and_the_two_exponentials_generate_the_full_lattice_algebra():
+    # V_L is generated by e^alpha and e^-alpha; the closure fills each piece,
+    # far above the parity-fixed dims, so no cap below the bound can pass this
+    for N in (2, 4):
+        gens = [State.of_term(N, 1), State.of_term(N, -1), State.omega(N)]
+        got = closure(N, gens, 6)
+        assert got.dims() == [graded_dim(N, w, "full") for w in range(7)]
+        assert any(graded_dim(N, w, "plus") < got.dim(w) for w in range(7))
+
+
+def test_same_space_compares_across_bounds_by_rank_and_containment():
+    a = State.of_term(2, 0, (1, 1))
+    plus, full = GradedSubspace(2, 2, "plus"), GradedSubspace(2, 2)
+    plus.insert(a)
+    full.insert(a * 3)
+    assert plus.same_space(full) and full.same_space(plus)
+    other = GradedSubspace(2, 2)
+    other.insert(State.of_term(2, 0, (2,)))  # same dims, outside the plus bound
+    assert plus.dims() == other.dims()
+    assert not plus.same_space(other) and not other.same_space(plus)
 
 
 def test_lower_u_produces_singular_vectors():
