@@ -497,7 +497,7 @@ def sym3_report(rep) -> dict:
         [M1[0][0] - ONE, M1[0][1]],
         [M1[1][0], M1[1][1] - ONE],
     ]
-    plus_space = kernel_basis(shifted, 2, ZERO, ONE)
+    plus_space = kernel_basis(shifted, 2)
     rep.check("first involution has a 1-dim fixed line in H", "h-algebra", 1, len(plus_space))
     c0, c1 = plus_space[0]
     h1 = c0 * H[0] + c1 * H[1]

@@ -84,14 +84,17 @@ def _positive(text: str) -> int:
 
 # Ceilings on the size flags of the subcommands that sweep modes over whole
 # graded bases, on the weight of the four-group fixed-space check, on the
-# closures, spans and enumerated characters, and on the invariant-algebra
-# family; the cost at each ceiling is stated in the README.
+# closures, spans and enumerated characters, on the fusion labels, on the
+# Clebsch-Gordan sweep and on the invariant-algebra family; the cost at each
+# ceiling is stated in the README.
 MODE_CHECKS_MAX_WEIGHT = 12
 AUT_MAX_WEIGHT = 7
 AUT_N4_MAX_WEIGHT = 6
 GENERATION_MAX_WEIGHT = 12
 FUSION_MAX_WEIGHT = 14
+FUSION_MAX_INDEX = 3
 CHARACTERS_MAX_WEIGHT = 30
+CG_MAX = 64
 SYMN_MAX_N = 12
 
 
@@ -425,13 +428,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=lambda a: _generation_report(a.lattice, a.max_weight))
 
     p = sub.add_parser("fusion", parents=[common])
-    p.add_argument("--m", type=_positive, default=1)
-    p.add_argument("--n", type=_positive, default=1)
+    p.add_argument("--m", type=_at_most(FUSION_MAX_INDEX, floor=1), default=1)
+    p.add_argument("--n", type=_at_most(FUSION_MAX_INDEX, floor=1), default=1)
     p.add_argument("--max-weight", type=_at_most(FUSION_MAX_WEIGHT), default=8)
     p.set_defaults(handler=lambda a: _fusion_report(a.m, a.n, a.max_weight))
 
     p = sub.add_parser("cg", parents=[common])
-    p.add_argument("--max", type=_nonneg, default=8)
+    p.add_argument("--max", type=_at_most(CG_MAX), default=8)
     p.set_defaults(handler=lambda a: _cg_report(a.max))
 
     p = sub.add_parser("aut", parents=[common])

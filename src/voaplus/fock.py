@@ -320,42 +320,34 @@ def graded_basis(N: int, w, constraint="full") -> list[State]:
     """
     check_lattice(N)
     kind, pair_m = _parse_constraint(N, constraint)
-    w = Fraction(w)
-    if w < 0 or w.denominator != 1:
-        return []
-    w = int(w)
-
     if kind == "full":
         return [State.of_term(N, m, lam) for m, lam in weight_terms(N, w)]
 
     out: list[State] = []
-    sectors = sorted(set(abs(m) for m in _sectors_at_weight(N, w)))
-    if kind in ("pair", "pair+", "pair-"):
-        sectors = [m for m in sectors if m == pair_m]
-    for m in sectors:
-        rest = w - (m * m * N) // 2
-        for lam in sorted(partitions(rest)):
-            if m == 0:
-                even = len(lam) % 2 == 0
-                if kind in ("plus", "efixed", "pair+") and not even:
-                    continue
-                if kind in ("minus", "pair-") and even:
-                    continue
-                out.append(State.of_term(N, 0, lam))
-            else:
-                plus_sign = 1 if len(lam) % 2 == 0 else -1
-                a = State.of_term(N, m, lam)
-                b = State.of_term(N, -m, lam)
-                if kind == "pair":
-                    out.append(a)
-                    out.append(b)
-                elif kind in ("plus", "pair+"):
+    for m, lam in weight_terms(N, w):
+        if m < 0 or (kind in ("pair", "pair+", "pair-") and m != pair_m):
+            continue
+        if m == 0:
+            even = len(lam) % 2 == 0
+            if kind in ("plus", "efixed", "pair+") and not even:
+                continue
+            if kind in ("minus", "pair-") and even:
+                continue
+            out.append(State.of_term(N, 0, lam))
+        else:
+            plus_sign = 1 if len(lam) % 2 == 0 else -1
+            a = State.of_term(N, m, lam)
+            b = State.of_term(N, -m, lam)
+            if kind == "pair":
+                out.append(a)
+                out.append(b)
+            elif kind in ("plus", "pair+"):
+                out.append(a + plus_sign * b)
+            elif kind in ("minus", "pair-"):
+                out.append(a - plus_sign * b)
+            elif kind == "efixed":
+                if m % 2 == 0:
                     out.append(a + plus_sign * b)
-                elif kind in ("minus", "pair-"):
-                    out.append(a - plus_sign * b)
-                elif kind == "efixed":
-                    if m % 2 == 0:
-                        out.append(a + plus_sign * b)
     return out
 
 

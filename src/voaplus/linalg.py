@@ -1,11 +1,11 @@
-"""Exact linear algebra over the rationals and the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
 There is one elimination: `EchelonBasis`, an incremental fraction-free
 Gauss-Jordan over the Gaussian integers (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-It takes a vector as a sparse dict {column: entry} or as a dense list, which
-`reduce` turns into that dict once.  A row is stored as a pair of integer
-lists (re, im), im None when real:
+It takes a vector of int, Fraction or Scalar entries as a sparse dict
+{column: entry} or as a dense list, which `reduce` turns into that dict once.
+A row is stored as a pair of integer lists (re, im), im None when real:
   * an inserted vector is scaled by the lcm of its denominators; scaling
     leaves the spanned line, and so the subspace, unchanged;
   * eliminating a pivot replaces row by p*row - q*prow, with p the stored
@@ -15,10 +15,12 @@ lists (re, im), im None when real:
     stored row is zero at every other pivot column.
 Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
 echelon form, which is unique under a fixed column order; bases built in any
-insertion order then compare by equality.
+insertion order then compare by equality.  Every rational output is a Scalar.
 
-`rref` and `rank` insert the rows of a matrix into one `EchelonBasis`;
-`kernel_basis` and `solve_columns` read `rref`.
+`rank` and `rref` insert the rows of a matrix into one `EchelonBasis`, and
+`kernel_basis` reads the kernel off `rref`.  `solve_columns` inserts each
+column c_j as the tagged sparse row (c_j | e_j) and reads the solution off
+the tag of the target's residual, the way `aut4` reads minimal polynomials.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
-from .numeric import ZERO, Scalar
+from .numeric import ONE, ZERO, Scalar
 
 
 def _integer_row(vec: dict, dim: int) -> tuple:
@@ -78,12 +80,9 @@ def _eliminated(row: tuple, prow: tuple, col: int) -> tuple | None:
     )
 
 
-def _unit_pivot(row: tuple, col: int, field) -> list:
-    """row divided by its entry at col, as field elements (Fraction or Scalar)."""
+def _unit_pivot(row: tuple, col: int) -> list:
+    """row divided by its entry at col, as Gaussian rationals."""
     re, im = row
-    if field is Fraction:
-        p = re[col]
-        return [Fraction(a, p) for a in re]
     if im is None:
         im = [0] * len(re)
     pr, pi = re[col], im[col]
@@ -143,9 +142,9 @@ class EchelonBasis:
     def contains(self, vec) -> bool:
         return self.reduce(vec) is None
 
-    def vectors(self, field=Scalar) -> list:
-        """The unit-pivot reduced rows in pivot order, as field elements."""
-        return [_unit_pivot(self.rows[p], p, field) for p in self._order]
+    def vectors(self) -> list:
+        """The unit-pivot reduced rows in pivot order, as Scalars."""
+        return [_unit_pivot(self.rows[p], p) for p in self._order]
 
 
 def _echelon(matrix: list) -> EchelonBasis:
@@ -156,14 +155,10 @@ def _echelon(matrix: list) -> EchelonBasis:
 
 
 def rref(matrix: list) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column list).
-
-    Entries come back as Scalar if any input entry is a Scalar, else as
-    Fraction.
-    """
+    """Reduced row echelon form over the Gaussian rationals: (the unit-pivot
+    rows as Scalars, the pivot column list)."""
     ech = _echelon(matrix)
-    field = Scalar if any(isinstance(x, Scalar) for row in matrix for x in row) else Fraction
-    return ech.vectors(field), list(ech._order)
+    return ech.vectors(), list(ech._order)
 
 
 def rank(matrix: list) -> int:
@@ -176,46 +171,46 @@ def mat_mul(A: list, B: list) -> list:
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
-def kernel_basis(matrix: list, ncols: int, zero, one) -> list:
-    """Basis of the right kernel (deterministic, one vector per free column).
-
-    zero/one are the field constants, passed explicitly so empty systems still
-    come back over the right field.
-    """
+def kernel_basis(matrix: list, ncols: int) -> list:
+    """Basis of the right kernel, one vector per free column f of `rref`: a
+    one at f and minus the reduced entries of column f at the pivots."""
     rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     out = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[f] = ONE
         for rowvec, p in zip(rows, pivots):
-            if rowvec[f]:
-                vec[p] = zero - rowvec[f]
+            vec[p] = -rowvec[f]
         out.append(vec)
     return out
 
 
 def solve_columns(columns: list, target: list):
-    """Coefficients x with sum_j x_j columns[j] = target, or None if unsolvable."""
-    if not columns:
-        return [] if not any(target) else None
-    n = len(columns[0])
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(n)]
-    rows, pivots = rref(aug)
-    ncols = len(columns)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    zero = columns[0][0] - columns[0][0]
-    x = [zero] * ncols
-    for rowvec, p in zip(rows, pivots):
-        x[p] = rowvec[-1]
-    # underdetermined systems take free coordinates = 0; verify exactly
-    for i in range(n):
-        acc = zero
-        for j in range(ncols):
-            if x[j]:
-                acc = acc + x[j] * columns[j][i]
-        if acc != target[i]:
-            return None
-    return x
+    """Coefficients x with sum_j x_j columns[j] = target, or None when target
+    lies outside the span of the columns; with dependent columns, one of the
+    solutions.
+
+    Each column c_j is inserted as the tagged row (c_j | e_j) and the target
+    is reduced as (target | e_k), k = len(columns).  The residual is a row of
+    their span whose tag t has t_k != 0; its leading part
+    sum_j t_j c_j + t_k target is zero exactly when target lies in the span,
+    and then x_j = -t_j / t_k.
+    """
+    n, k = len(target), len(columns)
+    if any(len(col) != n for col in columns):
+        raise ValueError("columns and target differ in length")
+
+    def tagged(vec: list, j: int) -> dict:
+        row = {i: x for i, x in enumerate(vec) if x}
+        row[n + j] = 1
+        return row
+
+    ech = EchelonBasis(n + k + 1)
+    for j, col in enumerate(columns):
+        ech.insert(tagged(col, j))
+    re, im = ech.reduce(tagged(target, k))
+    im = im or [0] * len(re)
+    if any(re[:n]) or any(im[:n]):
+        return None
+    tk = Scalar(re[-1], im[-1])
+    return [-Scalar(a, b) / tk for a, b in zip(re[n:-1], im[n:-1])]

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
-from .numeric import ONE, QSeries, Scalar, ZERO, as_fraction
+from .numeric import QSeries, Scalar, ZERO, as_fraction
 from .fock import (
     LatticeMismatch,
     State,
     coordinates,
     graded_basis,
     graded_dim,
-    weight_terms,
 )
 from .linalg import EchelonBasis, kernel_basis
 from .vertex import mode, virasoro
@@ -39,24 +38,6 @@ class OutsideBound(ValueError):
 BOUNDS = ("pair+:0", "plus", "full")  # each bound lies in the next
 
 
-def _bound_coordinates(lattice: int, w: int, bound: str) -> list:
-    """The coordinates of one weight piece of a bound, in canonical term
-    order: each is the list of (term, sign) pairs of the state it stands for.
-
-      * "full": every term;
-      * "plus": (m, lam) + (-1)^len(lam) (-m, lam) for m > 0, and (0, lam)
-        with len(lam) even -- a basis of the parity-fixed space V_L^+;
-      * "pair+:0": (0, lam) with len(lam) even -- the even Heisenberg space.
-    """
-    coords = []
-    for m, lam in weight_terms(lattice, w):
-        if bound == "full" or (m == 0 and len(lam) % 2 == 0):
-            coords.append([((m, lam), 1)])
-        elif bound == "plus" and m > 0:
-            coords.append([((m, lam), 1), ((-m, lam), -1 if len(lam) % 2 else 1)])
-    return coords
-
-
 class GradedSubspace:
     """A weight-graded subspace, through weight W = max_weight, of a bound in
     one lattice Fock space, with exact bases.
@@ -64,12 +45,14 @@ class GradedSubspace:
     The bound is "full" (the whole lattice algebra V_L, the default), "plus"
     (its parity-fixed subalgebra V_L^+) or "pair+:0" (the even Heisenberg
     space), each taken through weight W.  Each weight piece keeps an
-    `EchelonBasis` in the coordinates of the bound (see
-    `_bound_coordinates`); a state enters it as the sparse row read off its
-    own terms, so rank, membership and the canonical (unit-pivot reduced)
-    basis are all deterministic.  A state outside the bound raises
-    OutsideBound, a state of another lattice LatticeMismatch.  States handed
-    back (residuals, basis states) are expanded to full States again.
+    `EchelonBasis` in the coordinates of the bound, the states of
+    `graded_basis(lattice, w, bound)`: a single term, or for "plus" with
+    m > 0 the pair (m, lam) + (-1)^len(lam) (-m, lam), indexed by its first
+    term.  A state enters it as the sparse row read off its own terms, so
+    rank, membership and the canonical (unit-pivot reduced) basis are all
+    deterministic.  A state outside the bound raises OutsideBound, a state
+    of another lattice LatticeMismatch.  States handed back (residuals,
+    basis states) are expanded to full States again.
     """
 
     def __init__(self, lattice: int, max_weight: int, bound: str = "full"):
@@ -83,7 +66,10 @@ class GradedSubspace:
     def _piece(self, w: int):
         piece = self.pieces.get(w)
         if piece is None:
-            coords = _bound_coordinates(self.lattice, w, self.bound)
+            coords = [
+                [(t, int(c.re)) for t, c in b.terms.items()]
+                for b in graded_basis(self.lattice, w, self.bound)
+            ]
             piece = {
                 "coords": coords,
                 "index": {c[0][0]: i for i, c in enumerate(coords)},
@@ -263,7 +249,7 @@ def singular_vectors(lattice: int, w, ambient="full") -> list[State]:
         matrix = [[images[j][r] for j in range(len(basis))] for r in range(nrows)]
     else:
         matrix = []
-    combos = kernel_basis(matrix, len(basis), ZERO, ONE)
+    combos = kernel_basis(matrix, len(basis))
     out = []
     for combo in combos:
         s = State(lattice, {})

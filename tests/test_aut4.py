@@ -26,7 +26,7 @@ from voaplus.aut4 import (
     _line_permutation,
 )
 from voaplus.fock import State, graded_basis, graded_dim, weight_terms
-from voaplus.linalg import kernel_basis, rref
+from voaplus.linalg import kernel_basis, solve_columns
 from voaplus.numeric import I, ONE, ZERO, Scalar
 from voaplus.report import Report, encode_value, render_json
 from voaplus.reptheory import GradedSubspace
@@ -90,14 +90,14 @@ def _dense_eigen_data(x, w):
     ks, vecs = [], []
     for k in range(-(2 * w + 2), 2 * w + 3):
         shifted = [[M[i][j] - (I * k if i == j else ZERO) for j in range(d)] for i in range(d)]
-        for vec in kernel_basis(shifted, d, ZERO, ONE):
+        for vec in kernel_basis(shifted, d):
             ks.append(k)
             vecs.append(vec)
     assert len(ks) == d, "zero-mode is not i*Z-diagonalizable in the band"
-    aug = [[vecs[j][i] for j in range(d)] + [ONE if r == i else ZERO for r in range(d)] for i in range(d)]
-    reduced, pivots = rref(aug)
-    assert pivots == list(range(d))
-    return terms, ks, vecs, [row[d:] for row in reduced]
+    # column r of the inverse solves P x = e_r
+    inv_cols = [solve_columns(vecs, [ONE if i == r else ZERO for i in range(d)]) for r in range(d)]
+    assert None not in inv_cols, "the eigenvectors do not span"
+    return terms, ks, vecs, [[col[i] for col in inv_cols] for i in range(d)]
 
 
 def _dense_exp(eigen, q, s):

@@ -91,6 +91,30 @@ def test_closure_span_and_character_weight_ceilings_refused_exit_2(
     assert f"at most {ceiling}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, ceiling, body",
+    [
+        (["fusion", "--n", "1", "--m"], "m", cli.FUSION_MAX_INDEX, "_fusion_report"),
+        (["fusion", "--m", "1", "--n"], "n", cli.FUSION_MAX_INDEX, "_fusion_report"),
+        (["cg", "--max"], "max", cli.CG_MAX, "_cg_report"),
+    ],
+)
+def test_fusion_label_and_cg_ceilings_refused_exit_2(argv, flag, ceiling, body, monkeypatch, capsys):
+    # the desk battery's fusion labels (up to 2) and cg sweep (8) stay inside
+    assert ceiling >= {"m": 2, "n": 2, "max": 8}[flag]
+    args = cli._build_parser().parse_args(argv + [str(ceiling)])
+    assert getattr(args, flag) == ceiling  # parsed only; running it would cost seconds
+
+    def refuse(*args):
+        raise AssertionError("the report body ran")
+
+    monkeypatch.setattr(cli, body, refuse)
+    code, rep = run_cli(argv + [str(ceiling + 1)])
+    assert code == 2
+    assert rep is None
+    assert f"at most {ceiling}" in capsys.readouterr().err
+
+
 def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
     # the fixed-space check receives the requested weight, never a clamped one
     ceiling = cli.AUT_N4_MAX_WEIGHT

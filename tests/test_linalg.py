@@ -1,8 +1,8 @@
-"""Exact linear algebra: echelon bases, rref, kernels, column solves."""
+"""Exact linear algebra: echelon bases, rref, kernels, column solves, all read
+back over the Gaussian rationals."""
 
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +39,10 @@ def _rref_by_fractions(matrix: list) -> tuple:
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def _oracle_rank(matrix: list) -> int:
+    return len(_rref_by_fractions(matrix)[1])
 
 
 def test_echelon_basis_rank_membership_and_determinism():
@@ -81,7 +85,7 @@ def test_rref_with_gaussian_rational_entries():
 def test_kernel_basis_of_a_rank_one_map():
     # x + 2y + 3z = 0
     mat = [[Scalar(1), Scalar(2), Scalar(3)]]
-    ker = kernel_basis(mat, 3, Scalar(0), Scalar(1))
+    ker = kernel_basis(mat, 3)
     assert len(ker) == 2
     for v in ker:
         assert v[0] + Scalar(2) * v[1] + Scalar(3) * v[2] == Scalar(0)
@@ -95,6 +99,15 @@ def test_solve_columns_exact_solution_and_failure():
     sol = solve_columns(cols, [Scalar(F(1, 2)), Scalar(3), Scalar(F(7, 2))])
     assert sol == [Scalar(F(1, 2)), Scalar(3)]
     assert solve_columns(cols, [Scalar(0), Scalar(0), Scalar(1)]) is None
+    # dependent columns: some solution, exact
+    dep = cols + [[a + b for a, b in zip(*cols)]]
+    sol = solve_columns(dep, [Scalar(2), Scalar(0, 1), Scalar(2, 1)])
+    assert [sum((x * c[i] for x, c in zip(sol, dep)), ZERO) for i in range(3)] == [
+        Scalar(2), Scalar(0, 1), Scalar(2, 1)
+    ]
+    assert solve_columns([], [ZERO, ZERO]) == [] and solve_columns([], [ONE]) is None
+    with pytest.raises(ValueError):
+        solve_columns(cols, [ONE, ONE])
 
 
 def test_mat_mul_over_gaussian_rationals_and_fractions():
@@ -145,12 +158,48 @@ def _matrices(draw, entry, zero):
     return rows
 
 
-def _assert_matches_oracle(matrix, field, zero, one):
+def _scalars(rows: list) -> list:
+    return [[Scalar.coerce(x) for x in row] for row in rows]
+
+
+def _kernel_by_oracle(matrix: list, ncols: int) -> list:
+    """The kernel by the free-column rule on the oracle's reduced rows: a one
+    at each free column f and minus the reduced entries of column f at the
+    pivots."""
+    rows, pivots = _rref_by_fractions(matrix)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [ZERO] * ncols
+            vec[f] = ONE
+            for rowvec, p in zip(rows, pivots):
+                vec[p] = -Scalar.coerce(rowvec[f])
+            out.append(vec)
+    return out
+
+
+def _assert_solves(columns: list, target: list):
+    """solve_columns against the oracle: a solution exactly when the target
+    adds no rank, the oracle's unique one when the columns are independent."""
+    got = solve_columns(columns, target)
+    r = _oracle_rank(columns)
+    if _oracle_rank(columns + [target]) != r:
+        assert got is None
+        return
+    assert got is not None and all(type(x) is Scalar for x in got)
+    combo = [sum((x * c[i] for x, c in zip(got, columns)), ZERO) for i in range(len(target))]
+    assert combo == target
+    if r == len(columns):
+        aug = [[c[i] for c in columns] + [target[i]] for i in range(len(target))]
+        assert got == [row[-1] for row in _rref_by_fractions(aug)[0]]
+
+
+def _assert_matches_oracle(matrix, zero, one):
     rows, pivots = rref(matrix)
     want_rows, want_pivots = _rref_by_fractions(matrix)
     assert pivots == want_pivots
-    assert rows == want_rows
-    assert all(type(x) is field for row in rows for x in row)
+    assert rows == _scalars(want_rows)
+    assert all(type(x) is Scalar for row in rows for x in row)
     assert rank(matrix) == len(want_pivots)
 
     # the integer rows under the final division: primitive, nonzero at their
@@ -167,20 +216,17 @@ def _assert_matches_oracle(matrix, field, zero, one):
         assert not any(re[c] or im[c] for c in int_pivots if c != col)
 
     ncols = len(matrix[0]) if matrix else 3
+    kernel = kernel_basis(matrix, ncols)
+    assert kernel == _kernel_by_oracle(matrix, ncols)
+    assert all(type(x) is Scalar for vec in kernel for x in vec)
+    assert all(not sum((x * v for x, v in zip(row, vec)), ZERO) for row in matrix for vec in kernel)
+
+    # the rows of the matrix as columns, so they may be dependent
     target = [sum((r[i] for r in matrix[:2]), zero) for i in range(ncols)]
-    targets = [target, [one] + [zero] * (ncols - 1)]
-    with mock.patch.object(linalg, "rref", _rref_by_fractions):
-        want_kernel = kernel_basis(matrix, ncols, zero, one)
-        want_solutions = [solve_columns(matrix, t) for t in targets]
-    kernel = kernel_basis(matrix, ncols, zero, one)
-    assert kernel == want_kernel
-    assert all(type(x) is field for vec in kernel for x in vec)
-    for t, want in zip(targets, want_solutions):
-        got = solve_columns(matrix, t)
-        assert got == want
-        assert got is None or all(type(x) is field for x in got)
+    for t in (target, [one] + [zero] * (ncols - 1)):
+        _assert_solves(matrix, t)
     if matrix[:2]:
-        assert want_solutions[0] is not None  # a sum of columns is solvable
+        assert solve_columns(matrix, target) is not None  # a sum of columns is solvable
 
 
 _KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -193,7 +239,7 @@ _KERNEL = settings(derandomize=True, database=None, deadline=None, max_examples=
 @example(matrix=[[F(int(i == j)) for j in range(4)] for i in range(4)])  # full rank
 @example(matrix=[[F(1, 2**61 - 1), F(3, 10**18 + 9)], [F(5, 7), F(-2, 3**40)]])
 def test_integer_kernel_matches_the_oracle_over_fractions(matrix):
-    _assert_matches_oracle(matrix, Fraction, F(0), F(1))
+    _assert_matches_oracle(matrix, F(0), F(1))
 
 
 @_KERNEL
@@ -203,17 +249,13 @@ def test_integer_kernel_matches_the_oracle_over_fractions(matrix):
 @example(matrix=[[Scalar(0, 1), ONE], [Scalar(2), Scalar(0, -2)]])  # a pivot i
 @example(matrix=[[Scalar(F(1, 3), F(2, 5)), Scalar(1, 1)], [Scalar(3, -1), Scalar(0, F(1, 7))]])
 def test_integer_kernel_matches_the_oracle_over_gaussian_rationals(matrix):
-    _assert_matches_oracle(matrix, Scalar, ZERO, ONE)
+    _assert_matches_oracle(matrix, ZERO, ONE)
 
 
 def test_rank_takes_integer_rows():
     assert rank([[2, 4, 6], [1, 2, 3], [0, 0, 0]]) == 1
     assert rank([[0, 1], [1, 0], [1, 1]]) == 2
     assert rank([]) == 0
-
-
-def _oracle_rank(matrix: list) -> int:
-    return len(_rref_by_fractions(matrix)[1])
 
 
 @settings(_KERNEL, max_examples=100)
@@ -235,5 +277,5 @@ def test_echelon_basis_inserts_match_the_oracle_in_either_order(matrix):
         for k, row in enumerate(order):
             assert (ech.insert(form(row)) is None) == (ranks[k + 1] == ranks[k])
             assert ech.contains(form(row))
-        assert ech.vectors(field) == want_rows
+        assert ech.vectors() == _scalars(want_rows)
         assert [ech.contains(form(probe)) for probe in probes] == inside
