@@ -26,23 +26,19 @@ the tag of the target's residual, the way `aut4` reads minimal polynomials.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .numeric import ONE, ZERO, Scalar
+from .numeric import ONE, ZERO, Scalar, over_common_denominator
 
 
 def _integer_row(vec: dict, dim: int) -> tuple:
     """Gaussian-integer row (re, im) of length dim proportional to the sparse
     vector {column: entry}, over the lcm of its denominators; im is None when
     every entry is real.  Only the given entries are read."""
-    parts = [(i, x.re, x.im) if isinstance(x, Scalar) else (i, x, 0) for i, x in vec.items()]
-    den = lcm(*(a.denominator for _, a, _ in parts), *(b.denominator for _, _, b in parts))
     re, im = [0] * dim, [0] * dim
-    for i, a, b in parts:
-        re[i] = a.numerator * (den // a.denominator)
-        if b:
-            im[i] = b.numerator * (den // b.denominator)
+    for i, a, b in over_common_denominator(vec)[1]:
+        re[i] = a
+        im[i] = b
     return re, (im if any(im) else None)
 
 
@@ -88,7 +84,7 @@ def _unit_pivot(row: tuple, col: int) -> list:
     pr, pi = re[col], im[col]
     n = pr * pr + pi * pi
     return [
-        Scalar(Fraction(a * pr + b * pi, n), Fraction(b * pr - a * pi, n)) if a or b else ZERO
+        Scalar._of(a * pr + b * pi, b * pr - a * pi, n) if a or b else ZERO
         for a, b in zip(re, im)
     ]
 

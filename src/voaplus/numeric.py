@@ -8,7 +8,7 @@ cut off below a rational order.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, gcd, isqrt, lcm
 
 # exponent bookkeeping: a series exponent e is stored as the integer 24*e
 DEN = 24
@@ -23,48 +23,82 @@ def as_fraction(x) -> Fraction:
 
 
 class Scalar:
-    """A Gaussian rational re + im*i with reduced Fraction parts.
+    """A Gaussian rational (a + b*i)/d, stored as the integer triple
+    `abd` = (a, b, d) with d > 0 and gcd(a, b, d) = 1.
 
-    Immutable; equality and hashing are structural, so Scalars can key dicts.
+    The triple is canonical, so equal values have equal triples; equality and
+    hashing read it, and Scalars can key dicts.  Arithmetic stays on ints
+    and reduces each result by one three-argument gcd.  `re` and `im` give
+    the parts as Fractions for readers at the edges.  Immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_abd(self, (re, im, 1))
+            return
+        re = as_fraction(re)
+        if type(im) is int and not im:
+            _set_abd(self, (re.numerator, 0, re.denominator))
+            return
+        im = as_fraction(im)
+        # reduced parts over their lcm give a reduced triple
+        d = lcm(re.denominator, im.denominator)
+        _set_abd(self, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d))
 
-    @classmethod
-    def _of(cls, re: Fraction, im: Fraction) -> "Scalar":
-        """A Scalar from parts that are already Fractions, unchecked; for
-        values the package built itself."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "re", re)
-        object.__setattr__(s, "im", im)
-        return s
+    @staticmethod
+    def _of(a: int, b: int, d: int) -> "Scalar":
+        """(a + b*i)/d from ints with d > 0, reduced but otherwise unchecked;
+        for values the package built itself."""
+        return _reduced(a, b, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self.abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self.abd
+        return Fraction(b, d)
 
     @staticmethod
     def coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        return Scalar(as_fraction(x))
+        return Scalar(x)
 
     def __add__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a, b, d = self.abd
+        c, e, f = other.abd
+        if d == f:
+            if d == 1:
+                return _triple(a + c, b + e, 1)
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar(other)
+        a, b, d = self.abd
+        c, e, f = other.abd
+        if d == f:
+            if d == 1:
+                return _triple(a - c, b - e, 1)
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -72,30 +106,42 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar._of(-self.re, -self.im)
+        a, b, d = self.abd
+        return _triple(-a, -b, d)
 
     def __mul__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return Scalar(a * c)
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, d = self.abd
+        if type(other) is not Scalar:
+            if isinstance(other, int):
+                return _reduced(a * other, b * other, d)
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = Scalar(other)
+        c, e, f = other.abd
+        if not b and not e:
+            return _reduced(a * c, 0, d * f)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.abd
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of zero Scalar")
-        return Scalar(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * Scalar.coerce(other).inverse()
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, d = self.abd
+        c, e, f = Scalar.coerce(other).abd
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("inverse of zero Scalar")
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) * self.inverse()
+        return Scalar.coerce(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -112,34 +158,85 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        a, b, d = self.abd
+        return _triple(a, -b, d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        a, b, _ = self.abd
+        return not a and not b
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self.abd
+        return a != 0 or b != 0
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        _, b, d = self.abd
+        return not b and d == 1
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self.abd == other.abd
+        if isinstance(other, int):
+            return self.abd == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self.abd == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.abd)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+_set_abd = Scalar.abd.__set__  # writes the slot past the immutability guard
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> Scalar:
+    """The Scalar with triple (a, b, d), which must already be canonical."""
+    s = _new(Scalar)
+    _set_abd(s, (a, b, d))
+    return s
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    s = _new(Scalar)
+    _set_abd(s, (a, b, d))
+    return s
+
+
+def over_common_denominator(entries: dict) -> tuple:
+    """(D, [(key, a, b), ...]): every entry, a Scalar, int or Fraction, as
+    (a + b*i)/D over D, the least common denominator of all of them."""
+    parts = []
+    den = 1
+    for k, x in entries.items():
+        if type(x) is Scalar:
+            a, b, d = x.abd
+        elif isinstance(x, int):
+            a, b, d = x, 0, 1
+        else:
+            x = as_fraction(x)
+            a, b, d = x.numerator, 0, x.denominator
+        if d != 1:
+            den = lcm(den, d)
+        parts.append((k, a, b, d))
+    if den == 1:
+        return 1, [(k, a, b) for k, a, b, _ in parts]
+    return den, [(k, a * (den // d), b * (den // d)) for k, a, b, d in parts]
 
 
 ZERO = Scalar(0)
@@ -185,14 +282,12 @@ class QSeries:
         object.__setattr__(self, "order", as_fraction(order))
         clean = {}
         if coeffs:
-            cutoff = self.order * DEN
+            cutoff = ceil(self.order * DEN)  # integer keys below order*DEN
             for k, c in coeffs.items():
-                c = Scalar.coerce(c)
-                if not c:
-                    continue
-                if k >= cutoff:
-                    continue
-                clean[k] = c
+                if type(c) is not Scalar:
+                    c = Scalar.coerce(c)
+                if k < cutoff and c:
+                    clean[k] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -247,7 +342,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        cutoff = order * DEN
+        cutoff = ceil(order * DEN)
         out: dict = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():

@@ -108,7 +108,7 @@ class GradedSubspace:
             return None
         re, im = row
         im = im or [0] * len(re)
-        residual = {i: Scalar._of(Fraction(a), Fraction(b)) for i, (a, b) in enumerate(zip(re, im)) if a or b}
+        residual = {i: Scalar._of(a, b, 1) for i, (a, b) in enumerate(zip(re, im)) if a or b}
         return State._of(self.lattice, _expand(piece, residual))
 
     def contains(self, s: State) -> bool:
@@ -143,16 +143,6 @@ class GradedSubspace:
             State(self.lattice, _expand(piece, {i: c for i, c in enumerate(vec) if c}))
             for vec in piece["ech"].vectors()
         ]
-
-    def same_space(self, other: "GradedSubspace") -> bool:
-        """Equal dimensions, and the basis of the one with the smaller bound
-        lies in the other, at every weight; the bounds may differ."""
-        if self.lattice != other.lattice or self.max_weight != other.max_weight:
-            return False
-        narrow, wide = sorted((self, other), key=lambda sub: BOUNDS.index(sub.bound))
-        return narrow.dims() == wide.dims() and all(
-            wide.contains(b) for w in range(self.max_weight + 1) for b in narrow.basis_states(w)
-        )
 
 
 def _expand(piece: dict, row: dict) -> dict:

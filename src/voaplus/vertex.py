@@ -15,14 +15,15 @@ Conventions, fixed once here:
     every integer x; no table lookups, no special-casing of negatives.
   * Term modes are integer numerators over w_out!, w_out the weight of the
     result: the creation exponential contributes a^len(nu)/z_nu, and w!/z_nu
-    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` scales its
-    arguments to Gaussian integers over one denominator each (no lcm work when
-    every denominator is 1), accumulates integer pairs, and divides once per
-    output term.
+    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` puts each
+    argument over one common denominator (`numeric.over_common_denominator`,
+    no lcm work when every denominator is 1), accumulates Gaussian-integer
+    pairs (r, i), and makes each output term as `Scalar._of(r, i, d)`.
   * `mode` builds its result with the unchecked constructors `Scalar._of` and
-    `State._of`: each part it divides out is a reduced Fraction and it keeps
-    only nonzero terms, so re-validation would check nothing.  The public
-    constructors keep every check for values from outside.
+    `State._of`: every d it passes is positive, `Scalar._of` reduces the
+    triple by its gcd, and only nonzero terms are kept, so re-validation would
+    check nothing.  No Fraction is built.  The public constructors keep every
+    check for values from outside.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -30,17 +31,14 @@ homogeneous state is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial, lcm
+from math import factorial
 
-from .numeric import Scalar
+from .numeric import Scalar, over_common_denominator
 from .fock import State, partitions
 
 __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
-
-_F0 = Fraction(0)
 
 
 def poly_binom(x: int, r: int) -> int:
@@ -182,25 +180,6 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     return result
 
 
-def _scaled(s: State) -> tuple:
-    """(d, {term: (re, im)}): the coefficients of s as Gaussian integers over d."""
-    out = {}
-    for t, c in s.terms.items():
-        re, im = c.re, c.im
-        if re.denominator != 1 or im.denominator != 1:
-            break
-        out[t] = (re.numerator, im.numerator)
-    else:
-        return 1, out
-    d = 1
-    for c in s.terms.values():
-        d = lcm(d, c.re.denominator, c.im.denominator)
-    return d, {
-        t: (c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
-        for t, c in s.terms.items()
-    }
-
-
 def mode(v: State, k: int, w: State) -> State:
     """The k-th mode of v applied to w; v must be homogeneous.
 
@@ -216,11 +195,11 @@ def mode(v: State, k: int, w: State) -> State:
     if not v.is_homogeneous():
         raise ValueError("mode requires a homogeneous first argument")
     N = v.lattice
-    dv, v_int = _scaled(v)
-    dw, w_int = _scaled(w)
+    dv, v_int = over_common_denominator(v.terms)
+    dw, w_int = over_common_denominator(w.terms)
     acc: dict = {}
-    for (a, lam), (vr, vi) in v_int.items():
-        for (m, mu), (wr, wi) in w_int.items():
+    for (a, lam), vr, vi in v_int:
+        for (m, mu), wr, wi in w_int:
             sub = _term_mode(N, a, lam, k, m, mu)
             if not sub:
                 continue
@@ -233,8 +212,7 @@ def mode(v: State, k: int, w: State) -> State:
     out = {}
     for (mm, ll), (r, i) in acc.items():
         if r or i:
-            d = dvw * factorial(mm * mm * half + sum(ll))
-            out[(mm, ll)] = Scalar._of(Fraction(r, d) if r else _F0, Fraction(i, d) if i else _F0)
+            out[(mm, ll)] = Scalar._of(r, i, dvw * factorial(mm * mm * half + sum(ll)))
     return State._of(N, out)
 
 

@@ -1,17 +1,22 @@
 """Series layer: eta products, characters, decomposition, telescoping."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voaplus import numeric
 from voaplus.fock import partition_count
 from voaplus.numeric import (
     DEN,
     DecompositionError,
+    ONE,
     QSeries,
     QSeriesError,
     Scalar,
+    ZERO,
     decompose,
     eta,
     eta_inverse,
@@ -39,15 +44,95 @@ def _eta_inverse_by_product(order) -> QSeries:
     return out.shift(Fraction(-1, 24))
 
 
-def test_scalar_arithmetic():
-    a = Scalar(Fraction(1, 2), Fraction(3))
-    b = Scalar(2, -1)
-    assert a + b == Scalar(Fraction(5, 2), 2)
-    assert a * b == Scalar(4, Fraction(11, 2))
-    assert (a * a.inverse()) == Scalar(1)
-    assert Scalar(0, 1) ** 2 == Scalar(-1)
-    assert a.conjugate().conjugate() == a
-    assert Scalar(3).is_integer() and not Scalar(Fraction(1, 2)).is_integer()
+_small = st.integers(-6, 6)
+_part = st.builds(Fraction, _small, st.integers(1, 6)) | _small
+_scalar = st.builds(Scalar, _part, _part)
+
+
+def _oracle(s: Scalar) -> tuple:
+    return (s.re, s.im)
+
+
+def _canonical(s: Scalar) -> bool:
+    a, b, d = s.abd
+    return all(type(x) is int for x in s.abd) and d > 0 and gcd(a, b, d) == 1
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _quotient(x: tuple, y: tuple) -> tuple:
+    n = y[0] * y[0] + y[1] * y[1]
+    return _product(x, (y[0] / n, -y[1] / n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(x=_scalar, y=_scalar, k=st.integers(-3, 4), n=_part)
+@example(x=Scalar(Fraction(1, 2), 3), y=Scalar(2, -1), k=-2, n=Fraction(1, 2))
+@example(x=Scalar(0, 1), y=Scalar(0), k=2, n=0)
+def test_scalar_arithmetic(x, y, k, n):
+    """Every operation agrees with a (Fraction, Fraction) oracle, every result
+    is in canonical form (d > 0, gcd(a, b, d) = 1), equal values are equal
+    triples with equal hashes, and int or Fraction operands mix in."""
+    fx, fy = _oracle(x), _oracle(y)
+    fn = (Fraction(n), Fraction(0))
+    cases = [
+        (x + y, (fx[0] + fy[0], fx[1] + fy[1])),
+        (x - y, (fx[0] - fy[0], fx[1] - fy[1])),
+        (x * y, _product(fx, fy)),
+        (-x, (-fx[0], -fx[1])),
+        (x.conjugate(), (fx[0], -fx[1])),
+        (x + n, (fx[0] + fn[0], fx[1])),
+        (n + x, (fx[0] + fn[0], fx[1])),
+        (x - n, (fx[0] - fn[0], fx[1])),
+        (n - x, (fn[0] - fx[0], -fx[1])),
+        (x * n, _product(fx, fn)),
+        (n * x, _product(fx, fn)),
+    ]
+    if y:
+        cases += [(x / y, _quotient(fx, fy)), (n / y, _quotient(fn, fy)), (y.inverse(), _quotient((1, 0), fy))]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    if n:
+        cases.append((x / n, _quotient(fx, fn)))
+    if k >= 0 or x:
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            want = _product(want, fx)
+        cases.append((x**k, want if k >= 0 else _quotient((1, 0), want)))
+    for got, want in cases:
+        assert _canonical(got)
+        assert _oracle(got) == want
+        assert got == Scalar(*want) and hash(got) == hash(Scalar(*want))
+    assert (x == y) == (fx == fy)
+    assert bool(x) == (fx != (0, 0)) == (not x.is_zero())
+    assert x.is_integer() == (fx[1] == 0 and fx[0].denominator == 1)
+    assert (x == n) == (fx == fn)
+
+
+def test_scalar_routes_to_one_value_hash_equal():
+    routes = [Scalar(Fraction(2, 4)), Scalar._of(1, 0, 2), Scalar._of(3, 0, 6), ONE / 2]
+    routes += [Scalar(1) - Scalar(Fraction(1, 2)), Scalar(0, 1) * Scalar(0, Fraction(-1, 2))]
+    assert all(r == Fraction(1, 2) and r.abd == (1, 0, 2) for r in routes)
+    assert len({hash(r) for r in routes}) == 1
+    assert Scalar._of(0, 0, 7).abd == ZERO.abd == (0, 0, 1)
+    assert Scalar._of(6, -4, 8).abd == (3, -2, 4)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", None, 1j])
+def test_scalar_refuses_what_is_not_int_or_fraction(bad):
+    with pytest.raises(TypeError):
+        Scalar(bad)
+    with pytest.raises(TypeError):
+        Scalar(1, bad)
+    with pytest.raises(TypeError):
+        Scalar.coerce(bad)
+    with pytest.raises(AttributeError):
+        ONE.abd = (2, 0, 1)
 
 
 def test_qseries_grid_and_coeff_window():

@@ -8,11 +8,11 @@ Virasoro relations, and compatibility of torus scalings, sector phases and
 the quarter-turn exponentials of the norm-2 lattice with every mode.  Each property also checks that the values the engine
 builds without re-validation (mode results, parity images, torus and phase
 images) are what the public constructor would build: nonzero coefficients
-with Fraction parts.
+in canonical form, (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -64,9 +64,9 @@ def _exp_pair(N):
 
 def _is_engine_built(r):
     """r equals its rebuild through the public constructor, and every stored
-    coefficient is nonzero with Fraction parts."""
+    coefficient is nonzero and in canonical form."""
     return State(r.lattice, dict(r.terms)) == r and all(
-        c and type(c.re) is Fraction and type(c.im) is Fraction for c in r.terms.values()
+        c and c.abd[2] > 0 and gcd(*c.abd) == 1 for c in r.terms.values()
     )
 
 
