@@ -134,13 +134,12 @@ def _term_image(x: State, q: int, term, index: dict) -> dict:
     while True:
         row = {index[t]: c for t, c in krylov[-1].terms.items()}
         row[d + len(krylov) - 1] = 1
-        re, im = ech.insert(row)
-        im = im or [0] * len(re)
-        if not any(re[:d]) and not any(im[:d]):
+        row = ech.insert(row)
+        if min(row) >= d:
             break
         krylov.append(mode(x, 0, krylov[-1]))
     m = len(krylov) - 1
-    rel = [Scalar(a, b) for a, b in zip(re[d : d + m + 1], im[d : d + m + 1])]
+    rel = [Scalar(*row.get(d + j, (0, 0))) for j in range(m + 1)]
     # mu_t(iu) / (c_m i^m) = sum_j (c_j / c_m) i^(j-m) u^j, real when its roots are
     coeffs = [c / rel[m] * I ** ((j - m) % 4) for j, c in enumerate(rel)]
     roots = {} if any(c.im for c in coeffs) else symn.rational_roots([c.re for c in coeffs])[0]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .numeric import ONE, Scalar, ZERO
+from .numeric import Scalar, ZERO
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -309,46 +309,43 @@ def coordinates(s: State, w: int) -> list:
     return [s.terms.get(t, ZERO) for t in terms]
 
 
-def graded_basis(N: int, w, constraint="full") -> list[State]:
-    """Deterministic basis of one graded piece under a symmetry constraint.
+def graded_coordinates(N: int, w, constraint="full") -> list[tuple]:
+    """Deterministic basis of one graded piece under a symmetry constraint,
+    each vector as its ((term, sign), ...) pairs, coefficients sign = +-1,
+    the leading term first with sign +1.
 
     Constraints: "full" (all terms), "plus"/"minus" (parity eigenspaces),
     "pair:m" (the sector +-m submodule; m=0 is the Heisenberg part),
     "pair+:m"/"pair-:m" (its parity eigenspaces), and "efixed" (N=2 only:
     parity-fixed vectors of even sector, the small-lattice model of the
-    plus subalgebra of the norm-8 lattice).
+    plus subalgebra of the norm-8 lattice).  A parity eigenvector of
+    sector m > 0 is (m, lam) +- (-1)^len(lam) (-m, lam).
     """
     check_lattice(N)
     kind, pair_m = _parse_constraint(N, constraint)
+    terms = weight_terms(N, w)
     if kind == "full":
-        return [State.of_term(N, m, lam) for m, lam in weight_terms(N, w)]
-
-    out: list[State] = []
-    for m, lam in weight_terms(N, w):
-        if m < 0 or (kind in ("pair", "pair+", "pair-") and m != pair_m):
+        return [((t, 1),) for t in terms]
+    fixed = kind in ("plus", "efixed", "pair+")  # the +1 eigenspace of parity
+    out: list = []
+    for m, lam in terms:
+        if m < 0 or (pair_m is not None and m != pair_m):
             continue
+        even = len(lam) % 2 == 0
         if m == 0:
-            even = len(lam) % 2 == 0
-            if kind in ("plus", "efixed", "pair+") and not even:
-                continue
-            if kind in ("minus", "pair-") and even:
-                continue
-            out.append(State.of_term(N, 0, lam))
-        else:
-            plus_sign = 1 if len(lam) % 2 == 0 else -1
-            a = State.of_term(N, m, lam)
-            b = State.of_term(N, -m, lam)
-            if kind == "pair":
-                out.append(a)
-                out.append(b)
-            elif kind in ("plus", "pair+"):
-                out.append(a + plus_sign * b)
-            elif kind in ("minus", "pair-"):
-                out.append(a - plus_sign * b)
-            elif kind == "efixed":
-                if m % 2 == 0:
-                    out.append(a + plus_sign * b)
+            if kind == "pair" or even == fixed:
+                out.append((((0, lam), 1),))
+        elif kind == "pair":
+            out += [(((m, lam), 1),), (((-m, lam), 1),)]
+        elif kind != "efixed" or m % 2 == 0:
+            out.append((((m, lam), 1), ((-m, lam), 1 if even == fixed else -1)))
     return out
+
+
+def graded_basis(N: int, w, constraint="full") -> list[State]:
+    """The States of `graded_coordinates(N, w, constraint)`."""
+    coords = graded_coordinates(N, w, constraint)
+    return [State._of(N, {t: Scalar(sign) for t, sign in vec}) for vec in coords]
 
 
 def graded_dim(N: int, w, constraint="full") -> int:

@@ -5,14 +5,16 @@ Gauss-Jordan over the Gaussian integers (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
 It takes a vector of int, Fraction or Scalar entries as a sparse dict
 {column: entry} or as a dense list, which `reduce` turns into that dict once.
-A row is stored as a pair of integer lists (re, im), im None when real:
+A row is stored, and returned by `reduce` and `insert`, as a sparse
+Gaussian-integer dict {column: (re, im)} with no stored zeros:
   * an inserted vector is scaled by the lcm of its denominators; scaling
     leaves the spanned line, and so the subspace, unchanged;
   * eliminating a pivot replaces row by p*row - q*prow, with p the stored
     row's pivot and q row's entry in the pivot column, then divides by the
     integer content of the entries; no rational is built inside the loop;
   * a new row is back-substituted into the stored ones the same way, so each
-    stored row is zero at every other pivot column.
+    stored row leads at its pivot, its smallest column, and is zero at every
+    other pivot column.
 Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
 echelon form, which is unique under a fixed column order; bases built in any
 insertion order then compare by equality.  Every rational output is a Scalar.
@@ -31,62 +33,33 @@ from math import gcd
 from .numeric import ONE, ZERO, Scalar, over_common_denominator
 
 
-def _integer_row(vec: dict, dim: int) -> tuple:
-    """Gaussian-integer row (re, im) of length dim proportional to the sparse
-    vector {column: entry}, over the lcm of its denominators; im is None when
-    every entry is real.  Only the given entries are read."""
-    re, im = [0] * dim, [0] * dim
-    for i, a, b in over_common_denominator(vec)[1]:
-        re[i] = a
-        im[i] = b
-    return re, (im if any(im) else None)
-
-
-def _primitive(re: list, im) -> tuple | None:
-    """(re, im) divided by the integer content of its entries; None if zero."""
-    g = gcd(*re, *im) if im is not None else gcd(*re)
-    if not g:
+def _primitive(row: dict) -> dict | None:
+    """row divided by the integer content of its entries; None if empty."""
+    if not row:
         return None
+    g = gcd(*(x for ab in row.values() for x in ab))
     if g != 1:
-        re = [x // g for x in re]
-        if im is not None:
-            im = [x // g for x in im]
-    if im is not None and not any(im):
-        im = None
-    return re, im
+        row = {c: (a // g, b // g) for c, (a, b) in row.items()}
+    return row
 
 
-def _eliminated(row: tuple, prow: tuple, col: int) -> tuple | None:
+def _eliminated(row: dict, prow: dict, col: int) -> dict | None:
     """p*row - q*prow made primitive, p = prow[col] and q = row[col]; the
     entry of row in the pivot column becomes zero."""
-    re, im = row
-    sre, sim = prow
-    qr, qi = re[col], (im[col] if im is not None else 0)
-    if not (qr or qi):
+    q = row.get(col)
+    if q is None:
         return row
-    pr, pi = sre[col], (sim[col] if sim is not None else 0)
-    if im is None and sim is None and not (pi or qi):
-        return _primitive([pr * a - qr * c for a, c in zip(re, sre)], None)
-    zeros = [0] * len(re)
-    im = im if im is not None else zeros
-    sim = sim if sim is not None else zeros
-    return _primitive(
-        [pr * a - pi * b - qr * c + qi * d for a, b, c, d in zip(re, im, sre, sim)],
-        [pr * b + pi * a - qr * d - qi * c for a, b, c, d in zip(re, im, sre, sim)],
-    )
-
-
-def _unit_pivot(row: tuple, col: int) -> list:
-    """row divided by its entry at col, as Gaussian rationals."""
-    re, im = row
-    if im is None:
-        im = [0] * len(re)
-    pr, pi = re[col], im[col]
-    n = pr * pr + pi * pi
-    return [
-        Scalar._of(a * pr + b * pi, b * pr - a * pi, n) if a or b else ZERO
-        for a, b in zip(re, im)
-    ]
+    qr, qi = q
+    pr, pi = prow[col]
+    out = {c: (pr * a - pi * b, pr * b + pi * a) for c, (a, b) in row.items()}
+    for c, (x, y) in prow.items():
+        a, b = out.get(c, (0, 0))
+        a, b = a - qr * x + qi * y, b - qr * y - qi * x
+        if a or b:
+            out[c] = (a, b)
+        else:
+            del out[c]
+    return _primitive(out)
 
 
 class EchelonBasis:
@@ -95,7 +68,8 @@ class EchelonBasis:
 
     def __init__(self, dim: int):
         self.dim = dim
-        # pivot column -> primitive row (re, im), zero at every other pivot
+        # pivot column -> primitive row {column: (re, im)}, no stored zeros,
+        # leading at the pivot and zero at every other pivot
         self.rows: dict = {}
         self._order: list = []  # pivot columns, ascending
 
@@ -103,32 +77,31 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> tuple | None:
-        """Primitive integer residual of vec, a dense list of length dim or a
-        sparse {column: entry} dict, after elimination against the stored
-        rows: a nonzero multiple of the field residual; None when vec lies in
-        the span."""
+    def reduce(self, vec) -> dict | None:
+        """Primitive integer residual {column: (re, im)} of vec, a dense list
+        of length dim or a sparse {column: entry} dict, after elimination
+        against the stored rows: a nonzero multiple of the field residual;
+        None when vec lies in the span."""
         if not isinstance(vec, dict):
             if len(vec) != self.dim:
                 raise ValueError("vector length does not match basis dimension")
             vec = {i: x for i, x in enumerate(vec) if x}
         elif vec and not 0 <= min(vec) <= max(vec) < self.dim:
             raise ValueError("vector column outside the basis dimension")
-        row = _primitive(*_integer_row(vec, self.dim))
+        row = _primitive({i: (a, b) for i, a, b in over_common_denominator(vec)[1] if a or b})
         for piv in self._order:
             if row is None:
                 break
             row = _eliminated(row, self.rows[piv], piv)
         return row
 
-    def insert(self, vec) -> tuple | None:
+    def insert(self, vec) -> dict | None:
         """Insert vec; returns its primitive integer residual (see `reduce`)
         if it enlarged the subspace, else None."""
         row = self.reduce(vec)
         if row is None:
             return None
-        re, im = row
-        piv = next(i for i, x in enumerate(re) if x or (im is not None and im[i]))
+        piv = min(row)
         for p, other in self.rows.items():
             self.rows[p] = _eliminated(other, row, piv)
         self.rows[piv] = row
@@ -139,8 +112,17 @@ class EchelonBasis:
         return self.reduce(vec) is None
 
     def vectors(self) -> list:
-        """The unit-pivot reduced rows in pivot order, as Scalars."""
-        return [_unit_pivot(self.rows[p], p) for p in self._order]
+        """The unit-pivot reduced rows in pivot order, as dense Scalar lists."""
+        out = []
+        for p in self._order:
+            row = self.rows[p]
+            pr, pi = row[p]
+            n = pr * pr + pi * pi
+            vec = [ZERO] * self.dim
+            for c, (a, b) in row.items():
+                vec[c] = Scalar._of(a * pr + b * pi, b * pr - a * pi, n)
+            out.append(vec)
+        return out
 
 
 def _echelon(matrix: list) -> EchelonBasis:
@@ -204,9 +186,8 @@ def solve_columns(columns: list, target: list):
     ech = EchelonBasis(n + k + 1)
     for j, col in enumerate(columns):
         ech.insert(tagged(col, j))
-    re, im = ech.reduce(tagged(target, k))
-    im = im or [0] * len(re)
-    if any(re[:n]) or any(im[:n]):
+    row = ech.reduce(tagged(target, k))
+    if min(row) < n:
         return None
-    tk = Scalar(re[-1], im[-1])
-    return [-Scalar(a, b) / tk for a, b in zip(re[n:-1], im[n:-1])]
+    tk = Scalar(*row[n + k])
+    return [-Scalar(*row.get(n + j, (0, 0))) / tk for j in range(k)]

@@ -26,8 +26,9 @@ class Scalar:
     """A Gaussian rational (a + b*i)/d, stored as the integer triple
     `abd` = (a, b, d) with d > 0 and gcd(a, b, d) = 1.
 
-    The triple is canonical, so equal values have equal triples; equality and
-    hashing read it, and Scalars can key dicts.  Arithmetic stays on ints
+    The triple is canonical, so equal values have equal triples; equality
+    reads it, and a real value hashes as the int or Fraction it equals, so
+    Scalars key dicts beside those.  Arithmetic stays on ints
     and reduces each result by one three-argument gcd.  `re` and `im` give
     the parts as Fractions for readers at the edges.  Immutable.
     """
@@ -183,7 +184,10 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.abd)
+        a, b, d = self.abd
+        if b:
+            return hash(self.abd)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __repr__(self):
         re, im = self.re, self.im

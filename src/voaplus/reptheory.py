@@ -25,6 +25,7 @@ from .fock import (
     State,
     coordinates,
     graded_basis,
+    graded_coordinates,
     graded_dim,
 )
 from .linalg import EchelonBasis, kernel_basis
@@ -45,13 +46,13 @@ class GradedSubspace:
     The bound is "full" (the whole lattice algebra V_L, the default), "plus"
     (its parity-fixed subalgebra V_L^+) or "pair+:0" (the even Heisenberg
     space), each taken through weight W.  Each weight piece keeps an
-    `EchelonBasis` in the coordinates of the bound, the states of
-    `graded_basis(lattice, w, bound)`: a single term, or for "plus" with
-    m > 0 the pair (m, lam) + (-1)^len(lam) (-m, lam), indexed by its first
-    term.  A state enters it as the sparse row read off its own terms, so
-    rank, membership and the canonical (unit-pivot reduced) basis are all
-    deterministic.  A state outside the bound raises OutsideBound, a state
-    of another lattice LatticeMismatch.  States handed back (residuals,
+    `EchelonBasis` in the coordinates of the bound, the (term, sign) tuples
+    of `graded_coordinates(lattice, w, bound)`: a single term, or for "plus"
+    with m > 0 the pair (m, lam) + (-1)^len(lam) (-m, lam), indexed by its
+    leading term.  A state enters it as the sparse row read off its own
+    terms, so rank, membership and the canonical (unit-pivot reduced) basis
+    are all deterministic.  A state outside the bound raises OutsideBound, a
+    state of another lattice LatticeMismatch.  States handed back (residuals,
     basis states) are expanded to full States again.
     """
 
@@ -66,10 +67,7 @@ class GradedSubspace:
     def _piece(self, w: int):
         piece = self.pieces.get(w)
         if piece is None:
-            coords = [
-                [(t, int(c.re)) for t, c in b.terms.items()]
-                for b in graded_basis(self.lattice, w, self.bound)
-            ]
+            coords = graded_coordinates(self.lattice, w, self.bound)
             piece = {
                 "coords": coords,
                 "index": {c[0][0]: i for i, c in enumerate(coords)},
@@ -106,9 +104,7 @@ class GradedSubspace:
         row = piece["ech"].insert(row)
         if row is None:
             return None
-        re, im = row
-        im = im or [0] * len(re)
-        residual = {i: Scalar._of(a, b, 1) for i, (a, b) in enumerate(zip(re, im)) if a or b}
+        residual = {i: Scalar._of(a, b, 1) for i, (a, b) in row.items()}
         return State._of(self.lattice, _expand(piece, residual))
 
     def contains(self, s: State) -> bool:

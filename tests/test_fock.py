@@ -11,6 +11,7 @@ from voaplus.fock import (
     coordinates,
     form,
     graded_basis,
+    graded_coordinates,
     graded_dim,
     heisenberg,
     partition_count,
@@ -105,12 +106,27 @@ def test_graded_dims_known_values():
 
 
 def test_graded_basis_agrees_with_dim_for_every_constraint():
-    for constraint in ("full", "plus", "minus", "efixed", "pair:1", "pair+:0", "pair-:2"):
-        for w in range(6):
-            basis = graded_basis(2, w, constraint)
-            assert len(basis) == graded_dim(2, w, constraint)
-            for b in basis:
-                assert b.weight() == Fraction(w)
+    """Each `graded_coordinates` vector leads with sign +1 and is the matching
+    `graded_basis` State; under a parity constraint it leads at a sector
+    m >= 0 and parity maps it to itself times the constraint's sign."""
+    parity = {"plus": 1, "efixed": 1, "pair+:0": 1, "minus": -1, "pair-:2": -1}
+    for N in (2, 4, 6):
+        constraints = ["full", "plus", "minus", "pair:1", "pair+:0", "pair-:2"]
+        if N == 2:
+            constraints.append("efixed")
+        for constraint in constraints:
+            for w in range(8):
+                coords = graded_coordinates(N, w, constraint)
+                basis = graded_basis(N, w, constraint)
+                assert len(coords) == len(basis) == graded_dim(N, w, constraint)
+                for vec, b in zip(coords, basis):
+                    (m, _), sign = vec[0]
+                    assert sign == 1
+                    assert b == State(N, dict(vec))
+                    assert b.weight() == Fraction(w)
+                    if constraint in parity:
+                        assert m >= 0
+                        assert theta(b) == parity[constraint] * b
 
 
 def test_basis_and_dim_reject_the_same_constraints():

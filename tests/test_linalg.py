@@ -202,18 +202,20 @@ def _assert_matches_oracle(matrix, zero, one):
     assert all(type(x) is Scalar for row in rows for x in row)
     assert rank(matrix) == len(want_pivots)
 
-    # the integer rows under the final division: primitive, nonzero at their
-    # own pivot and zero at every other one
+    # the sparse integer rows {column: (re, im)} under the final division:
+    # primitive, no stored zero, nonzero at their own pivot and absent at
+    # every other one
     ech = linalg._echelon(matrix)
     int_pivots = sorted(ech.rows)
     assert int_pivots == want_pivots
     for col in int_pivots:
-        re, im = ech.rows[col]
-        im = im if im is not None else [0] * len(re)
-        assert all(type(x) is int for x in re + im)
-        assert gcd(*re, *im) == 1
-        assert re[col] or im[col]
-        assert not any(re[c] or im[c] for c in int_pivots if c != col)
+        row = ech.rows[col]
+        entries = [x for ab in row.values() for x in ab]
+        assert all(type(x) is int for x in entries)
+        assert gcd(*entries) == 1
+        assert all(a or b for a, b in row.values())
+        assert row.get(col, (0, 0)) != (0, 0)
+        assert not any(c in row for c in int_pivots if c != col)
 
     ncols = len(matrix[0]) if matrix else 3
     kernel = kernel_basis(matrix, ncols)

@@ -74,7 +74,8 @@ def _quotient(x: tuple, y: tuple) -> tuple:
 def test_scalar_arithmetic(x, y, k, n):
     """Every operation agrees with a (Fraction, Fraction) oracle, every result
     is in canonical form (d > 0, gcd(a, b, d) = 1), equal values are equal
-    triples with equal hashes, and int or Fraction operands mix in."""
+    triples with equal hashes, a real result hashes as its Fraction and int
+    and finds them in dicts and sets, and int or Fraction operands mix in."""
     fx, fy = _oracle(x), _oracle(y)
     fn = (Fraction(n), Fraction(0))
     cases = [
@@ -108,6 +109,14 @@ def test_scalar_arithmetic(x, y, k, n):
         assert _canonical(got)
         assert _oracle(got) == want
         assert got == Scalar(*want) and hash(got) == hash(Scalar(*want))
+        if not want[1]:
+            plain = [want[0]]
+            if want[0].denominator == 1:
+                plain.append(int(want[0]))
+            for p in plain:
+                assert hash(got) == hash(p)
+                assert {got: "x"}.get(p) == "x" and {p: "x"}.get(got) == "x"
+                assert got in {p} and p in {got}
     assert (x == y) == (fx == fy)
     assert bool(x) == (fx != (0, 0)) == (not x.is_zero())
     assert x.is_integer() == (fx[1] == 0 and fx[0].denominator == 1)
