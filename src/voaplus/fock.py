@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .numeric import Scalar, ZERO
+from .numeric import Scalar, ZERO, over_common_denominator
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -44,10 +44,12 @@ class State:
     """A finite linear combination of Fock terms over one lattice.
 
     Wraps {term: Scalar} with no stored zeros.  States add, subtract and scale;
-    equality is structural.
+    equality is structural.  Nothing writes to `terms` after construction,
+    so a State derives its integer form (see `_integer_form`) once, on first
+    use, and keeps it.
     """
 
-    __slots__ = ("lattice", "terms")
+    __slots__ = ("lattice", "terms", "_ints")
 
     def __init__(self, lattice: int, terms=None):
         check_lattice(lattice)
@@ -124,10 +126,24 @@ class State:
         N = self.lattice
         return sorted(self.terms.items(), key=lambda it: (term_weight(N, it[0]),) + it[0][:1] + (it[0][1],))
 
-    def is_homogeneous(self) -> bool:
+    def _integer_form(self) -> tuple:
+        """(D, [(term, a, b), ...], homogeneous): every coefficient as
+        (a + b*i)/D over D, the least common denominator from
+        `numeric.over_common_denominator`, and whether all terms share one
+        weight.  Computed on first use and stored in the `_ints` slot."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
         # the lattice norm is even, so term weights are the integers m^2 N/2 + |lam|
         half = self.lattice // 2
-        return len({m * m * half + sum(lam) for m, lam in self.terms}) <= 1
+        homogeneous = len({m * m * half + sum(lam) for m, lam in self.terms}) <= 1
+        form = over_common_denominator(self.terms) + (homogeneous,)
+        object.__setattr__(self, "_ints", form)
+        return form
+
+    def is_homogeneous(self) -> bool:
+        return self._integer_form()[2]
 
     def weight(self):
         """Common (integer) weight of all terms; None for the zero state."""

@@ -44,12 +44,9 @@ def _primitive(row: dict) -> dict | None:
 
 
 def _eliminated(row: dict, prow: dict, col: int) -> dict | None:
-    """p*row - q*prow made primitive, p = prow[col] and q = row[col]; the
-    entry of row in the pivot column becomes zero."""
-    q = row.get(col)
-    if q is None:
-        return row
-    qr, qi = q
+    """p*row - q*prow made primitive, p = prow[col] and q = row[col], which
+    must be present; the entry of row in the pivot column becomes zero."""
+    qr, qi = row[col]
     pr, pi = prow[col]
     out = {c: (pr * a - pi * b, pr * b + pi * a) for c, (a, b) in row.items()}
     for c, (x, y) in prow.items():
@@ -89,9 +86,12 @@ class EchelonBasis:
         elif vec and not 0 <= min(vec) <= max(vec) < self.dim:
             raise ValueError("vector column outside the basis dimension")
         row = _primitive({i: (a, b) for i, a, b in over_common_denominator(vec)[1] if a or b})
-        for piv in self._order:
-            if row is None:
-                break
+        if row is None:
+            return None
+        # a stored row is zero at every other pivot, so an elimination never
+        # brings in a pivot column: only the pivots present now need a pass,
+        # and the row stays nonzero until the last of them
+        for piv in sorted(row.keys() & self.rows.keys()):
             row = _eliminated(row, self.rows[piv], piv)
         return row
 
@@ -103,7 +103,8 @@ class EchelonBasis:
             return None
         piv = min(row)
         for p, other in self.rows.items():
-            self.rows[p] = _eliminated(other, row, piv)
+            if piv in other:
+                self.rows[p] = _eliminated(other, row, piv)
         self.rows[piv] = row
         insort(self._order, piv)
         return row

@@ -15,10 +15,11 @@ Conventions, fixed once here:
     every integer x; no table lookups, no special-casing of negatives.
   * Term modes are integer numerators over w_out!, w_out the weight of the
     result: the creation exponential contributes a^len(nu)/z_nu, and w!/z_nu
-    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` puts each
-    argument over one common denominator (`numeric.over_common_denominator`,
-    no lcm work when every denominator is 1), accumulates Gaussian-integer
-    pairs (r, i), and makes each output term as `Scalar._of(r, i, d)`.
+    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` reads each
+    argument's integer form (`State._integer_form`: the terms over one
+    common denominator and a homogeneity flag, computed once per State and
+    kept, since States are immutable), accumulates Gaussian-integer pairs
+    (r, i), and makes each output term as `Scalar._of(r, i, d)`.
   * `mode` builds its result with the unchecked constructors `Scalar._of` and
     `State._of`: every d it passes is positive, `Scalar._of` reduces the
     triple by its gcd, and only nonzero terms are kept, so re-validation would
@@ -35,7 +36,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial
 
-from .numeric import Scalar, over_common_denominator
+from .numeric import Scalar
 from .fock import State, partitions
 
 __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
@@ -192,11 +193,11 @@ def mode(v: State, k: int, w: State) -> State:
         raise ValueError("mode needs both states on the same lattice")
     if not isinstance(k, int):
         raise ValueError("mode index must be an integer")
-    if not v.is_homogeneous():
+    dv, v_int, v_homogeneous = v._integer_form()
+    if not v_homogeneous:
         raise ValueError("mode requires a homogeneous first argument")
     N = v.lattice
-    dv, v_int = over_common_denominator(v.terms)
-    dw, w_int = over_common_denominator(w.terms)
+    dw, w_int, _ = w._integer_form()
     acc: dict = {}
     for (a, lam), vr, vi in v_int:
         for (m, mu), wr, wi in w_int:

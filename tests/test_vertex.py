@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
 
+import pytest
+
 from voaplus import vertex
 from voaplus.fock import State, graded_basis, heisenberg, partitions, term_weight
 from voaplus.numeric import Scalar
@@ -130,12 +132,43 @@ def test_integer_kernel_matches_the_fraction_oracle():
         checked = 0
         for u in us:
             wu = int(u.weight())
+            # u and v are reused across every k, so after the first call mode
+            # reads their stored integer forms; fresh equal States, one built
+            # by State(...) and one by arithmetic, have none yet
+            fresh_u = (State(N, u.terms), u * 3 + u * (-2))
             for v in vs:
                 wmax = max(int(term_weight(N, t)) for t in v.terms)
+                fresh_v = (State(N, v.terms), v + State(N, {}))
                 for k in range(-3, wu + wmax + 1):
-                    assert mode(u, k, v) == _mode_by_fractions(u, k, v, cache)
+                    want = _mode_by_fractions(u, k, v, cache)
+                    assert mode(u, k, v) == want
+                    for fu, fv in zip(fresh_u, fresh_v):
+                        assert mode(fu, k, fv) == want
                     checked += 1
         assert checked > 200
+
+
+def test_a_non_homogeneous_first_argument_is_refused_on_every_call():
+    # weights 1 and 2; reaching mode as the second argument fills its stored
+    # integer form, which must not let it through as the first
+    mixed = State.of_term(2, 0, (1,)) + State.of_term(2, 1, (1,), Scalar(Fraction(1, 3), 2))
+    om = State.omega(2)
+    for k in range(-2, 4):
+        with pytest.raises(ValueError, match="homogeneous first argument"):
+            mode(mixed, k, om)
+    for k in range(-2, 4):
+        mode(om, k, mixed)
+        with pytest.raises(ValueError, match="homogeneous first argument"):
+            mode(mixed, k, om)
+        with pytest.raises(ValueError, match="homogeneous first argument"):
+            mode(mixed, k, mixed)
+    assert not mixed.is_homogeneous()
+    # a homogeneous State whose form was filled as the second argument is
+    # still accepted as the first
+    e = State.of_term(2, 1, (), Fraction(2, 5))
+    assert mode(om, 1, e) == e  # L(0) on weight one
+    assert e.is_homogeneous()
+    assert mode(e, -1, State.vacuum(2)) == e
 
 
 def test_term_mode_returns_integers_over_the_result_weight_factorial():
