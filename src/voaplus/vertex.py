@@ -25,6 +25,11 @@ Conventions, fixed once here:
     triple by its gcd, and only nonzero terms are kept, so re-validation would
     check nothing.  No Fraction is built.  The public constructors keep every
     check for values from outside.
+  * A term mode that is zero by weight is never computed or stored: when the
+    result weighs less than the floor (m+a)^2 N/2 of its sector m+a, or the
+    first term is the vacuum and k != -1, `_term_mode` returns one shared
+    empty table before it builds the key, and its recursion visits no inner
+    mode that is zero by weight.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as iter_product
-from math import factorial
+from math import comb, factorial, perm
 
 from .numeric import Scalar
 from .fock import State, partitions
@@ -76,13 +81,16 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
+# What `_term_mode` returns, unstored, for a key that is zero by weight;
+# callers only read term tables, so one shared dict is safe.
+_ZERO_BY_WEIGHT: dict = {}
+
+
 def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
     """Mode k of the pure sector-a vector on the term (m, mu), over w_out!."""
     out: dict = {}
     base_power = a * m * N
     w_out = -k - 1 + (a * a + m * m) * N // 2 + sum(mu)
-    if w_out < 0:
-        return out
     scale = factorial(w_out)
     mu_ms = _multiset(mu)
     parts_list = sorted(mu_ms)
@@ -100,7 +108,7 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
         if not ann:
             continue
         need = -k - 1 - base_power + removed_weight
-        if need < 0 or (a == 0 and need > 0):
+        if need < 0:
             continue
         kept = []
         for p, r in zip(parts_list, removal):
@@ -121,6 +129,13 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
 
     Integer numerators over w_out!, w_out the weight of the result.
     """
+    # the result (m+a, nu) weighs w_out = (a^2+m^2)N/2 + |lam| + |mu| - k - 1,
+    # and no term of sector m+a weighs less than (m+a)^2 N/2, so it is zero
+    # unless room = w_out - (m+a)^2 N/2 = |nu| is nonnegative; the vacuum's
+    # only nonzero mode is the identity, mode -1
+    room = sum(lam) + sum(mu) - k - 1 - a * m * N
+    if room < 0 or (a == 0 and not lam and k != -1):
+        return _ZERO_BY_WEIGHT
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
     if hit is not None:
@@ -132,22 +147,20 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
         return result
 
     j, rest = lam[0], lam[1:]
+    # with a = 0 and rest = () the inner mode is a vacuum mode, nonzero only
+    # at index k - n - j = -1 (annihilation) or k + t - j = -1 (creation)
+    inner_vacuum = a == 0 and not rest
     out: dict = {}
     # (1/(j-1)!) d^(j-1)/dz^(j-1) of g(n) z^(-n-1) is
     # (-1)^(j-1) C(n+j-1, j-1) g(n) z^(-n-j)
     sign = -1 if (j - 1) % 2 else 1
-
-    def acc(term, coeff):
-        if coeff:
-            out[term] = out.get(term, 0) + coeff
 
     # annihilation side: g(n), n >= 0, acts on (m, mu) first; the inner
     # result already has weight w_out, so it shares the denominator
     ann_indices = [0] if m != 0 else []
     ann_indices.extend(sorted(set(mu)))
     for n in ann_indices:
-        c_field = sign * poly_binom(n + j - 1, j - 1)
-        if not c_field:
+        if inner_vacuum and n != k - j + 1:
             continue
         if n == 0:
             hscale = m * N
@@ -159,22 +172,28 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
             lst.remove(n)
             inner_operand = (m, tuple(lst))
         inner = _term_mode(N, a, rest, k - n - j, *inner_operand)
-        factor = c_field * hscale
-        for t, c in inner.items():
-            acc(t, c * factor)
+        if inner:
+            factor = sign * comb(n + j - 1, j - 1) * hscale
+            for t, c in inner.items():
+                out[t] = out.get(t, 0) + c * factor
 
     # creation side: g(-t), t >= 1, applied after the inner mode, whose
-    # result has weight w_out - t and is lifted by w_out!/(w_out - t)!
-    w_out = (a * a + m * m) * N // 2 + sum(rest) + sum(mu) + j - 1 - k
-    lift = 1
-    for t in range(1, w_out + 1):  # inner result weight stays nonnegative
+    # result has weight w_out - t and is lifted by w_out!/(w_out - t)!;
+    # sign * C(j-1-t, j-1) is 0 for 1 <= t < j and C(t-1, j-1) for t >= j,
+    # and the inner result is zero by weight once t > room
+    w_out = room + (m + a) * (m + a) * N // 2
+    t_lo, t_hi = j, room
+    if inner_vacuum:
+        t_lo, t_hi = max(t_lo, j - 1 - k), min(t_hi, j - 1 - k)
+    lift = perm(w_out, t_lo - 1)
+    for t in range(t_lo, t_hi + 1):
         lift *= w_out - t + 1
-        c_field = sign * poly_binom(j - 1 - t, j - 1)
-        if c_field:
-            inner = _term_mode(N, a, rest, k + t - j, m, mu)
-            factor = c_field * lift
+        inner = _term_mode(N, a, rest, k + t - j, m, mu)
+        if inner:
+            factor = comb(t - 1, j - 1) * lift
             for (mm, ll), c in inner.items():
-                acc((mm, _merge_parts(ll, (t,))), c * factor)
+                term = (mm, _merge_parts(ll, (t,)))
+                out[term] = out.get(term, 0) + c * factor
 
     result = {t: c for t, c in out.items() if c}
     _MODE_CACHE[key] = result

@@ -188,6 +188,33 @@ def test_term_mode_returns_integers_over_the_result_weight_factorial():
             assert Fraction(c, factorial(w_out)) == oracle[t]
 
 
+def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
+    # every key of a grid, k running from inside the nonzero range to two past
+    # its top end k_top, the last k whose result reaches the floor (m+a)^2 N/2
+    # of its sector; for the vacuum (a, lam) = (0, ()) that covers k = -2..0
+    vertex.clear_mode_cache()
+    small = [lam for n in range(4) for lam in partitions(n)]
+    checked = nonzero = 0
+    for N in (2, 4, 6, 8):
+        cache = {}
+        for a, m, lam, mu in iter_product(range(-2, 3), range(-2, 3), small, small):
+            k_top = sum(lam) + sum(mu) - 1 - a * m * N
+            for k in range(k_top - 4, k_top + 3):
+                w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
+                got = vertex._term_mode(N, a, lam, k, m, mu)
+                want = _term_mode_by_fractions(N, a, lam, k, m, mu, cache)
+                assert {t: Fraction(c, factorial(w_out)) for t, c in got.items()} == want
+                checked += 1
+                nonzero += bool(want)
+    assert checked > 30000 and 0 < nonzero < checked
+    # no key that is zero by weight was stored, recursion included
+    assert vertex._MODE_CACHE
+    for N, a, lam, k, m, mu in vertex._MODE_CACHE:
+        w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
+        assert w_out >= (m + a) ** 2 * N // 2
+        assert lam or a != 0 or k == -1
+
+
 def test_poly_binom_handles_negative_upper_index():
     assert poly_binom(5, 2) == 10
     assert poly_binom(-1, 3) == -1
