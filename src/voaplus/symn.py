@@ -5,8 +5,8 @@ coordinatewise with orthonormal idempotent axes.  The product on M projects
 the P-product back onto M; everything here is exact.
 
 One integer kernel, `_product`, returns n times the projected product, which
-is integral on integral vectors such as the difference basis; `multiply`, the
-structure constants and `is_equivariant` all go through it.  Vectors are
+is integral on integral vectors such as the difference basis; `multiply`,
+`ad_matrix` and `is_equivariant` all go through it.  Vectors are
 validated by `_as_vec` once, at the public entry points (`multiply`,
 `permute` and `ad_matrix`); the module's own calls pass vectors it built
 itself and skip that step.
@@ -14,13 +14,13 @@ itself and skip that step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .linalg import mat_mul, rank
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def _require_n(n):
@@ -103,7 +103,7 @@ def diff_coords(v):
 
 
 class PermAlgebra:
-    """Product, permutation action and structure constants on the zero-sum
+    """Product, permutation action and multiplication matrices on the zero-sum
     hyperplane of Q^n."""
 
     def __init__(self, n: int):
@@ -111,15 +111,6 @@ class PermAlgebra:
         self.n = n
         self.dim = n - 1
         self.basis = difference_basis(n)
-        # structure constants in the difference basis: product[i][j] is the
-        # coordinate tuple of basis[i] * basis[j]
-        self.structure = tuple(
-            tuple(diff_coords(_multiply(bi, bj)) for bj in self.basis) for bi in self.basis
-        )
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.structure[i][j] != self.structure[j][i]:
-                    raise AssertionError("structure constants lost symmetry")
 
     def multiply(self, a, b):
         return _multiply(_as_vec(a, self.n), _as_vec(b, self.n))
@@ -272,118 +263,30 @@ def _deflate(ipoly, root):
 
 
 def enumerate_idempotents_n3():
-    """Every solution of x*x = x in the n=3 algebra, certified exhaustive.
+    """Every solution of x*x = x in the n=3 algebra with the axis spectrum,
+    found exhaustively.
 
-    In difference-basis coordinates (a, b) the identity is two quadratics;
-    eliminating b by a Sylvester resultant gives one polynomial in a whose
-    rational roots are extracted and certified to exhaust it (the deflated
-    remainder must be constant).  Solutions are then filtered by
-    `has_axis_spectrum` at n = 3: multiplication by e is diagonalizable with
-    eigenvalues 1 and -1.  Two distinct eigenvalues make every such matrix
-    diagonalizable (Cayley-Hamilton), so this is the spectrum {1: 1, -1: 1}.
-    Returns None when the resultant does not factor over the rationals, since
-    the enumeration is then not certified exhaustive.
+    In the coordinates of Q^n, x*x = x reads x_i^2 - s/n = x_i with
+    s = sum_j x_j^2, so every entry is a root of t^2 - t - s/n: r or 1 - r
+    for one r.  If k entries equal r, the zero sum k r + (n - k)(1 - r) = 0
+    forces r = (n - k)/(n - 2k) (at 2k = n it reads n/2 = 0, impossible; n = 3
+    is odd).  So every idempotent is one of the vectors with r at a k-subset of
+    the positions and 1 - r elsewhere; those with x*x = x exactly are kept
+    and filtered by `has_axis_spectrum` at n = 3:
+    multiplication by e is diagonalizable with eigenvalues 1 and -1.  Two
+    distinct eigenvalues make every such matrix diagonalizable
+    (Cayley-Hamilton), so this is the spectrum {1: 1, -1: 1}.
     """
-    A = build(3)
-    d1, d2 = A.basis
-    # x = a*d1 + b*d2; expand x*x - x in the difference basis.
-    # Products of basis vectors, in difference coordinates:
-    p11 = A.structure[0][0]
-    p12 = A.structure[0][1]
-    p22 = A.structure[1][1]
-
-    # coefficient polynomials in (a, b):  eq_k: c_aa a^2 + c_ab ab + c_bb b^2 - (a or b) = 0
-    def eq_coeffs(k):
-        return {
-            "aa": p11[k],
-            "ab": 2 * p12[k],
-            "bb": p22[k],
-        }
-
-    e1, e2 = eq_coeffs(0), eq_coeffs(1)
-
-    # treat both as quadratics in b with coefficients polynomial in a:
-    #   e(a, b) = bb * b^2 + (ab * a) * b + (aa * a^2 - delta)
-    # delta is a for the first equation, b appears in the second's linear term.
-    # Build coefficient triples (low to high in b) as polynomials in a
-    # (coefficient lists low to high in a).
-    def b_poly(e, var_is_a):
-        c0 = [F0, -F1, e["aa"]] if var_is_a else [F0, F0, e["aa"]]
-        c1 = [F0, e["ab"]] if var_is_a else [-F1, e["ab"]]
-        c2 = [e["bb"]]
-        return [c0, c1, c2]
-
-    P = b_poly(e1, True)
-    Q = b_poly(e2, False)
-    res = _sylvester_resultant(P, Q)
-    roots, remainder = rational_roots(res)
-    if len(remainder) > 1:
-        return None
+    n = 3
+    A = build(n)
     solutions = set()
-    for a0 in roots:
-        # substitute a0 into both quadratics in b and collect common rational roots
-        cands = set()
-        for poly_b in (P, Q):
-            coeffs_b = [_poly_eval(c, a0) for c in poly_b]
-            if all(c == 0 for c in coeffs_b):
-                continue
-            rr, _ = rational_roots(coeffs_b)
-            cands.update(rr)
-        for b0 in cands:
-            x = tuple(a0 * u + b0 * v for u, v in zip(d1, d2))
+    for k in range(n + 1):
+        r = Fraction(n - k, n - 2 * k)
+        for subset in itertools.combinations(range(n), k):
+            x = tuple(r if i in subset else 1 - r for i in range(n))
             if _multiply(x, x) == x:
                 solutions.add(x)
-    return [x for x in sorted(solutions) if has_axis_spectrum(A._ad_matrix(x), 3)]
-
-
-def _poly_add(p, q):
-    out = [F0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _poly_mul(p, q):
-    out = [F0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _sylvester_resultant(P, Q):
-    """Resultant in the outer variable of two quadratics-in-b whose b-coefficients
-    are polynomials (coefficient lists) in a: determinant of the 4x4 Sylvester
-    matrix computed by cofactor expansion over the polynomial ring."""
-    p2, p1, p0 = P[2], P[1], P[0]
-    q2, q1, q0 = Q[2], Q[1], Q[0]
-    rows = [
-        [p2, p1, p0, [F0]],
-        [[F0], p2, p1, p0],
-        [q2, q1, q0, [F0]],
-        [[F0], q2, q1, q0],
-    ]
-    return _poly_det(rows)
-
-
-def _poly_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = [F0]
-    for j in range(n):
-        entry = rows[0][j]
-        if all(c == 0 for c in entry):
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = _poly_mul(entry, _poly_det(minor))
-        if j % 2:
-            term = [-c for c in term]
-        out = _poly_add(out, term)
-    return out
+    return [x for x in sorted(solutions) if has_axis_spectrum(A._ad_matrix(x), n)]
 
 
 def equivariant_product_space_dim(n: int) -> int:
@@ -460,7 +363,5 @@ def invariant_algebra_report(rep, n_range) -> None:
                 equivariant_product_space_dim(n),
             )
     survivors = enumerate_idempotents_n3()
-    if survivors is not None:
-        survivors = sorted(tuple(v) for v in survivors)
     distinguished = sorted(tuple(v) for v in distinguished_idempotents(3))
     rep.check("n=3 exhaustive filter", "idempotent-enumeration", distinguished, survivors)

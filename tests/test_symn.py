@@ -107,10 +107,11 @@ def test_difference_basis_and_coordinates_invert_each_other():
 def test_structure_constants_n3_by_hand():
     # d1 = (1,-1,0), d2 = (0,1,-1); products projected to the hyperplane
     A = build(3)
-    assert A.structure[0][0] == (F(1, 3), F(2, 3))
-    assert A.structure[0][1] == (F(1, 3), F(-1, 3))
-    assert A.structure[1][0] == (F(1, 3), F(-1, 3))
-    assert A.structure[1][1] == (F(-2, 3), F(-1, 3))
+    d1, d2 = A.basis
+    assert diff_coords(A.multiply(d1, d1)) == (F(1, 3), F(2, 3))
+    assert diff_coords(A.multiply(d1, d2)) == (F(1, 3), F(-1, 3))
+    assert diff_coords(A.multiply(d2, d1)) == (F(1, 3), F(-1, 3))
+    assert diff_coords(A.multiply(d2, d2)) == (F(-2, 3), F(-1, 3))
 
 
 def test_product_validation():
@@ -276,6 +277,22 @@ def test_n3_enumeration_finds_exactly_the_three_axes():
     axes = sorted(distinguished_idempotents(3))
     assert survivors == axes
     assert len(survivors) == 3
+
+
+def test_n3_idempotents_on_a_rational_grid_are_zero_and_the_axes():
+    # an oracle independent of the quadratic argument: every zero-sum
+    # (x0, x1, -x0 - x1) with x0, x1 in {p/q : |p| <= 6, 1 <= q <= 3}
+    A = build(3)
+    grid = {F(p, q) for p in range(-6, 7) for q in range(1, 4)}
+    found = set()
+    for x0 in grid:
+        for x1 in grid:
+            x = (x0, x1, -x0 - x1)
+            if A.multiply(x, x) == x:
+                found.add(x)
+    axes = distinguished_idempotents(3)
+    assert found == {(F(0), F(0), F(0))} | set(axes)
+    assert enumerate_idempotents_n3() == sorted(axes)
 
 
 def test_equivariant_product_space_is_a_line():
