@@ -1,7 +1,8 @@
 """Finite-order automorphisms of the rank-one lattice algebras.
 
-Four primitive kinds act here: the parity involution, the torus scaling c^m on
-sector m, diagonal sector phases, and quarter-turn exponentials of weight-one
+Three primitive kinds act here, plus their composites: the parity involution,
+the torus scaling c^m on sector m (a sector phase is the torus scaling by a
+fourth root of unity), and quarter-turn exponentials of weight-one
 zero-modes.  An exponential exp((pi/2) q x(0)) maps a term t to p(x(0))t.  The
 Krylov vectors x(0)^j t enter one echelon basis as tagged sparse rows
 (x(0)^j t | e_j), and the first residual with a zero state part carries the
@@ -39,12 +40,11 @@ from . import symn
 class AutomorphismSpec:
     """Description of an automorphism; `kind` selects how `apply` acts.
 
-    kinds: "theta"; "torus" (payload: nonzero Scalar c, acts by c^m on sector
-    m); "phase" (payload: rational half_turns h, acts by the phase
-    e^(pi*i*h*m*N), which must land in the fourth roots of unity); "exp"
-    (payload: weight-1 State x and integer quarter_turns q, acts by i^(k*q) on
-    the i*k eigenspace of the zero-mode of x); "compose" (payload: tuple of
-    specs, applied right to left).
+    Three primitive kinds and their composites: "theta"; "torus" (payload:
+    nonzero Scalar c, acts by c^m on sector m; a sector phase from
+    `phase_spec` is one); "exp" (payload: weight-1 State x and integer
+    quarter_turns q, acts by i^(k*q) on the i*k eigenspace of the zero-mode
+    of x); and "compose" (payload: tuple of specs, applied right to left).
     """
 
     kind: str
@@ -52,7 +52,7 @@ class AutomorphismSpec:
     payload: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("theta", "torus", "phase", "exp", "compose"):
+        if self.kind not in ("theta", "torus", "exp", "compose"):
             raise ValueError(f"unknown automorphism kind {self.kind!r}")
 
 
@@ -68,11 +68,12 @@ def torus_spec(lattice: int, c) -> AutomorphismSpec:
 
 
 def phase_spec(lattice: int, half_turns) -> AutomorphismSpec:
-    h = as_fraction(half_turns)
-    step = 2 * h * lattice  # phase on sector m is i^(step*m)
+    """The sector phase e^(pi*i*h*m*N) on sector m, h = half_turns: the torus
+    scaling by i^(2hN), which must be a fourth root of unity."""
+    step = 2 * as_fraction(half_turns) * lattice  # phase on sector m is i^(step*m)
     if step.denominator != 1:
         raise ValueError("sector phases must be fourth roots of unity")
-    return AutomorphismSpec("phase", lattice, (h,))
+    return torus_spec(lattice, I ** (int(step) % 4))
 
 
 def exp_spec(x: State, quarter_turns: int) -> AutomorphismSpec:
@@ -191,18 +192,11 @@ def apply(spec: AutomorphismSpec, s: State) -> State:
         raise ValueError("spec and state live on different lattices")
     if spec.kind == "theta":
         return theta(s)
-    # torus scalings and phases multiply each term by a nonzero scalar, so no
+    # a torus scaling multiplies each term by a nonzero scalar, so no
     # coefficient vanishes
     if spec.kind == "torus":
         (c,) = spec.payload
         return State._of(s.lattice, {t: coeff * c ** t[0] for t, coeff in s.terms.items()})
-    if spec.kind == "phase":
-        (h,) = spec.payload
-        step = int(2 * h * s.lattice)
-        return State._of(
-            s.lattice,
-            {t: coeff * I ** ((step * t[0]) % 4) for t, coeff in s.terms.items()},
-        )
     if spec.kind == "exp":
         x, q = spec.payload
         return _apply_exp(x, q, s)

@@ -398,12 +398,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", default=None, help="write the report to this path")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="shuffle internal execution order; never affects outcomes",
-    )
 
     parser = _Parser(prog="voaplus", description=__doc__)
     parser.add_argument("--version", action="version", version=f"voaplus {__version__}")
@@ -448,6 +442,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("all", parents=[common])
     p.add_argument("--profile", choices=("desk",), default="desk")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="shuffle the order the parts run in; never affects the report",
+    )
     p.set_defaults(handler=lambda a: _all_report(a.seed))
 
     return parser

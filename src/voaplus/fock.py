@@ -271,24 +271,18 @@ def partition_count_by_parity(n: int) -> tuple[int, int]:
     return (even[n], odd[n])
 
 
-def _parse_constraint(N: int, constraint):
-    """Split a graded-basis constraint into (kind, sector-pair label), rejecting
-    negative labels and the efixed constraint away from the N=2 lattice."""
-    if constraint in ("full", "plus", "minus", "efixed"):
-        if constraint == "efixed" and N != 2:
-            raise ValueError("the efixed constraint is only defined on the N=2 lattice")
-        return (constraint, None)
-    if isinstance(constraint, str) and constraint.startswith("pair"):
-        head, _, tail = constraint.partition(":")
-        try:
-            m = int(tail)
-        except ValueError:
-            raise ValueError(f"bad sector-pair constraint {constraint!r}") from None
-        if head in ("pair", "pair+", "pair-"):
-            if m < 0:
-                raise ValueError("sector-pair label must be nonnegative")
-            return (head, m)
-    raise ValueError(f"unknown graded-basis constraint {constraint!r}")
+CONSTRAINTS = ("full", "plus", "efixed", "pair+:0", "pair-:0")
+
+
+def _check_constraint(N: int, constraint) -> None:
+    """Reject a constraint outside CONSTRAINTS, and "efixed" away from the
+    N=2 lattice."""
+    if constraint not in CONSTRAINTS:
+        raise ValueError(
+            f"unknown graded-basis constraint {constraint!r}; expected one of {CONSTRAINTS}"
+        )
+    if constraint == "efixed" and N != 2:
+        raise ValueError("the efixed constraint is only defined on the N=2 lattice")
 
 
 def _sectors_at_weight(N: int, w: int):
@@ -330,31 +324,26 @@ def graded_coordinates(N: int, w, constraint="full") -> list[tuple]:
     each vector as its ((term, sign), ...) pairs, coefficients sign = +-1,
     the leading term first with sign +1.
 
-    Constraints: "full" (all terms), "plus"/"minus" (parity eigenspaces),
-    "pair:m" (the sector +-m submodule; m=0 is the Heisenberg part),
-    "pair+:m"/"pair-:m" (its parity eigenspaces), and "efixed" (N=2 only:
-    parity-fixed vectors of even sector, the small-lattice model of the
-    plus subalgebra of the norm-8 lattice).  A parity eigenvector of
-    sector m > 0 is (m, lam) +- (-1)^len(lam) (-m, lam).
+    Constraints (`CONSTRAINTS`): "full" (all terms), "plus" (the parity-fixed
+    space), "pair+:0"/"pair-:0" (the parity-even and parity-odd parts of the
+    sector-zero Heisenberg space), and "efixed" (N=2 only: parity-fixed
+    vectors of even sector, the small-lattice model of the plus subalgebra
+    of the norm-8 lattice).  A parity-fixed vector of sector m > 0 is
+    (m, lam) + (-1)^len(lam) (-m, lam).
     """
     check_lattice(N)
-    kind, pair_m = _parse_constraint(N, constraint)
+    _check_constraint(N, constraint)
     terms = weight_terms(N, w)
-    if kind == "full":
+    if constraint == "full":
         return [((t, 1),) for t in terms]
-    fixed = kind in ("plus", "efixed", "pair+")  # the +1 eigenspace of parity
+    fixed = constraint != "pair-:0"  # every other constraint is parity-fixed
     out: list = []
     for m, lam in terms:
-        if m < 0 or (pair_m is not None and m != pair_m):
-            continue
-        even = len(lam) % 2 == 0
         if m == 0:
-            if kind == "pair" or even == fixed:
+            if (len(lam) % 2 == 0) == fixed:
                 out.append((((0, lam), 1),))
-        elif kind == "pair":
-            out += [(((m, lam), 1),), (((-m, lam), 1),)]
-        elif kind != "efixed" or m % 2 == 0:
-            out.append((((m, lam), 1), ((-m, lam), 1 if even == fixed else -1)))
+        elif m > 0 and (constraint == "plus" or (constraint == "efixed" and m % 2 == 0)):
+            out.append((((m, lam), 1), ((-m, lam), -1 if len(lam) % 2 else 1)))
     return out
 
 
@@ -367,31 +356,19 @@ def graded_basis(N: int, w, constraint="full") -> list[State]:
 def graded_dim(N: int, w, constraint="full") -> int:
     """Dimension of graded_basis(N, w, constraint), computed by counting only."""
     check_lattice(N)
-    kind, pair_m = _parse_constraint(N, constraint)
+    _check_constraint(N, constraint)
     w = Fraction(w)
     if w < 0 or w.denominator != 1:
         return 0
     w = int(w)
     total = 0
-    sectors = sorted(set(abs(m) for m in _sectors_at_weight(N, w)))
-    if kind in ("pair", "pair+", "pair-"):
-        sectors = [m for m in sectors if m == pair_m]
-    for m in sectors:
+    for m in {abs(m) for m in _sectors_at_weight(N, w)}:
         rest = w - (m * m * N) // 2
         if m == 0:
             even, odd = partition_count_by_parity(rest)
-            if kind in ("full", "pair"):
-                total += even + odd
-            elif kind in ("plus", "efixed", "pair+"):
-                total += even
-            else:
-                total += odd
-        else:
-            p = partition_count(rest)
-            if kind in ("full", "pair"):
-                total += 2 * p
-            elif kind == "efixed":
-                total += p if m % 2 == 0 else 0
-            else:
-                total += p
+            total += {"full": even + odd, "pair-:0": odd}.get(constraint, even)
+        elif constraint == "full":
+            total += 2 * partition_count(rest)
+        elif constraint == "plus" or (constraint == "efixed" and m % 2 == 0):
+            total += partition_count(rest)
     return total

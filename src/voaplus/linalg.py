@@ -1,20 +1,24 @@
 """Exact linear algebra over the Gaussian rationals.
 
 There is one elimination: `EchelonBasis`, an incremental fraction-free
-Gauss-Jordan over the Gaussian integers (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-It takes a vector of int, Fraction or Scalar entries as a sparse dict
-{column: entry} or as a dense list, which `reduce` turns into that dict once.
+Gauss-Jordan over the Gaussian integers.  It takes a vector of int, Fraction
+or Scalar entries as a sparse dict {column: entry} or as a dense list, which
+`reduce` turns into that dict once.
 A row is stored, and returned by `reduce` and `insert`, as a sparse
 Gaussian-integer dict {column: (re, im)} with no stored zeros:
   * an inserted vector is scaled by the lcm of its denominators; scaling
     leaves the spanned line, and so the subspace, unchanged;
   * eliminating a pivot replaces row by p*row - q*prow, with p the stored
     row's pivot and q row's entry in the pivot column, then divides by the
-    integer content of the entries; no rational is built inside the loop;
+    rational-integer content of the entries (the gcd of all real and
+    imaginary parts); no rational is built inside the loop;
   * a new row is back-substituted into the stored ones the same way, so each
     stored row leads at its pivot, its smallest column, and is zero at every
     other pivot column.
+Nothing else divides a row: there is no exact division by the previous
+pivot, as in Bareiss's elimination.  When stored pivots are non-real, a
+common Gaussian factor such as (1 + 2i)^k has integer content 1 and stays in
+the row, so its entries can grow exponentially with the eliminations.
 Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
 echelon form, which is unique under a fixed column order; bases built in any
 insertion order then compare by equality.  Every rational output is a Scalar.
@@ -27,7 +31,6 @@ the tag of the target's residual, the way `aut4` reads minimal polynomials.
 
 from __future__ import annotations
 
-from bisect import insort
 from math import gcd
 
 from .numeric import ONE, ZERO, Scalar, over_common_denominator
@@ -68,7 +71,6 @@ class EchelonBasis:
         # pivot column -> primitive row {column: (re, im)}, no stored zeros,
         # leading at the pivot and zero at every other pivot
         self.rows: dict = {}
-        self._order: list = []  # pivot columns, ascending
 
     @property
     def rank(self) -> int:
@@ -106,7 +108,6 @@ class EchelonBasis:
             if piv in other:
                 self.rows[p] = _eliminated(other, row, piv)
         self.rows[piv] = row
-        insort(self._order, piv)
         return row
 
     def contains(self, vec) -> bool:
@@ -115,7 +116,7 @@ class EchelonBasis:
     def vectors(self) -> list:
         """The unit-pivot reduced rows in pivot order, as dense Scalar lists."""
         out = []
-        for p in self._order:
+        for p in sorted(self.rows):
             row = self.rows[p]
             pr, pi = row[p]
             n = pr * pr + pi * pi
@@ -137,7 +138,7 @@ def rref(matrix: list) -> tuple:
     """Reduced row echelon form over the Gaussian rationals: (the unit-pivot
     rows as Scalars, the pivot column list)."""
     ech = _echelon(matrix)
-    return ech.vectors(), list(ech._order)
+    return ech.vectors(), sorted(ech.rows)
 
 
 def rank(matrix: list) -> int:

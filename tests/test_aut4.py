@@ -151,6 +151,16 @@ def test_torus_and_phase_act_by_sector():
     assert apply(tau1, ALPHA) == ALPHA
 
 
+def test_a_sector_phase_is_the_torus_scaling_by_a_fourth_root_of_unity():
+    for N in (2, 4):
+        for s in range(4):
+            phase, torus = phase_spec(N, Fraction(s, 2 * N)), torus_spec(N, I**s)
+            for w in range(5):
+                for m, lam in weight_terms(N, w):
+                    t = State.of_term(N, m, lam)
+                    assert apply(phase, t) == apply(torus, t) == I ** (s * m % 4) * t
+
+
 def test_compose_applies_right_to_left():
     th = theta_spec(2)
     tor = torus_spec(2, Scalar(2))

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -229,17 +230,33 @@ def test_json_report_parses_and_is_deterministic(tmp_path):
     assert all(c.location == "cg-parity" for c in rep.checks)
 
 
-def test_seed_never_changes_the_report(tmp_path):
-    outs = []
-    for seed in ("1", "99"):
+def test_seed_reorders_the_parts_of_all_but_never_its_report(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def part(name, *args):
+        calls.append((name, args))
+        rep = Report("part")
+        rep.check(f"{name}{args}", "fake-part", True, True)
+        return rep
+
+    for name in ("_characters_report", "_mode_checks_report", "_generation_report",
+                 "_fusion_report", "_cg_report", "_aut_report", "_symn_report"):
+        monkeypatch.setattr(cli, name, partial(part, name))
+    orders, outs = [], []
+    for seed in ("1", "2"):
+        calls.clear()
         out = tmp_path / f"s{seed}.json"
-        code, _ = run_cli(
-            ["characters", "--max-weight", "4", "--order", "20", "--seed", seed,
-             "--format", "json", "--out", str(out)]
-        )
+        code, _ = run_cli(["all", "--seed", seed, "--format", "json", "--out", str(out)])
         assert code == 0
+        orders.append(list(calls))
         outs.append(out.read_bytes())
+    assert len(orders[0]) == 16 and sorted(orders[0]) == sorted(orders[1])
+    assert orders[0] != orders[1]
     assert outs[0] == outs[1]
+    # only `all` has parts to shuffle, so no other subcommand takes a seed
+    code, _ = run_cli(["characters", "--seed", "1"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_out_failure_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from voaplus.fock import (
+    CONSTRAINTS,
     LatticeMismatch,
     State,
     coordinates,
@@ -21,6 +22,7 @@ from voaplus.fock import (
     theta,
     weight_terms,
 )
+from voaplus.linalg import rank
 from voaplus.numeric import Scalar
 
 
@@ -67,17 +69,15 @@ def test_heisenberg_commutator():
 
 
 def test_theta_is_an_involution_splitting_the_space():
-    for w in range(7):
-        full = graded_dim(2, w, "full")
-        plus = graded_dim(2, w, "plus")
-        minus = graded_dim(2, w, "minus")
-        assert plus + minus == full
-        for b in graded_basis(2, w, "full"):
+    for N, w in product((2, 4), range(7)):
+        full_basis = graded_basis(N, w, "full")
+        # the theta-odd part is spanned by b - theta(b) over the full basis
+        minus = rank([coordinates(b - theta(b), w) for b in full_basis])
+        assert graded_dim(N, w, "plus") + minus == graded_dim(N, w, "full")
+        for b in full_basis:
             assert theta(theta(b)) == b
-        for b in graded_basis(2, w, "plus"):
+        for b in graded_basis(N, w, "plus"):
             assert theta(b) == b
-        for b in graded_basis(2, w, "minus"):
-            assert theta(b) == -b
 
 
 def test_weight_terms_canonical_and_complete():
@@ -109,12 +109,11 @@ def test_graded_basis_agrees_with_dim_for_every_constraint():
     """Each `graded_coordinates` vector leads with sign +1 and is the matching
     `graded_basis` State; under a parity constraint it leads at a sector
     m >= 0 and parity maps it to itself times the constraint's sign."""
-    parity = {"plus": 1, "efixed": 1, "pair+:0": 1, "minus": -1, "pair-:2": -1}
+    parity = {"plus": 1, "efixed": 1, "pair+:0": 1, "pair-:0": -1}
     for N in (2, 4, 6):
-        constraints = ["full", "plus", "minus", "pair:1", "pair+:0", "pair-:2"]
-        if N == 2:
-            constraints.append("efixed")
-        for constraint in constraints:
+        for constraint in CONSTRAINTS:
+            if constraint == "efixed" and N != 2:
+                continue
             for w in range(8):
                 coords = graded_coordinates(N, w, constraint)
                 basis = graded_basis(N, w, constraint)
@@ -130,8 +129,9 @@ def test_graded_basis_agrees_with_dim_for_every_constraint():
 
 
 def test_basis_and_dim_reject_the_same_constraints():
-    for N, constraint in ((2, "pair:-1"), (2, "pair+:-1"), (4, "efixed")):
-        for graded in (graded_basis, graded_dim):
+    rejected = ("pair:-1", "pair+:-1", "minus", "pair:1", "pair+:1", "pair-:2")
+    for N, constraint in [(2, c) for c in rejected] + [(4, "efixed")]:
+        for graded in (graded_basis, graded_coordinates, graded_dim):
             with pytest.raises(ValueError):
                 graded(N, 4, constraint)
 
