@@ -19,7 +19,10 @@ The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
 into singular vectors H plus a Virasoro-descendant complement J, and the
 projected pairing on H carries a faithful three-letter symmetric group action
-matching the invariant algebra from symn at n = 3.
+matching the invariant algebra from symn at n = 3.  The group is one table of
+five specs (three rotations and two three-cycles composed from them) plus the
+identity, and two maps on weight 4 are equal when their images of the basis
+are.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import partial
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
 from .fock import State, coordinates, form, graded_basis, graded_dim, theta, weight_terms
-from .linalg import EchelonBasis, kernel_basis, mat_mul, rank, solve_columns
+from .linalg import EchelonBasis, kernel_basis, rank, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
 from . import symn
@@ -299,20 +302,23 @@ def e_fixed_check(rep, max_weight: int) -> None:
 def pairing_p(x: State, y: State) -> State:
     """The weight-4 pairing: the mode reading the fourth-power coefficient."""
     for s in (x, y):
-        if not s.is_homogeneous() or s.weight() != 4:
+        if s and (not s.is_homogeneous() or s.weight() != 4):
             raise ValueError("the pairing takes weight-4 states")
     return mode(x, 3, y)
 
 
 def split_H_J():
     """Split weight 4 of the E-fixed model into singular vectors and
-    Virasoro descendants, with the projector onto the first factor."""
+    Virasoro descendants, with the projector onto the first factor.
+
+    Returns (H, J, q); q is None when H is not 2-dimensional, which the caller
+    reports.  A sum that is not direct raises, as no report row covers it."""
     H = singular_vectors(2, 4, "efixed")
     vac = State.vacuum(2)
     om = State.omega(2)
     J = [virasoro(-2, om), virasoro(-4, vac)]
     if len(H) != 2:
-        raise AssertionError("singular block is not 2-dimensional")
+        return H, J, None
     basis_cols = [coordinates(v, 4) for v in H + J]
     if rank(basis_cols) != 4:
         raise AssertionError("weight-4 sum is not direct")
@@ -370,85 +376,59 @@ def sym3_report(rep) -> dict:
     """The weight-4 computation: coset representatives, faithfulness, the
     projected pairing on H, and the match with the n=3 invariant algebra.
 
-    Adds its checks to the report rep and returns the data they rest on.
+    Adds its checks to the report rep and returns the data they rest on:
+    "scale" (the scalar carrying the n=3 product to the projected pairing, or
+    None) and "line_permutations" (the line permutation of each group element).
     """
     basis4 = graded_basis(2, 4, "efixed")
     rep.check("weight-4 E-fixed dimension", "v4-span", 4, len(basis4))
     rep.check("spanning set independent", "v4-span", 4, rank([coordinates(b, 4) for b in basis4]))
 
+    # coset representatives of the six elements of N(E)/E besides the
+    # identity; E acts trivially on weight 4, so products of representatives
+    # represent the product cosets
     s1, s2, s3 = rotation_sigma(1), rotation_sigma(2), rotation_sigma(3)
-    perms = {"id": (0, 1, 2)}
-    mats = {}
-    ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-    mats["id"] = ident
-    for name, spec in (("s1", s1), ("s2", s2), ("s3", s3)):
-        perms[name] = _line_permutation(spec)
-        mats[name] = _matrix_on(basis4, partial(apply, spec))
+    group = {
+        "s1": s1,
+        "s2": s2,
+        "s3": s3,
+        "rho": compose_specs(s2, s1),  # lines 0->1->2->0
+        "rho2": compose_specs(s1, s2),
+    }
+    perms = {"id": (0, 1, 2)} | {name: _line_permutation(g) for name, g in group.items()}
+    images = {"id": basis4} | {name: [apply(g, b) for b in basis4] for name, g in group.items()}
     rep.check("s1 line action", "line-permutations", (0, 2, 1), perms["s1"])
     rep.check("s2 line action", "line-permutations", (1, 0, 2), perms["s2"])
     rep.check("s3 line action", "line-permutations", (2, 1, 0), perms["s3"])
-
-    # three-cycles as matrix products (E acts trivially here, so products of
-    # representatives represent the product cosets)
-    mats["rho"] = mat_mul(mats["s2"], mats["s1"])  # lines 0->1->2->0
-    mats["rho2"] = mat_mul(mats["s1"], mats["s2"])
-    perms["rho"] = tuple(perms["s2"][perms["s1"][i]] for i in range(3))
-    perms["rho2"] = tuple(perms["s1"][perms["s2"][i]] for i in range(3))
     rep.check("three-cycle line action", "line-permutations", (1, 2, 0), perms["rho"])
-    rep.check(
-        "all six line permutations",
-        "line-permutations",
-        6,
-        len(set(perms.values())),
-    )
-    rep.check(
-        "faithful on weight 4",
-        "v4-faithfulness",
-        6,
-        len({tuple(tuple(c for c in row) for row in m) for m in mats.values()}),
-    )
-    rep.check("involutions differ", "v4-faithfulness", False, mats["s1"] == mats["s2"])
+    rep.check("all six line permutations", "line-permutations", 6, len(set(perms.values())))
+    distinct = {tuple(g.fingerprint() for g in imgs) for imgs in images.values()}
+    rep.check("faithful on weight 4", "v4-faithfulness", 6, len(distinct))
+    rep.check("involutions differ", "v4-faithfulness", False, images["s1"] == images["s2"])
 
     # s1 fixes every sector-0 (polynomial) vector; s2 moves at least one
-    poly_indices = [i for i, b in enumerate(basis4) if all(t[0] == 0 for t in b.terms)]
+    def fixes_poly(name):
+        return all(g == b for b, g in zip(basis4, images[name]) if all(t[0] == 0 for t in b.terms))
 
-    def fixes_poly(m):
-        return all(m[r][i] == ident[r][i] for i in poly_indices for r in range(4))
-
-    rep.check("first involution fixes polynomials", "polynomial-part", True, fixes_poly(mats["s1"]))
-    rep.check("second involution moves polynomials", "polynomial-part", False, fixes_poly(mats["s2"]))
+    rep.check("first involution fixes polynomials", "polynomial-part", True, fixes_poly("s1"))
+    rep.check("second involution moves polynomials", "polynomial-part", False, fixes_poly("s2"))
 
     H, J, q = split_H_J()
     rep.check("dim H", "h-j-split", 2, len(H))
     rep.check("dim J", "h-j-split", 2, len(J))
+    if q is None:
+        return {"scale": None, "line_permutations": perms}
     a31 = State.of_term(2, 0, (3, 1))
     rep.check("projector keeps the cross term", "h-j-split", False, q(a31).is_zero())
     rep.check("projector annihilates J", "h-j-split", True, all(q(j).is_zero() for j in J))
-    qq_ok = True
-    for h in H:
-        if q(h) != h:
-            qq_ok = False
-    rep.check("projector restricts to identity on H", "h-j-split", True, qq_ok)
-
-    # J is fixed pointwise by the representatives
-    j_fixed = True
-    for spec in (s1, s2, s3):
-        for jv in J:
-            if apply(spec, jv) != jv:
-                j_fixed = False
+    rep.check("projector restricts to identity on H", "h-j-split", True, all(q(h) == h for h in H))
+    j_fixed = all(apply(g, jv) == jv for g in (s1, s2, s3) for jv in J)
     rep.check("J fixed pointwise", "h-j-split", True, j_fixed)
 
     # restriction to H: matrices in the basis H, via coordinates
-    h_mats = {
-        "id": _matrix_on(H, lambda v: v),
-        "s1": _matrix_on(H, partial(apply, s1)),
-        "s2": _matrix_on(H, partial(apply, s2)),
-        "s3": _matrix_on(H, partial(apply, s3)),
-        "rho": _matrix_on(H, lambda v: apply(s2, apply(s1, v))),
-        "rho2": _matrix_on(H, lambda v: apply(s1, apply(s2, v))),
-    }
+    h_mats = {name: _matrix_on(H, partial(apply, g)) for name, g in group.items()}
     traces = {name: m[0][0] + m[1][1] for name, m in h_mats.items()}
-    rep.check("H trace of identity", "h-irreducible", Scalar(2), traces["id"])
+    rep.check("H trace of identity", "h-irreducible", Scalar(2), Scalar(len(H)))
     rep.check(
         "H traces of involutions",
         "h-irreducible",
@@ -462,14 +442,12 @@ def sym3_report(rep) -> dict:
         [traces["rho"], traces["rho2"]],
     )
 
-    # Gram matrix invariance on weight 4
-    gram_ok = True
-    for spec in (s1, s2, s3):
-        images = [apply(spec, u) for u in basis4]
-        for u, gu in zip(basis4, images):
-            for v, gv in zip(basis4, images):
-                if form(gu, gv) != form(u, v):
-                    gram_ok = False
+    gram_ok = all(
+        form(gu, gv) == form(u, v)
+        for name in ("s1", "s2", "s3")
+        for u, gu in zip(basis4, images[name])
+        for v, gv in zip(basis4, images[name])
+    )
     rep.check("invariant form on weight 4", "form-invariance", True, gram_ok)
 
     # the product on H and the equivariant identification with the n=3 algebra
@@ -494,9 +472,8 @@ def sym3_report(rep) -> dict:
     rep.check("first involution has a 1-dim fixed line in H", "h-algebra", 1, len(plus_space))
     c0, c1 = plus_space[0]
     h1 = c0 * H[0] + c1 * H[1]
-    rho = lambda v: apply(s2, apply(s1, v))
-    h2 = rho(h1)
-    h3 = rho(h2)
+    h2 = apply(group["rho"], h1)
+    h3 = apply(group["rho"], h2)
     rep.check("axis orbit sums to zero", "h-algebra", True, (h1 + h2 + h3).is_zero())
 
     A3 = symn.build(3)
@@ -506,52 +483,29 @@ def sym3_report(rep) -> dict:
         a, b = symn.diff_coords(vec_p)
         return third * (Scalar(a) * (h1 - h2) + Scalar(b) * (h2 - h3))
 
+    # one scalar s with star(phi u, phi v) = s phi(u v) on the three basis
+    # pairs, solved at once over their stacked coordinates
     d1, d2 = A3.basis
     pairs = [(d1, d1), (d1, d2), (d2, d2)]
-    scale = None
-    match = True
-    for u, v in pairs:
-        lhs = star(phi(u), phi(v))
-        rhs = phi(A3.multiply(u, v))
-        if rhs.is_zero():
-            if not lhs.is_zero():
-                match = False
-            continue
-        # find s with lhs = s * rhs by comparing any nonzero coordinate
-        lv = coordinates(lhs, 4)
-        rv = coordinates(rhs, 4)
-        s_here = None
-        for a, b in zip(lv, rv):
-            if b:
-                s_here = a / b
-                break
-        if s_here is None:
-            match = False
-            continue
-        if any((a - s_here * b) for a, b in zip(lv, rv)):
-            match = False
-            continue
-        if scale is None:
-            scale = s_here
-        elif scale != s_here:
-            match = False
-    rep.check("H algebra matches the n=3 invariant algebra up to one scalar", "h-algebra", True, match and scale is not None and not scale.is_zero())
+    lhs = [c for u, v in pairs for c in coordinates(star(phi(u), phi(v)), 4)]
+    rhs = [c for u, v in pairs for c in coordinates(phi(A3.multiply(u, v)), 4)]
+    solved = solve_columns([rhs], lhs)
+    scale = None if solved is None else solved[0]
+    rep.check(
+        "H algebra matches the n=3 invariant algebra up to one scalar",
+        "h-algebra",
+        True,
+        scale is not None and not scale.is_zero(),
+    )
 
     # equivariance of the identification on both generators of the group:
     # the first involution fixes axis 1 (permutation (0)(12) on axes), the
     # second swaps axes 0 and 1
-    equi_ok = True
-    for sigma, spec in (((0, 2, 1), s1), ((1, 0, 2), s2)):
-        for vec in (d1, d2):
-            lhs = phi(A3.permute(sigma, vec))
-            rhs = apply(spec, phi(vec))
-            if lhs != rhs:
-                equi_ok = False
+    equi_ok = all(
+        phi(A3.permute(sigma, vec)) == apply(g, phi(vec))
+        for sigma, g in (((0, 2, 1), s1), ((1, 0, 2), s2))
+        for vec in (d1, d2)
+    )
     rep.check("identification is equivariant", "h-algebra", True, equi_ok)
 
-    return {
-        "scale": scale,
-        "matrices": mats,
-        "h_matrices": h_mats,
-        "line_permutations": perms,
-    }
+    return {"scale": scale, "line_permutations": perms}

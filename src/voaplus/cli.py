@@ -260,17 +260,18 @@ def _generation_report(lattice: int, max_weight: int) -> Report:
     )
 
     if lattice == 2:
+        # a singular vector inside the Virasoro vacuum module is tagged by
+        # membership; any other one by the dims of its closure with omega
         vac_dims = _virasoro_dims(0, W)
+        vir = closure(2, [om], W, "pair+:0")
         labels = ["virasoro-vacuum-module", "even-heisenberg-space"]
         for w in range(0, 7):
             for idx, s in enumerate(singular_vectors(2, w, "pair+:0")):
-                d = closure(2, [om, s], W, "pair+:0").dims()
-                if d == vac_dims:
-                    tag = labels[0]
-                elif d == heis_dims:
-                    tag = labels[1]
+                if vir.contains(s):
+                    tag = labels[0] if vir.dims() == vac_dims else vir.dims()
                 else:
-                    tag = d
+                    d = closure(2, [om, s], W, "pair+:0").dims()
+                    tag = labels[1] if d == heis_dims else d
                 rep.check(
                     f"closure of the weight-{w} singular vector #{idx}",
                     "singular-closure",

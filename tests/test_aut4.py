@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from voaplus import aut4
+from voaplus import aut4, cli
 from voaplus.aut4 import (
     AutomorphismSpec,
     SpectralError,
@@ -249,9 +249,10 @@ def test_weight_four_split_and_projector():
         assert q(h) == h
     for jv in J:
         assert q(jv).is_zero()
-    # the pairing needs weight-4 inputs
+    # the pairing needs weight-4 inputs, or zero
     with pytest.raises(ValueError):
         pairing_p(ALPHA, H[0])
+    assert pairing_p(State(2, {}), H[0]).is_zero()
 
 
 def test_sym3_report_is_green_with_a_nonzero_scale():
@@ -260,7 +261,41 @@ def test_sym3_report_is_green_with_a_nonzero_scale():
     assert rep.status == "pass"
     assert all(c.status == "pass" for c in rep.checks)
     assert data["scale"] is not None and not data["scale"].is_zero()
+    assert data["scale"] == Scalar(60)
     assert data["line_permutations"]["rho"] == (1, 2, 0)
+    assert set(data) == {"scale", "line_permutations"}
+
+
+def test_a_wrong_group_fails_the_sym3_rows_without_raising(monkeypatch):
+    # with sigma_2 replaced by sigma_1 the group collapses to order two, the
+    # axis orbit to one line and the identification phi to zero
+    real = aut4.rotation_sigma
+    monkeypatch.setattr(aut4, "rotation_sigma", lambda j: real(1 if j == 2 else j))
+    rep = Report("aut")
+    data = sym3_report(rep)
+    assert rep.failures() == [
+        "s2 line action",
+        "three-cycle line action",
+        "all six line permutations",
+        "faithful on weight 4",
+        "involutions differ",
+        "second involution moves polynomials",
+        "H traces of three-cycles",
+        "axis orbit sums to zero",
+        "H algebra matches the n=3 invariant algebra up to one scalar",
+    ]
+    assert data["scale"] is None or data["scale"].is_zero()
+
+
+def test_a_one_vector_H_fails_the_dim_H_row_of_the_n4_report(monkeypatch, capsys):
+    real = aut4.singular_vectors
+    monkeypatch.setattr(aut4, "singular_vectors", lambda *args: real(*args)[:1])
+    code, rep = cli.run(["aut", "--case", "n4", "--format", "json"])
+    capsys.readouterr()
+    assert code == 1 and rep is not None
+    assert rep.failures() == ["dim H"]
+    rows = {c.name: c.actual for c in rep.checks if c.location == "h-j-split"}
+    assert rows == {"dim H": 1, "dim J": 2}
 
 
 def test_rotations_preserve_the_distinguished_lines_exactly():

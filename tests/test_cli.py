@@ -12,7 +12,7 @@ import pytest
 
 import voaplus.cli as cli
 from voaplus import vertex
-from voaplus.fock import graded_basis
+from voaplus.fock import State, graded_basis
 from voaplus.report import Report, parse_report, render_json
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -214,6 +214,25 @@ def test_virasoro_rows_name_their_first_defective_state(monkeypatch):
     assert 0 < failed < len(pairs)
     text = render_json(rep)  # the witness serializes
     assert '"first-defective-state"' in text
+
+
+def test_the_vacuum_module_tag_needs_membership_not_only_dims(monkeypatch):
+    # a closure that drops every generator after the first gives the weight-4
+    # singular vector the dims of the Virasoro vacuum module, so tagging by
+    # dims alone would pass its row; membership in the closure of omega fails it
+    real = cli.closure
+    monkeypatch.setattr(
+        cli, "closure", lambda N, gens, W, bound="full": real(N, gens[:1], W, bound)
+    )
+    W = 6
+    (j4,) = cli.singular_vectors(2, 4, "pair+:0")
+    assert cli.closure(2, [State.omega(2), j4], W, "pair+:0").dims() == cli._virasoro_dims(0, W)
+    rep = cli._generation_report(2, W)
+    rows = {c.name: c.status for c in rep.checks if c.location == "singular-closure"}
+    assert rows == {
+        "closure of the weight-0 singular vector #0": "pass",
+        "closure of the weight-4 singular vector #0": "fail",
+    }
 
 
 def test_json_report_parses_and_is_deterministic(tmp_path):
