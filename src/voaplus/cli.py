@@ -161,32 +161,32 @@ def _mode_checks_report(max_weight: int) -> Report:
 
     bases = {w: graded_basis(2, w, "full") for w in range(max_weight + 1)}
     flat = [b for w in range(max_weight + 1) for b in bases[w]]
-    for p in range(-3, 4):
-        for q in range(p + 1, 4):
-            central = Fraction(p**3 - p, 12) if p + q == 0 else Fraction(0)
-            defects = []
-            for b in flat:
-                lhs = virasoro(p, virasoro(q, b)) - virasoro(q, virasoro(p, b))
-                rhs = (p - q) * virasoro(p + q, b)
-                if central:
-                    rhs = rhs + b * central
-                if lhs != rhs:
-                    defects.append((b, lhs - rhs))
-            # a failing row names its first defective basis state
-            actual = 0
-            if defects:
-                b, diff = defects[0]
-                actual = {
-                    "defects": len(defects),
-                    "first-defective-state": b,
-                    "lhs-minus-rhs": diff,
-                }
-            rep.check(
-                f"central-charge-one bracket p={p} q={q} on states of weight <= {max_weight}",
-                "virasoro-relations",
-                0,
-                actual,
-            )
+    # one sweep over the basis: L(k)b for every k the 21 brackets read, then
+    # each bracket's count and first defect in flat order
+    pairs = [(p, q) for p in range(-3, 4) for q in range(p + 1, 4)]
+    count = dict.fromkeys(pairs, 0)
+    first = {}
+    for b in flat:
+        lb = {k: virasoro(k, b) for k in range(-5, 6)}
+        for p, q in pairs:
+            lhs = virasoro(p, lb[q]) - virasoro(q, lb[p])
+            rhs = (p - q) * lb[p + q]
+            central = Fraction(p**3 - p, 12) if p + q == 0 else 0
+            if central:
+                rhs = rhs + b * central
+            if lhs != rhs:
+                count[p, q] += 1
+                if (p, q) not in first:
+                    first[p, q] = {"first-defective-state": b, "lhs-minus-rhs": lhs - rhs}
+    for p, q in pairs:
+        # a failing row names its first defective basis state
+        actual = {"defects": count[p, q]} | first[p, q] if count[p, q] else 0
+        rep.check(
+            f"central-charge-one bracket p={p} q={q} on states of weight <= {max_weight}",
+            "virasoro-relations",
+            0,
+            actual,
+        )
 
     pool = bases.get(2, []) + bases.get(3, [])
     combos = []
@@ -233,6 +233,14 @@ def _mode_checks_report(max_weight: int) -> Report:
 
 
 def _generation_report(lattice: int, max_weight: int) -> Report:
+    # the window must hold every generator: u4 of weight 4, the symmetric
+    # exponential of weight N/2 and omega of weight 2
+    floor = max(4, lattice // 2)
+    if max_weight < floor:
+        raise _UsageError(
+            f"--max-weight for --lattice {lattice} must be at least {floor}, "
+            "the weight of the heaviest generator"
+        )
     rep = Report("generation", {"lattice": lattice, "max-weight": max_weight})
     W = max_weight
     u4 = rescale_heisenberg_state(lower_u(2), lattice)

@@ -206,6 +206,37 @@ def test_failing_automorphism_check_carries_a_witness(monkeypatch):
     assert encoded["lhs-minus-rhs"] == encode_value(diff)
 
 
+def test_basis_line_maps_compute_each_triple_mode_once(monkeypatch):
+    # theta and the torus scalings send each basis state to a multiple of a
+    # basis state, so (gu)_k(gv) is a scaled mode the row already computes
+    calls = []
+    real = aut4.mode
+    monkeypatch.setattr(aut4, "mode", lambda u, k, v: calls.append(k) or real(u, k, v))
+    for spec, N, triples in ((theta_spec(2), 2, 900), (torus_spec(8, 2), 8, 196)):
+        calls.clear()
+        assert _automorphism_rows(spec, 3).status == "pass"
+        # one call per (u, v, k): four mode indices per weight pair at W = 3
+        dims = [graded_dim(N, w) for w in range(4)]
+        assert len(calls) == triples == 4 * sum(a * b for a in dims for b in dims)
+    assert _automorphism_rows(rotation_sigma(1), 2).status == "pass"
+
+
+def test_an_image_outside_the_piece_fails_with_a_witness(monkeypatch):
+    # a "theta" sending each term to one term of the next weight is no
+    # automorphism; its images are no basis states of their own piece
+    def lift(s):
+        return State(s.lattice, {(m, lam + (1,)): c for (m, lam), c in s.terms.items()})
+
+    monkeypatch.setattr(aut4, "theta", lift)
+    spec = theta_spec(2)
+    rep = _automorphism_rows(spec, 2)
+    rows = [c for c in rep.checks if c.name.startswith("spec: modes")]
+    first = next(c for c in rows if c.status == "fail")
+    u, v, k, diff = (first.actual[key] for key in ("u", "v", "k", "lhs-minus-rhs"))
+    assert diff
+    assert diff == apply(spec, mode(u, k, v)) - mode(apply(spec, u), k, apply(spec, v))
+
+
 def test_y_basis_cyclic_brackets():
     y1, y2, y3 = y_basis()
     assert bracket(y1, y2) == y3
@@ -285,6 +316,26 @@ def test_a_wrong_group_fails_the_sym3_rows_without_raising(monkeypatch):
         "H algebra matches the n=3 invariant algebra up to one scalar",
     ]
     assert data["scale"] is None or data["scale"].is_zero()
+
+
+def test_a_repeated_J_vector_fails_the_dim_J_row(monkeypatch):
+    H, J, q = split_H_J()
+    monkeypatch.setattr(aut4, "split_H_J", lambda: (H, [J[0], J[0]], q))
+    rep = Report("aut")
+    sym3_report(rep)
+    assert rep.failures() == ["dim J"]
+    assert next(c.actual for c in rep.checks if c.name == "dim J") == 1
+
+
+def test_a_repeated_H_vector_fails_the_H_trace_of_identity_row(monkeypatch):
+    # J[0] is fixed by the whole group, so every map preserves its line and
+    # the report runs to its end
+    H, J, q = split_H_J()
+    monkeypatch.setattr(aut4, "split_H_J", lambda: ([J[0], J[0]], J, q))
+    rep = Report("aut")
+    sym3_report(rep)
+    assert "H trace of identity" in rep.failures()
+    assert next(c.actual for c in rep.checks if c.name == "H trace of identity") == Scalar(1)
 
 
 def test_a_one_vector_H_fails_the_dim_H_row_of_the_n4_report(monkeypatch, capsys):

@@ -116,6 +116,26 @@ def test_fusion_label_and_cg_ceilings_refused_exit_2(argv, flag, ceiling, body, 
     assert f"at most {ceiling}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "lattice, max_weight, floor",
+    [(2, 3, 4), (6, 3, 4), (10, 4, 5), (12, 5, 6)],
+)
+def test_generation_window_below_the_heaviest_generator_refused_exit_2(
+    lattice, max_weight, floor, capsys
+):
+    # the generators weigh 4 (u4), N/2 (the symmetric exponential) and 2 (omega)
+    code, rep = run_cli(["generation", "--lattice", str(lattice), "--max-weight", str(max_weight)])
+    assert code == 2
+    assert rep is None
+    assert f"at least {floor}" in capsys.readouterr().err
+
+
+def test_generation_window_at_the_floor_runs(capsys):
+    code, rep = run_cli(["generation", "--lattice", "2", "--max-weight", "4"])
+    capsys.readouterr()
+    assert code == 0 and rep.status == "pass"
+
+
 def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
     # the fixed-space check receives the requested weight, never a clamped one
     ceiling = cli.AUT_N4_MAX_WEIGHT
@@ -214,6 +234,25 @@ def test_virasoro_rows_name_their_first_defective_state(monkeypatch):
     assert 0 < failed < len(pairs)
     text = render_json(rep)  # the witness serializes
     assert '"first-defective-state"' in text
+
+
+def test_virasoro_sweep_computes_each_basis_state_operator_once(monkeypatch):
+    # per basis state: L(k)b for k = -5..5, then L(p)L(q)b and L(q)L(p)b for
+    # each of the 21 pairs p < q
+    real = cli.virasoro
+    calls = []
+
+    def counted(p, s):
+        calls.append(p)
+        return real(p, s)
+
+    monkeypatch.setattr(cli, "virasoro", counted)
+    rep = cli._mode_checks_report(2)
+    flat = [b for w in range(3) for b in graded_basis(2, w, "full")]
+    assert len(flat) == 8
+    assert len(calls) == 53 * len(flat) == 424
+    rows = [c for c in rep.checks if c.location == "virasoro-relations"]
+    assert len(rows) == 21 and all(c.status == "pass" for c in rows)
 
 
 def test_the_vacuum_module_tag_needs_membership_not_only_dims(monkeypatch):
