@@ -26,7 +26,7 @@ from .aut4 import (
     torus_spec,
 )
 from .fock import State, graded_basis, graded_dim
-from .numeric import I, Scalar, telescoping_check, virasoro_character
+from .numeric import I, Scalar, graded_dims, telescoping_check, virasoro_character
 from .report import (
     Check,
     Report,
@@ -75,18 +75,11 @@ def _nonneg(text: str) -> int:
     return n
 
 
-def _positive(text: str) -> int:
-    n = _nonneg(text)
-    if n == 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return n
-
-
 # Ceilings on the size flags of the subcommands that sweep modes over whole
 # graded bases, on the weight of the four-group fixed-space check, on the
-# closures, spans and enumerated characters, on the fusion labels, on the
-# Clebsch-Gordan sweep and on the invariant-algebra family; the cost at each
-# ceiling is stated in the README.
+# closures, spans and enumerated characters, on the character series order,
+# on the fusion labels, on the Clebsch-Gordan sweep and on the
+# invariant-algebra family; the cost at each ceiling is stated in the README.
 MODE_CHECKS_MAX_WEIGHT = 12
 AUT_MAX_WEIGHT = 7
 AUT_N4_MAX_WEIGHT = 6
@@ -94,6 +87,7 @@ GENERATION_MAX_WEIGHT = 12
 FUSION_MAX_WEIGHT = 14
 FUSION_MAX_INDEX = 3
 CHARACTERS_MAX_WEIGHT = 30
+CHARACTERS_MAX_ORDER = 320
 CG_MAX = 64
 SYMN_MAX_N = 12
 
@@ -111,12 +105,7 @@ def _at_most(ceiling: int, floor: int = 0):
 
 
 def _virasoro_dims(h, max_weight: int) -> list:
-    ch = virasoro_character(Fraction(h), Fraction(max_weight + 1))
-    out = []
-    for w in range(max_weight + 1):
-        c = ch.coeff(Fraction(w) - Fraction(1, 24))
-        out.append(int(c.re) if c.is_integer() else None)
-    return out
+    return graded_dims(virasoro_character(h, max_weight + 1), max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +405,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("characters", parents=[common])
     p.add_argument("--lattice", type=_even_lattice, default=2)
     p.add_argument("--max-weight", type=_at_most(CHARACTERS_MAX_WEIGHT), default=8)
-    p.add_argument("--order", type=_positive, default=40)
+    p.add_argument("--order", type=_at_most(CHARACTERS_MAX_ORDER, floor=1), default=40)
     p.set_defaults(
         handler=lambda a: _characters_report(a.lattice, a.max_weight, a.order)
     )

@@ -10,15 +10,23 @@ Gaussian-integer dict {column: (re, im)} with no stored zeros:
     leaves the spanned line, and so the subspace, unchanged;
   * eliminating a pivot replaces row by p*row - q*prow, with p the stored
     row's pivot and q row's entry in the pivot column, then divides by the
-    rational-integer content of the entries (the gcd of all real and
-    imaginary parts); no rational is built inside the loop;
+    content of the entries: their rational-integer gcd (of all real and
+    imaginary parts) and, when some entry is non-real, their Gaussian gcd,
+    by Euclid in Z[i]; no rational is built inside the loop;
   * a new row is back-substituted into the stored ones the same way, so each
     stored row leads at its pivot, its smallest column, and is zero at every
     other pivot column.
-Nothing else divides a row: there is no exact division by the previous
-pivot, as in Bareiss's elimination.  When stored pivots are non-real, a
-common Gaussian factor such as (1 + 2i)^k has integer content 1 and stays in
-the row, so its entries can grow exponentially with the eliminations.
+Every row is therefore primitive over the Gaussian integers: its content is
+a unit.  That keeps its entries small without Bareiss's exact division by
+the previous pivot.  Z[i] is Euclidean, so the line a row spans has one
+primitive representative up to a unit.  By Cramer's rule the field row on
+that line, times a minor of the inserted vectors (cleared of denominators),
+is a Gaussian-integer row whose entries are minors too, so Hadamard's bound
+holds for them; the primitive row divides it and is no larger.  Without the
+Gaussian gcd a non-real pivot could leave a factor such as (1 + 2i)^k, of
+integer content 1, in the row, and its entries could grow exponentially.
+A real row's Gaussian gcd is its integer gcd, so real rows take the integer
+path alone.
 Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
 echelon form, which is unique under a fixed column order; bases built in any
 insertion order then compare by equality.  Every rational output is a Scalar.
@@ -36,13 +44,38 @@ from math import gcd
 from .numeric import ONE, ZERO, Scalar, over_common_denominator
 
 
+def _gaussian_gcd(z: tuple, w: tuple) -> tuple:
+    """A gcd of two Gaussian integers (re, im), by Euclid in Z[i] with each
+    quotient rounded to the nearest Gaussian integer."""
+    while w != (0, 0):
+        (a, b), (c, d) = z, w
+        n = c * c + d * d
+        # z / w = z * conj(w) / n, rounded part by part
+        qr = (2 * (a * c + b * d) + n) // (2 * n)
+        qi = (2 * (b * c - a * d) + n) // (2 * n)
+        z, w = w, (a - qr * c + qi * d, b - qr * d - qi * c)
+    return z
+
+
 def _primitive(row: dict) -> dict | None:
-    """row divided by the integer content of its entries; None if empty."""
+    """row divided by the content of its entries, None if empty: by their
+    integer gcd, and when some entry is non-real also by their Gaussian gcd,
+    so the content left is a unit."""
     if not row:
         return None
     g = gcd(*(x for ab in row.values() for x in ab))
     if g != 1:
         row = {c: (a // g, b // g) for c, (a, b) in row.items()}
+    if any(b for _, b in row.values()):
+        z = (0, 0)
+        for ab in row.values():
+            z = _gaussian_gcd(ab, z)
+            n = z[0] * z[0] + z[1] * z[1]
+            if n == 1:
+                return row
+        # (a + bi) / (zr + zi i) = (a + bi)(zr - zi i) / n, exactly
+        zr, zi = z
+        row = {c: ((a * zr + b * zi) // n, (b * zr - a * zi) // n) for c, (a, b) in row.items()}
     return row
 
 

@@ -3,6 +3,10 @@
 Every number in the package is a Gaussian rational (Scalar).  Characters live
 in QSeries: finitely many exact coefficients on exponents lying in (1/24)*Z,
 cut off below a rational order.  No floating point anywhere.
+
+The central-charge-one conventions live here alone: `visible_weights` is the
+one rule for which weight-h characters, leading at q^(h - 1/24), show below an
+order; `graded_character` and `graded_dims` write and read q^(-1/24) sum d_w q^w.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from math import ceil, gcd, isqrt, lcm
 
 # exponent bookkeeping: a series exponent e is stored as the integer 24*e
 DEN = 24
+# c/24 at c = 1: the weight-h character leads at q^(h - SHIFT)
+SHIFT = Fraction(1, DEN)
 
 
 def as_fraction(x) -> Fraction:
@@ -362,12 +368,6 @@ class QSeries:
         e = as_fraction(exponent)
         return QSeries(self.order + e, {k + d: c for k, c in self.coeffs.items()})
 
-    def truncate(self, order) -> "QSeries":
-        order = as_fraction(order)
-        if order > self.order:
-            raise QSeriesError("cannot raise the order of a truncated series")
-        return QSeries(order, self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -423,22 +423,22 @@ def _geometric_inverse_product(order: Fraction) -> QSeries:
 def eta(order) -> QSeries:
     """q^(1/24) prod_{n>=1} (1-q^n), truncated below `order`."""
     order = as_fraction(order)
-    if order <= Fraction(1, 24):
+    if order <= SHIFT:
         raise QSeriesError("eta needs order > 1/24 to hold its leading term")
-    rel = order - Fraction(1, 24)
+    rel = order - SHIFT
     out = QSeries.one(rel)
     n = 1
     while n < rel:
         out = out * QSeries(rel, {_key(0): ONE, _key(n): Scalar(-1)})
         n += 1
-    return out.shift(Fraction(1, 24))
+    return out.shift(SHIFT)
 
 
 def eta_inverse(order) -> QSeries:
     """1/eta = q^(-1/24) sum p(k) q^k, truncated below `order`."""
     order = as_fraction(order)
-    rel = order + Fraction(1, 24)
-    return _geometric_inverse_product(rel).shift(Fraction(-1, 24))
+    rel = order + SHIFT
+    return _geometric_inverse_product(rel).shift(-SHIFT)
 
 
 def _even_square_root(h: Fraction):
@@ -465,10 +465,10 @@ def virasoro_character(h, order) -> QSeries:
     if n is not None:
         a, b = h, Fraction((n + 2) ** 2, 4)
         out = eta_inverse(order - a).shift(a)
-        if order - b > Fraction(-1, 24):
+        if order - b > -SHIFT:
             out = out - eta_inverse(order - b).shift(b)
-        return out.truncate(order)
-    return eta_inverse(order - h).shift(h).truncate(order)
+        return out
+    return eta_inverse(order - h).shift(h)
 
 
 def sector_character(m: int, N: int, order) -> QSeries:
@@ -477,7 +477,36 @@ def sector_character(m: int, N: int, order) -> QSeries:
         raise QSeriesError("lattice norm N must be a positive even integer")
     order = as_fraction(order)
     h = Fraction(m * m * N, 2)
-    return eta_inverse(order - h).shift(h).truncate(order)
+    return eta_inverse(order - h).shift(h)
+
+
+def visible_weights(order, weight, mult=lambda n: 1, start=0) -> dict:
+    """{h: multiplicity} of the weights h = weight(n), n = start, start + 1,
+    ..., increasing in n, whose characters show below `order` (h - 1/24 <
+    order); equal weights add their multiplicities mult(n)."""
+    bound = as_fraction(order) + SHIFT  # h - 1/24 < order exactly when h < bound
+    out: dict = {}
+    n = start
+    while (h := weight(n)) < bound:
+        h = as_fraction(h)
+        out[h] = out.get(h, 0) + mult(n)
+        n += 1
+    return out
+
+
+def graded_character(dim, order) -> QSeries:
+    """q^(-1/24) sum_w dim(w) q^w below `order`: the character of a space
+    whose weight-w piece has dimension dim(w), w = 0, 1, ...."""
+    dims = visible_weights(order, lambda w: w, dim)
+    # the weights are integers, so q^(w - 1/24) has the key 24w - 1
+    return QSeries(order, {DEN * w.numerator - 1: d for w, d in dims.items()})
+
+
+def graded_dims(series: QSeries, max_weight: int) -> list:
+    """[d_0, ..., d_W], W = max_weight: the coefficients of q^(w - 1/24) in
+    the series, as ints, None where a coefficient is not an integer."""
+    coeffs = [series.coeff(w - SHIFT) for w in range(max_weight + 1)]
+    return [int(c.re) if c.is_integer() else None for c in coeffs]
 
 
 def decompose(target: QSeries, weights) -> list:
@@ -496,7 +525,7 @@ def decompose(target: QSeries, weights) -> list:
         e = residual.min_exponent()
         if e is None:
             return out
-        h = e + Fraction(1, 24)
+        h = e + SHIFT
         if h not in weight_set:
             raise DecompositionError(
                 f"residual exponent {e} matches no candidate weight", exponent=e
@@ -524,9 +553,6 @@ def telescoping_check(m: int, k: int, order) -> bool:
         raise QSeriesError("m must be a nonnegative integer")
     order = as_fraction(order)
     lhs = sector_character(m, 2 * k * k, order)
-    rhs = QSeries.zero(order)
-    p = 0
-    while Fraction((m * k + p) ** 2) - Fraction(1, 24) < order:
-        rhs = rhs + virasoro_character(Fraction((m * k + p) ** 2), order)
-        p += 1
+    visible = visible_weights(order, lambda p: (m * k + p) ** 2)
+    rhs = sum((virasoro_character(h, order) for h in visible), QSeries.zero(order))
     return (lhs - rhs).is_zero()

@@ -17,9 +17,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
-from .numeric import QSeries, Scalar, ZERO, as_fraction
+from .numeric import (
+    DecompositionError,
+    Scalar,
+    ZERO,
+    as_fraction,
+    decompose,
+    graded_character,
+    visible_weights,
+)
 from .fock import (
     LatticeMismatch,
     State,
@@ -301,26 +309,28 @@ def cg_coefficient(label) -> Scalar:
     square root, but its square is rational and its vanishing is what the
     parity statement concerns, so this returns sign * |coefficient|^2
     (standard phase convention).  Zero exactly when the coupling vanishes.
+
+    It is Racah's sum at zero magnetic numbers, spins j = (m, n, i)/2: with
+    a, b, c = j1 + j2 - j3, j1 - j2 + j3, -j1 + j2 + j3 the coefficient is
+
+        sqrt((2 j3 + 1) / ((j1 + j2 + j3 + 1)! a! b! c!)) j1! j2! j3! S,
+        S = sum_k (-1)^k C(a, k) C(b, j1 - k) C(c, j2 - k),
+
+    an integer sum in which nothing singles out odd j1 + j2 + j3.
     """
     if not isinstance(label, CGLabel):
         label = CGLabel(*label)
     j1, j2, j3 = label.m // 2, label.n // 2, label.i // 2
-    G = j1 + j2 + j3
-    if G % 2:
-        return ZERO
-    g = G // 2
-    head = Fraction(factorial(g), factorial(g - j1) * factorial(g - j2) * factorial(g - j3))
-    square = (
-        Fraction(2 * j3 + 1)
-        * head
-        * head
-        * Fraction(
-            factorial(2 * g - 2 * j1) * factorial(2 * g - 2 * j2) * factorial(2 * g - 2 * j3),
-            factorial(2 * g + 1),
-        )
+    a, b, c = j1 + j2 - j3, j1 - j2 + j3, -j1 + j2 + j3
+    S = sum(
+        (-1) ** k * comb(a, k) * comb(b, j1 - k) * comb(c, j2 - k)
+        for k in range(min(a, j1, j2) + 1)
     )
-    sign = -1 if (g - j3) % 2 else 1
-    return Scalar(sign * square)
+    if not S:
+        return ZERO
+    top = (2 * j3 + 1) * (factorial(j1) * factorial(j2) * factorial(j3)) ** 2 * S * abs(S)
+    bottom = factorial(j1 + j2 + j3 + 1) * factorial(a) * factorial(b) * factorial(c)
+    return Scalar._of(top, 0, bottom)
 
 
 def tensor_decompose(m: int, n: int) -> list:
@@ -374,69 +384,34 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
     return saturate(GradedSubspace(2, W), seeds, step)
 
 
-def _counted_character(N: int, constraint: str, order: Fraction) -> QSeries:
-    """Graded dimension series of one constrained space, from state counting."""
-    coeffs = {}
-    w = 0
-    while Fraction(w) - Fraction(1, 24) < order:
-        d = graded_dim(N, w, constraint)
-        if d:
-            coeffs[24 * w - 1] = Scalar(d)
-        w += 1
-    return QSeries(order, coeffs)
-
-
 def _two_lattice_is_square(N: int):
     r = isqrt(2 * N)
     return r if r * r == 2 * N else None
 
 
+def _sectors(N: int, order, mult: int) -> dict:
+    """{m^2 N/2: mult} over the lattice-translate sectors m >= 1 visible below the order."""
+    return visible_weights(order, lambda m: Fraction(m * m * N, 2), lambda m: mult, start=1)
+
+
 def expected_full_decomposition(N: int, order: Fraction) -> dict:
     """Predicted multiplicity of each constituent weight in the whole lattice
-    algebra character, for weights visible below the order."""
-    out: dict = {}
+    algebra character, for weights visible below the order: 2(n // k) + 1
+    copies of n^2 when 2N = 4k^2, else one of each n^2, then two of each
+    sector weight m^2 N/2 (never a square then)."""
     root = _two_lattice_is_square(N)
     if root is not None:
-        k = root // 2  # 2N = 4k^2
-        m = 0
-        while True:
-            base = Fraction((m * k) ** 2)
-            if base - Fraction(1, 24) >= order:
-                break
-            for p in range(k):
-                h = Fraction((m * k + p) ** 2)
-                if h - Fraction(1, 24) < order:
-                    out[h] = out.get(h, 0) + (2 * m + 1)
-            m += 1
-    else:
-        p = 0
-        while Fraction(p * p) - Fraction(1, 24) < order:
-            out[Fraction(p * p)] = out.get(Fraction(p * p), 0) + 1
-            p += 1
-        m = 1
-        while Fraction(m * m * N, 2) - Fraction(1, 24) < order:
-            h = Fraction(m * m * N, 2)
-            out[h] = out.get(h, 0) + 2
-            m += 1
-    return out
+        k = root // 2
+        return visible_weights(order, lambda n: n * n, lambda n: 2 * (n // k) + 1)
+    return visible_weights(order, lambda n: n * n) | _sectors(N, order, 2)
 
 
 def expected_plus_decomposition(N: int, order: Fraction) -> dict:
-    """Predicted constituents of the parity-fixed subalgebra character; only
-    valid when 2N is not a perfect square."""
+    """Predicted constituents of the parity-fixed subalgebra character, each
+    4n^2 and each sector once; only valid when 2N is not a perfect square."""
     if _two_lattice_is_square(N) is not None:
         raise ValueError("plus-space branching rule needs 2N to not be a square")
-    out: dict = {}
-    p = 0
-    while Fraction(4 * p * p) - Fraction(1, 24) < order:
-        out[Fraction(4 * p * p)] = out.get(Fraction(4 * p * p), 0) + 1
-        p += 1
-    m = 1
-    while Fraction(m * m * N, 2) - Fraction(1, 24) < order:
-        h = Fraction(m * m * N, 2)
-        out[h] = out.get(h, 0) + 1
-        m += 1
-    return out
+    return visible_weights(order, lambda n: 4 * n * n) | _sectors(N, order, 1)
 
 
 def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
@@ -444,52 +419,34 @@ def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
     characters against greedy peels and against the predicted constituent
     multiplicities.
     """
-    from .numeric import DecompositionError, decompose
-
     order = as_fraction(order)
     W = int(max_weight)
     if order <= W:
         raise ValueError("series order must exceed the enumeration weight")
 
-    def peel(series, candidates):
-        try:
-            return dict(decompose(series, candidates))
-        except DecompositionError as exc:
-            return {"error": str(exc)}
-
     # dual route at low weight: enumerated bases against pure counting
-    enum_dims = [len(graded_basis(N, w, "full")) for w in range(W + 1)]
-    count_dims = [graded_dim(N, w, "full") for w in range(W + 1)]
-    rep.check(f"basis-vs-count full N={N} to w={W}", "graded-dims", count_dims, enum_dims)
-    enum_plus = [len(graded_basis(N, w, "plus")) for w in range(W + 1)]
-    count_plus = [graded_dim(N, w, "plus") for w in range(W + 1)]
-    rep.check(f"basis-vs-count plus N={N} to w={W}", "graded-dims", count_plus, enum_plus)
+    for constraint in ("full", "plus"):
+        enum = [len(graded_basis(N, w, constraint)) for w in range(W + 1)]
+        count = [graded_dim(N, w, constraint) for w in range(W + 1)]
+        rep.check(f"basis-vs-count {constraint} N={N} to w={W}", "graded-dims", count, enum)
 
-    char_full = _counted_character(N, "full", order)
-    expected_full = expected_full_decomposition(N, order)
-    got_full = peel(char_full, list(expected_full))
-    rep.check(f"full-character branching N={N}", "lattice-branching", expected_full, got_full)
-
-    root = _two_lattice_is_square(N)
-    if root is None:
-        char_plus = _counted_character(N, "plus", order)
-        expected_plus = expected_plus_decomposition(N, order)
-        got_plus = peel(char_plus, list(expected_plus))
-        rep.check(f"plus-character branching N={N}", "plus-branching", expected_plus, got_plus)
-
+    # one row per branching: (name, location, constraint, expected constituents)
+    full = expected_full_decomposition(N, order)
+    rows = [(f"full-character branching N={N}", "lattice-branching", "full", full)]
+    if _two_lattice_is_square(N) is None:
+        plus = expected_plus_decomposition(N, order)
+        rows.append((f"plus-character branching N={N}", "plus-branching", "plus", plus))
     # Heisenberg halves are lattice independent; phrased here for convenience
-    expected_meven = {}
-    m = 0
-    while Fraction(4 * m * m) - Fraction(1, 24) < order:
-        expected_meven[Fraction(4 * m * m)] = 1
-        m += 1
-    got_meven = peel(_counted_character(N, "pair+:0", order), list(expected_meven))
-    rep.check("heisenberg-plus branching", "heisenberg-split", expected_meven, got_meven)
-
-    expected_modd = {}
-    m = 0
-    while Fraction((2 * m + 1) ** 2) - Fraction(1, 24) < order:
-        expected_modd[Fraction((2 * m + 1) ** 2)] = 1
-        m += 1
-    got_modd = peel(_counted_character(N, "pair-:0", order), list(expected_modd))
-    rep.check("heisenberg-minus branching", "heisenberg-split", expected_modd, got_modd)
+    even = visible_weights(order, lambda n: 4 * n * n)
+    odd = visible_weights(order, lambda n: (2 * n + 1) ** 2)
+    rows += [
+        ("heisenberg-plus branching", "heisenberg-split", "pair+:0", even),
+        ("heisenberg-minus branching", "heisenberg-split", "pair-:0", odd),
+    ]
+    for name, location, constraint, expected in rows:
+        counted = graded_character(lambda w: graded_dim(N, w, constraint), order)
+        try:
+            got = dict(decompose(counted, list(expected)))
+        except DecompositionError as exc:
+            got = {"error": str(exc)}
+        rep.check(name, location, expected, got)

@@ -39,6 +39,7 @@ def run_cli(argv):
         ["aut", "--case", "mystery"],
         ["symn", "--n", "2"],
         ["fusion", "--m", "0"],
+        ["characters", "--order", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -71,7 +72,7 @@ def test_mode_engine_weight_ceiling_refused_exit_2(argv, ceiling, capsys):
     [
         (["generation", "--lattice", "2", "--max-weight"], cli.GENERATION_MAX_WEIGHT, "_generation_report"),
         (["fusion", "--m", "2", "--n", "2", "--max-weight"], cli.FUSION_MAX_WEIGHT, "_fusion_report"),
-        (["characters", "--order", "999", "--max-weight"], cli.CHARACTERS_MAX_WEIGHT, "_characters_report"),
+        (["characters", "--order", "40", "--max-weight"], cli.CHARACTERS_MAX_WEIGHT, "_characters_report"),
     ],
 )
 def test_closure_span_and_character_weight_ceilings_refused_exit_2(
@@ -98,11 +99,13 @@ def test_closure_span_and_character_weight_ceilings_refused_exit_2(
         (["fusion", "--n", "1", "--m"], "m", cli.FUSION_MAX_INDEX, "_fusion_report"),
         (["fusion", "--m", "1", "--n"], "n", cli.FUSION_MAX_INDEX, "_fusion_report"),
         (["cg", "--max"], "max", cli.CG_MAX, "_cg_report"),
+        (["characters", "--max-weight", "8", "--order"], "order", cli.CHARACTERS_MAX_ORDER, "_characters_report"),
     ],
 )
 def test_fusion_label_and_cg_ceilings_refused_exit_2(argv, flag, ceiling, body, monkeypatch, capsys):
-    # the desk battery's fusion labels (up to 2) and cg sweep (8) stay inside
-    assert ceiling >= {"m": 2, "n": 2, "max": 8}[flag]
+    # the desk battery's fusion labels (up to 2), cg sweep (8) and character
+    # series order (40) stay inside
+    assert ceiling >= {"m": 2, "n": 2, "max": 8, "order": 40}[flag]
     args = cli._build_parser().parse_args(argv + [str(ceiling)])
     assert getattr(args, flag) == ceiling  # parsed only; running it would cost seconds
 

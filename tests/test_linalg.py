@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voaplus import linalg
+from voaplus.aut4 import apply, compose_specs, rotation_sigma
+from voaplus.fock import coordinates, graded_basis
 from voaplus.linalg import EchelonBasis, kernel_basis, mat_mul, rank, rref, solve_columns
 from voaplus.numeric import ONE, ZERO, Scalar
 
@@ -281,3 +283,38 @@ def test_echelon_basis_inserts_match_the_oracle_in_either_order(matrix):
             assert ech.contains(form(row))
         assert ech.vectors() == _scalars(want_rows)
         assert [ech.contains(form(probe)) for probe in probes] == inside
+
+
+def _gaussian_content_is_a_unit(row: dict) -> bool:
+    """Whether the entries a + bi of an integer row generate all of Z[i]: the
+    Z-span of the vectors (a, b) and (-b, a) is Z^2 exactly when the gcd of
+    their 2 x 2 minors is 1."""
+    vecs = [v for a, b in row.values() for v in ((a, b), (-b, a))]
+    return gcd(*(u[0] * v[1] - u[1] * v[0] for u in vecs for v in vecs)) == 1
+
+
+@settings(_KERNEL, max_examples=100)
+@given(matrix=_matrices(_gaussian, ZERO))
+@example(matrix=[[Scalar(1, 2), Scalar(3, 6)]])  # content 1 + 2i, integer content 1
+@example(matrix=[[Scalar(2, 1), ONE, ZERO], [Scalar(1, 2), ZERO, Scalar(0, 3)], [ONE, ONE, ONE]])
+def test_every_stored_row_of_a_gaussian_matrix_has_a_unit_as_its_content(matrix):
+    ech = EchelonBasis(len(matrix[0]) if matrix else 0)
+    for vec in matrix:
+        residual = ech.insert(vec)
+        assert residual is None or _gaussian_content_is_a_unit(residual)
+        assert all(_gaussian_content_is_a_unit(row) for row in ech.rows.values())
+
+
+def test_fixed_space_rows_of_the_tetrahedral_group_stay_small():
+    # A4 = <s1 s2, s1^2, s2^2> on the norm-2 lattice algebra, s_j the quarter
+    # turns: the rows g(t) - t of the weight-3 terms, generator by generator,
+    # once grew to 16-bit entries through Gaussian factors of their pivots
+    s1, s2 = rotation_sigma(1), rotation_sigma(2)
+    terms = graded_basis(2, 3, "full")
+    ech = EchelonBasis(len(terms))
+    for g in (compose_specs(s1, s2), compose_specs(s1, s1), compose_specs(s2, s2)):
+        for t in terms:
+            ech.insert(coordinates(apply(g, t) - t, 3))
+            bits = max(abs(x).bit_length() for row in ech.rows.values() for ab in row.values() for x in ab)
+            assert bits < 8
+    assert len(terms) - ech.rank == 1  # Molien's count for A4 at weight 3

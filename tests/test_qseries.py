@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voaplus import numeric
-from voaplus.fock import partition_count
+from voaplus.fock import graded_dim, partition_count
 from voaplus.numeric import (
     DEN,
     DecompositionError,
@@ -20,9 +20,12 @@ from voaplus.numeric import (
     decompose,
     eta,
     eta_inverse,
+    graded_character,
+    graded_dims,
     sector_character,
     telescoping_check,
     virasoro_character,
+    visible_weights,
 )
 
 ORDER = Fraction(30)
@@ -260,3 +263,29 @@ def test_telescoping_identity():
         assert telescoping_check(m, k, 40)
     with pytest.raises(QSeriesError):
         telescoping_check(1, 0, 20)
+
+
+def test_visible_weights_stop_where_a_character_leads_at_the_order():
+    # the weight-4 character leads at q^(4 - 1/24), exactly the order: not visible
+    order = Fraction(4) - Fraction(1, 24)
+    assert visible_weights(order, lambda n: n * n) == {0: 1, 1: 1}
+    assert visible_weights(order + Fraction(1, 24), lambda n: n * n) == {0: 1, 1: 1, 4: 1}
+    got = visible_weights(10, lambda n: n * n, lambda n: n + 1, start=1)
+    assert list(got.items()) == [(1, 2), (4, 3), (9, 4)]
+    assert all(type(h) is Fraction for h in got)
+    # equal weights add their multiplicities, in first-seen key order
+    got = visible_weights(3, lambda n: n // 2, lambda n: n)
+    assert list(got.items()) == [(0, 0 + 1), (1, 2 + 3), (2, 4 + 5), (3, 6 + 7)]
+
+
+def test_graded_dims_read_back_what_graded_character_wrote():
+    dims = [1, 0, 2, 5, 0, 7, 3]
+    series = graded_character(dims.__getitem__, 6)  # asks for weights 0..6 only
+    assert series.order == 6
+    # exponent w - 1/24 for each nonzero dim, weights through 6 all visible
+    assert series.support() == [Fraction(w) - Fraction(1, 24) for w, d in enumerate(dims) if d]
+    assert graded_dims(series, 6) == dims
+    assert graded_dims(series.scale(Fraction(1, 2)), 2) == [None, 0, 1]
+    # the plus-space counts through weight 8 come back from their character
+    plus = lambda w: graded_dim(2, w, "plus")
+    assert graded_dims(graded_character(plus, 9), 8) == [plus(w) for w in range(9)]

@@ -16,6 +16,8 @@ from voaplus.reptheory import (
     cg_coefficient,
     character_decomposition_suite,
     closure,
+    expected_full_decomposition,
+    expected_plus_decomposition,
     fusion_span,
     lower_u,
     parity_sweep,
@@ -509,3 +511,34 @@ def test_character_decomposition_suite_small():
     assert any("full" in x for x in names)
     with pytest.raises(ValueError):
         character_decomposition_suite(rep, 2, 20, 10)  # order must exceed the window
+
+
+@pytest.mark.parametrize(
+    "N, want",
+    [
+        # 2N = 4k^2: n^2 with multiplicity 2(n // k) + 1
+        (2, [(0, 1), (1, 3), (4, 5), (9, 7), (16, 9)]),
+        (8, [(0, 1), (1, 1), (4, 3), (9, 3), (16, 5)]),
+        (18, [(0, 1), (1, 1), (4, 1), (9, 3), (16, 3)]),
+        # otherwise each n^2 once, then each sector weight m^2 N/2 twice
+        (4, [(0, 1), (1, 1), (4, 1), (9, 1), (16, 1), (2, 2), (8, 2), (18, 2)]),
+        (6, [(0, 1), (1, 1), (4, 1), (9, 1), (16, 1), (3, 2), (12, 2)]),
+    ],
+)
+def test_expected_full_decomposition_by_hand(N, want):
+    # order 20: the squares through 16 and the sectors below 20 + 1/24 are visible
+    assert list(expected_full_decomposition(N, Fraction(20)).items()) == want
+
+
+@pytest.mark.parametrize(
+    "N, want",
+    [
+        (4, [(0, 1), (4, 1), (16, 1), (2, 1), (8, 1), (18, 1)]),
+        (6, [(0, 1), (4, 1), (16, 1), (3, 1), (12, 1)]),
+    ],
+)
+def test_expected_plus_decomposition_by_hand(N, want):
+    # each 4n^2 once, then each sector weight m^2 N/2 once
+    assert list(expected_plus_decomposition(N, Fraction(20)).items()) == want
+    with pytest.raises(ValueError):
+        expected_plus_decomposition(8, Fraction(20))  # 2N a square
