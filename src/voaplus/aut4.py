@@ -35,7 +35,6 @@ are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -47,7 +46,6 @@ from .reptheory import GradedSubspace, singular_vectors
 from . import symn
 
 
-@dataclass(frozen=True)
 class AutomorphismSpec:
     """Description of an automorphism; `kind` selects how `apply` acts.
 
@@ -56,15 +54,34 @@ class AutomorphismSpec:
     `phase_spec` is one); "exp" (payload: weight-1 State x and integer
     quarter_turns q, acts by i^(k*q) on the i*k eigenspace of the zero-mode
     of x); and "compose" (payload: tuple of specs, applied right to left).
+    Immutable; equal specs have equal kind, lattice and payload.
     """
 
-    kind: str
-    lattice: int
-    payload: tuple = ()
+    __slots__ = ("kind", "lattice", "payload")
 
-    def __post_init__(self):
-        if self.kind not in ("theta", "torus", "exp", "compose"):
-            raise ValueError(f"unknown automorphism kind {self.kind!r}")
+    def __init__(self, kind: str, lattice: int, payload: tuple = ()):
+        if kind not in ("theta", "torus", "exp", "compose"):
+            raise ValueError(f"unknown automorphism kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "payload", payload)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AutomorphismSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AutomorphismSpec is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not AutomorphismSpec:
+            return NotImplemented
+        return (self.kind, self.lattice, self.payload) == (other.kind, other.lattice, other.payload)
+
+    def __hash__(self):
+        return hash((self.kind, self.lattice, self.payload))
+
+    def __repr__(self):
+        return f"AutomorphismSpec(kind={self.kind!r}, lattice={self.lattice!r}, payload={self.payload!r})"
 
 
 def theta_spec(lattice: int) -> AutomorphismSpec:

@@ -88,25 +88,41 @@ class State:
         """The conformal vector (1/2N) g(-1)^2 applied to the vacuum."""
         return cls.of_term(lattice, 0, (1, 1), Fraction(1, 2 * lattice))
 
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other, from the Scalars both already hold:
+        a term keeps its place in self.terms and leaves it when it cancels."""
         if not isinstance(other, State):
             return NotImplemented
         if other.lattice != self.lattice:
             raise LatticeMismatch("cannot add states over different lattices")
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out.get(t, ZERO) + c
-        return State(self.lattice, out)
+            old = out.get(t)
+            if old is None:
+                out[t] = -c if subtract else c
+                continue
+            c = old - c if subtract else old + c
+            if c:
+                out[t] = c
+            else:
+                del out[t]
+        return State._of(self.lattice, out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._combine(other, True)
 
     def __neg__(self):
-        return (-1) * self
+        return State._of(self.lattice, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, s):
         s = Scalar.coerce(s)
-        return State(self.lattice, {t: s * c for t, c in self.terms.items()})
+        if not s:
+            return State._of(self.lattice, {})
+        # a product of nonzero Gaussian rationals is nonzero
+        return State._of(self.lattice, {t: s * c for t, c in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -342,7 +342,13 @@ class QSeries:
         return QSeries(order, out)
 
     def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        order = min(self.order, other.order)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, ZERO) - c
+        return QSeries(order, out)
 
     def scale(self, s) -> "QSeries":
         s = Scalar.coerce(s)

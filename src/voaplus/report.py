@@ -11,27 +11,36 @@ fixed point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fock import State
 from .numeric import Scalar, fraction_str
 
 
-@dataclass
 class Check:
-    name: str
-    status: str  # "pass" | "fail"
-    expected: object
-    actual: object
-    location: str
+    """One named check: status "pass" or "fail", the expected and the actual
+    value, and the location tag of the claim it verifies."""
+
+    __slots__ = ("name", "status", "expected", "actual", "location")
+
+    def __init__(self, name: str, status: str, expected, actual, location: str):
+        self.name = name
+        self.status = status
+        self.expected = expected
+        self.actual = actual
+        self.location = location
 
 
-@dataclass
 class Report:
-    task: str
-    parameters: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    """A task, its parameters and its checks in order; each Report owns a
+    fresh parameters dict and checks list unless given its own."""
+
+    __slots__ = ("task", "parameters", "checks")
+
+    def __init__(self, task: str, parameters=None, checks=None):
+        self.task = task
+        self.parameters = {} if parameters is None else parameters
+        self.checks = [] if checks is None else checks
 
     def check(self, name, location, expected, actual, ok=None):
         if ok is None:

@@ -15,7 +15,6 @@ Virasoro operators.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
@@ -284,22 +283,39 @@ def rescale_heisenberg_state(s: State, lattice_to: int) -> State:
     return State(lattice_to, out)
 
 
-@dataclass(frozen=True)
 class CGLabel:
-    """Even spin-doubled labels (m, n, i) with i in the tensor range of m, n."""
+    """Even spin-doubled labels (m, n, i) with i in the tensor range of m, n.
 
-    m: int
-    n: int
-    i: int
+    Immutable; equal labels have equal (m, n, i)."""
 
-    def __post_init__(self):
-        for v in (self.m, self.n, self.i):
+    __slots__ = ("m", "n", "i")
+
+    def __init__(self, m: int, n: int, i: int):
+        for v in (m, n, i):
             if not isinstance(v, int) or v < 0 or v % 2:
                 raise ValueError("labels must be even nonnegative integers")
-        if not (abs(self.m - self.n) <= self.i <= self.m + self.n):
+        if not (abs(m - n) <= i <= m + n):
             raise ValueError("i outside the tensor range")
-        if (self.m + self.n + self.i) % 2:
-            raise ValueError("i must match the parity of m + n")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "i", i)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CGLabel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CGLabel is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not CGLabel:
+            return NotImplemented
+        return (self.m, self.n, self.i) == (other.m, other.n, other.i)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.i))
+
+    def __repr__(self):
+        return f"CGLabel(m={self.m!r}, n={self.n!r}, i={self.i!r})"
 
 
 def cg_coefficient(label) -> Scalar:

@@ -38,7 +38,7 @@ XM = State.of_term(2, -1)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown automorphism kind 'bogus'"):
         AutomorphismSpec("bogus", 2)
     with pytest.raises(ValueError):
         torus_spec(2, 0)
@@ -56,6 +56,29 @@ def test_spec_validation():
         compose_specs(theta_spec(2), theta_spec(4))
     with pytest.raises(ValueError):
         apply(theta_spec(4), ALPHA)  # lattice mismatch
+
+
+def test_a_spec_is_an_immutable_value():
+    spec = AutomorphismSpec("theta", 2)
+    assert spec == theta_spec(2) and hash(spec) == hash(theta_spec(2))
+    assert spec != theta_spec(4) and spec != torus_spec(2, I)
+    assert torus_spec(2, I) == AutomorphismSpec(kind="torus", lattice=2, payload=(I,))
+    both = compose_specs(theta_spec(2), torus_spec(2, I))
+    assert both == compose_specs(theta_spec(2), torus_spec(2, I))
+    assert len({spec, theta_spec(2), torus_spec(2, I), both}) == 3
+    assert repr(spec) == "AutomorphismSpec(kind='theta', lattice=2, payload=())"
+    assert repr(torus_spec(2, I)) == "AutomorphismSpec(kind='torus', lattice=2, payload=(1i,))"
+    for name in ("kind", "lattice", "payload"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    # not a tuple: a spec put into a report raises instead of serializing
+    assert spec != ("theta", 2, ())
+    with pytest.raises(TypeError):
+        encode_value(spec)
 
 
 def test_exponential_of_a_real_spectrum_zero_mode_is_rejected():

@@ -415,3 +415,15 @@ def test_module_entry_point():
         text=True,
     )
     assert proc2.returncode == 2
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # together these took about half of the start-up of a short run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import voaplus.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

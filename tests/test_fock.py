@@ -59,6 +59,25 @@ def test_state_validation_and_weight():
         mixed.weight()
 
 
+def test_state_sums_drop_cancelled_terms_and_keep_term_order():
+    a = State(2, {(1, ()): 1, (0, (1,)): Scalar(0, 1), (-1, ()): 3})
+    b = State(2, {(0, (1,)): Scalar(0, 1), (1, ()): 1, (0, (2,)): Fraction(1, 2)})
+    diff = a - b
+    assert diff == State(2, {(-1, ()): 3, (0, (2,)): Fraction(-1, 2)})
+    assert list(diff.terms) == [(-1, ()), (0, (2,))]
+    total = a + b
+    assert list(total.terms) == [(1, ()), (0, (1,)), (-1, ()), (0, (2,))]
+    assert total == State(2, {(1, ()): 2, (0, (1,)): Scalar(0, 2), (-1, ()): 3, (0, (2,)): Fraction(1, 2)})
+    assert (a - a).is_zero() and (a + -a).is_zero() and (0 * a).is_zero()
+    assert -a == (-1) * a == a * Scalar(-1)
+    assert a - b == a + (-1) * b and b - a == -(a - b)
+    assert all(type(c) is Scalar for c in (diff.terms | total.terms | (-a).terms).values())
+    with pytest.raises(LatticeMismatch):
+        a - State.of_term(4, 1)
+    with pytest.raises(TypeError):
+        a - 1
+
+
 def test_heisenberg_commutator():
     # [g(j), g(k)] = j N delta_{j+k,0} on a mixed test state
     s = State.of_term(2, 1, (2, 1)) + State.of_term(2, 0, (1, 1)) * Scalar(0, 1)

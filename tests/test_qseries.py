@@ -167,6 +167,16 @@ def test_qseries_product_truncates_to_min_order():
     assert clipped.is_zero()  # 4+3=7 falls beyond order 6
 
 
+def test_qseries_difference_cancels_and_cuts_at_the_lower_order():
+    a = QSeries(Fraction(10), {0: 1, 24: Scalar(0, 1), 144: 5})
+    b = QSeries(Fraction(6), {0: 1, 24: 2, 48: Fraction(1, 3)})
+    diff = a - b
+    assert diff.order == Fraction(6)
+    assert diff.coeffs == {24: Scalar(-2, 1), 48: Scalar(Fraction(-1, 3))}  # q^6 cut, q^0 cancelled
+    assert diff == a + b.scale(-1)
+    assert (b - a) == diff.scale(-1) and (a - a).is_zero()
+
+
 def test_eta_matches_pentagonal_number_theorem():
     """prod (1-q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
     e = eta(ORDER)

@@ -7,6 +7,7 @@ import pytest
 from voaplus.fock import State
 from voaplus.numeric import Scalar
 from voaplus.report import (
+    Check,
     Report,
     decode_value,
     encode_value,
@@ -80,6 +81,21 @@ def test_report_status_and_failures():
     data = report_to_json(rep)
     assert data["status"] == "fail"
     assert [c["status"] for c in data["checks"]] == ["pass", "fail", "pass"]
+
+
+def test_reports_share_no_containers():
+    a, b = Report("a"), Report("b")
+    a.parameters["n"] = 1
+    a.check("only in a", "loc", 1, 1)
+    assert b.parameters == {} and b.checks == []
+    assert a.parameters is not b.parameters and a.checks is not b.checks
+    given = {"n": 2}
+    rep = Report(task="c", parameters=given, checks=[])
+    assert rep.parameters is given and rep.task == "c"
+    c = Check("name", "pass", 1, 2, "loc")
+    assert (c.name, c.status, c.expected, c.actual, c.location) == ("name", "pass", 1, 2, "loc")
+    with pytest.raises(TypeError):
+        Check("name", "pass", 1, 2)  # location is required
 
 
 def test_render_parse_render_is_a_fixed_point():

@@ -8,7 +8,7 @@ import pytest
 from voaplus import cli, reptheory
 from voaplus.fock import LatticeMismatch, State, graded_basis, graded_dim
 from voaplus.numeric import ZERO, Scalar, virasoro_character
-from voaplus.report import Report
+from voaplus.report import Report, encode_value
 from voaplus.reptheory import (
     CGLabel,
     GradedSubspace,
@@ -369,12 +369,33 @@ def test_rescale_heisenberg_state_moves_between_lattices():
 
 
 def test_cg_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even nonnegative"):
         CGLabel(2, 2, 1)  # odd label
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even nonnegative"):
+        CGLabel(-2, 2, 0)  # negative label
+    with pytest.raises(ValueError, match="even nonnegative"):
+        CGLabel(Fraction(2), 2, 0)  # not an int
+    with pytest.raises(ValueError, match="tensor range"):
         CGLabel(2, 2, 6)  # outside the tensor range
     with pytest.raises(ValueError):
         CGLabel(4, 0, 2)  # below the tensor range
+
+
+def test_a_cg_label_is_an_immutable_value():
+    label = CGLabel(4, 2, 2)
+    assert label == CGLabel(m=4, n=2, i=2) and hash(label) == hash(CGLabel(4, 2, 2))
+    assert label != CGLabel(2, 4, 2) and label != CGLabel(4, 2, 6)
+    assert len({label, CGLabel(4, 2, 2), CGLabel(2, 4, 2)}) == 2
+    assert repr(label) == "CGLabel(m=4, n=2, i=2)"
+    for name in ("m", "n", "i"):
+        with pytest.raises(AttributeError):
+            setattr(label, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(label, name)
+    # not a tuple: a label put into a report raises instead of serializing
+    assert label != (4, 2, 2)
+    with pytest.raises(TypeError):
+        encode_value(label)
 
 
 def test_tensor_decompose_range():
