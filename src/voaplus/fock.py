@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .numeric import Scalar, ZERO, over_common_denominator
+from .numeric import Scalar, ZERO, _partition_numbers, over_common_denominator
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -263,28 +263,56 @@ def partitions(n: int, max_part: int | None = None) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    if n < 0:
-        return 0
-    counts = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            counts[total] += counts[total - part]
-    return counts[n]
+    """p(n), from the one partition-number table `numeric._partition_numbers`."""
+    return _partition_numbers(n + 1)[n] if n >= 0 else 0
 
 
-@lru_cache(maxsize=None)
+# Q(0), Q(1), ...: the numbers of partitions into distinct odd parts, grown
+# like `numeric._PARTITIONS` (a new list per extension, rebound to the name).
+_DISTINCT_ODD = [1]
+
+
+def _distinct_odd_counts(n: int) -> list:
+    """A list holding at least Q(0)..Q(n-1), where Q(k) counts the partitions
+    of k into distinct odd parts.
+
+    prod_{k odd} (1 - q^k) = prod (1 - q^n) / prod (1 - q^2n) multiplies
+    Euler's sum_j (-1)^j q^(j(3j-1)/2), j in Z, by sum_m p(m) q^2m, and its
+    q^k coefficient is (-1)^k Q(k): j distinct odd parts sum to k only when
+    j = k mod 2.
+    """
+    global _DISTINCT_ODD
+    q = _DISTINCT_ODD
+    if len(q) >= n:
+        return q
+    p = _partition_numbers(n // 2 + 1)
+    q = list(q)
+    for k in range(len(q), n):
+        signed = 0
+        j = 0
+        while (g := j * (3 * j - 1) // 2) <= k:  # j = 0, 1, -1, 2, -2, ...: g increases
+            if (k - g) % 2 == 0:
+                signed += -p[(k - g) // 2] if j % 2 else p[(k - g) // 2]
+            j = -j if j > 0 else 1 - j
+        q.append(-signed if k % 2 else signed)
+    _DISTINCT_ODD = q
+    return q
+
+
 def partition_count_by_parity(n: int) -> tuple[int, int]:
-    """(number with evenly many parts, number with oddly many parts)."""
+    """(number with evenly many parts, number with oddly many parts).
+
+    Their difference d has sum_n d(n) q^n = prod 1/(1 + q^n) = prod_{k odd}
+    (1 - q^k), so d(n) = (-1)^n Q(n) (see `_distinct_odd_counts`).
+    """
     if n < 0:
         return (0, 0)
-    even = [1] + [0] * n
-    odd = [0] * (n + 1)
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            even[total], odd[total] = even[total] + odd[total - part], odd[total] + even[total - part]
-    return (even[n], odd[n])
+    p = partition_count(n)
+    d = _distinct_odd_counts(n + 1)[n]
+    if n % 2:
+        d = -d
+    return ((p + d) // 2, (p - d) // 2)
 
 
 CONSTRAINTS = ("full", "plus", "efixed", "pair+:0", "pair-:0")
@@ -303,7 +331,17 @@ def _check_constraint(N: int, constraint) -> None:
 
 def _sectors_at_weight(N: int, w: int):
     top = isqrt((2 * w) // N) if w >= 0 else -1
-    return [m for m in range(-top - 1, top + 2) if Fraction(m * m * N, 2) <= w]
+    return [m for m in range(-top - 1, top + 2) if m * m * N <= 2 * w]
+
+
+def _integer_weight(w):
+    """w as an int when it is a nonnegative integer (int or Fraction), else None."""
+    if type(w) is not int:
+        w = Fraction(w)
+        if w.denominator != 1:
+            return None
+        w = int(w)
+    return w if w >= 0 else None
 
 
 def weight_terms(N: int, w) -> list[Term]:
@@ -313,10 +351,9 @@ def weight_terms(N: int, w) -> list[Term]:
     algebra on graded pieces.
     """
     check_lattice(N)
-    w = Fraction(w)
-    if w < 0 or w.denominator != 1:
+    w = _integer_weight(w)
+    if w is None:
         return []
-    w = int(w)
     out = []
     for m in _sectors_at_weight(N, w):
         rest = w - (m * m * N) // 2
@@ -373,10 +410,9 @@ def graded_dim(N: int, w, constraint="full") -> int:
     """Dimension of graded_basis(N, w, constraint), computed by counting only."""
     check_lattice(N)
     _check_constraint(N, constraint)
-    w = Fraction(w)
-    if w < 0 or w.denominator != 1:
+    w = _integer_weight(w)
+    if w is None:
         return 0
-    w = int(w)
     total = 0
     for m in {abs(m) for m in _sectors_at_weight(N, w)}:
         rest = w - (m * m * N) // 2

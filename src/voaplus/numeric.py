@@ -300,6 +300,16 @@ class QSeries:
                     clean[k] = c
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _of(cls, order: Fraction, coeffs: dict) -> "QSeries":
+        """A QSeries that takes ownership of coeffs, unchecked: order must be a
+        Fraction and every coefficient a nonzero Scalar keyed below
+        ceil(order * 24).  For values the package built itself."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "order", order)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
@@ -332,27 +342,43 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other, below the lower of the two orders:
+        a key keeps its place in self.coeffs and leaves it when it cancels."""
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = dict(self.coeffs)
+        cutoff = ceil(order * DEN)
+        if self.order == order:
+            out = dict(self.coeffs)
+        else:
+            out = {k: c for k, c in self.coeffs.items() if k < cutoff}
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return QSeries(order, out)
+            if k >= cutoff:
+                continue
+            old = out.get(k)
+            if old is None:
+                out[k] = -c if subtract else c
+                continue
+            c = old - c if subtract else old + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return QSeries._of(order, out)
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) - c
-        return QSeries(order, out)
+        return self._combine(other, True)
 
     def scale(self, s) -> "QSeries":
         s = Scalar.coerce(s)
-        return QSeries(self.order, {k: s * c for k, c in self.coeffs.items()})
+        if not s:
+            return QSeries._of(self.order, {})
+        # a product of nonzero Gaussian rationals is nonzero
+        return QSeries._of(self.order, {k: s * c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -366,13 +392,13 @@ class QSeries:
                 if k >= cutoff:
                     continue
                 out[k] = out.get(k, ZERO) + c1 * c2
-        return QSeries(order, out)
+        return QSeries._of(order, {k: c for k, c in out.items() if c})
 
     def shift(self, exponent) -> "QSeries":
         """Multiply by the exact monomial q^exponent (precision window shifts too)."""
         d = _key(exponent)
-        e = as_fraction(exponent)
-        return QSeries(self.order + e, {k + d: c for k, c in self.coeffs.items()})
+        # the cutoff moves by d too, so every key stays below it
+        return QSeries._of(self.order + as_fraction(exponent), {k + d: c for k, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -423,7 +449,7 @@ def _geometric_inverse_product(order: Fraction) -> QSeries:
     # prod_{n>=1} 1/(1-q^n) = sum p(n) q^n truncated below `order`, honest for any order
     count = max(0, ceil(order))  # the integers 0 <= n < order
     p = _partition_numbers(count)
-    return QSeries(order, {n * DEN: p[n] for n in range(count)})
+    return QSeries._of(order, {n * DEN: _triple(p[n], 0, 1) for n in range(count)})
 
 
 def eta(order) -> QSeries:

@@ -1,14 +1,14 @@
 """Series layer: eta products, characters, decomposition, telescoping."""
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voaplus import numeric
-from voaplus.fock import graded_dim, partition_count
+from voaplus import fock, numeric
+from voaplus.fock import graded_dim, partition_count, partition_count_by_parity
 from voaplus.numeric import (
     DEN,
     DecompositionError,
@@ -45,6 +45,18 @@ def _eta_inverse_by_product(order) -> QSeries:
         out = out * QSeries(rel, geom)
         n += 1
     return out.shift(Fraction(-1, 24))
+
+
+def _partitions_by_table(n: int) -> tuple:
+    """Oracle: ([even(0), ..., even(n)], [odd(0), ..., odd(n)]), the numbers of
+    partitions with evenly and with oddly many parts, from the O(n^2) table
+    that admits one part size at a time."""
+    even = [1] + [0] * n
+    odd = [0] * (n + 1)
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            even[total], odd[total] = even[total] + odd[total - part], odd[total] + even[total - part]
+    return even, odd
 
 
 _small = st.integers(-6, 6)
@@ -177,6 +189,50 @@ def test_qseries_difference_cancels_and_cuts_at_the_lower_order():
     assert (b - a) == diff.scale(-1) and (a - a).is_zero()
 
 
+_order = st.builds(Fraction, st.integers(-24, 240), st.sampled_from([1, 2, 5, 24]))
+_coeffs = st.dictionaries(st.integers(-48, 240), _scalar, max_size=10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    oa=_order,
+    ob=_order,
+    ca=_coeffs,
+    cb=_coeffs,
+    shared=st.lists(st.tuples(st.integers(0, 9), st.sampled_from([1, -1])), max_size=6),
+    s=_scalar,
+    e=st.integers(-48, 48),
+)
+@example(oa=Fraction(10), ob=Fraction(6), ca={0: 1, 144: 5}, cb={0: 1}, shared=[], s=ZERO, e=-24)
+def test_operations_build_what_the_checked_constructor_would(oa, ob, ca, cb, shared, s, e):
+    """Operations build their results unchecked; each result, on series of
+    mismatched orders with entries that cancel and under a zero scale, is the
+    series the public constructor makes of it: no zero stored, no key at or
+    past ceil(24 * order), and sums and differences equal to the coefficientwise
+    ones cut at the lower order."""
+    a = QSeries(oa, ca)
+    keys = sorted(a.coeffs)
+    cb = dict(cb)
+    for i, sign in shared:
+        if keys:
+            k = keys[i % len(keys)]
+            cb[k] = a.coeffs[k] * sign  # cancels in a - b (sign 1) or a + b (sign -1)
+    b = QSeries(ob, cb)
+    order = min(a.order, b.order)
+    both = a.coeffs.keys() | b.coeffs.keys()
+    pairs = {k: (a.coeffs.get(k, ZERO), b.coeffs.get(k, ZERO)) for k in both}
+    assert a + b == QSeries(order, {k: x + y for k, (x, y) in pairs.items()})
+    assert a - b == QSeries(order, {k: x - y for k, (x, y) in pairs.items()})
+    assert a.scale(0).is_zero() and a.scale(ZERO).order == a.order
+    results = [a + b, b + a, a - b, b - a, a * b, b * a, a.scale(s), b.scale(s), a.scale(0)]
+    results += [a.shift(Fraction(e, DEN)), b.shift(Fraction(e, DEN))]
+    for r in results:
+        assert type(r.order) is Fraction
+        assert r == QSeries(r.order, r.coeffs)
+        assert all(type(c) is Scalar and c for c in r.coeffs.values())
+        assert all(k < ceil(r.order * DEN) for k in r.coeffs)
+
+
 def test_eta_matches_pentagonal_number_theorem():
     """prod (1-q^n) = sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
     e = eta(ORDER)
@@ -195,8 +251,24 @@ def test_eta_matches_pentagonal_number_theorem():
 
 def test_eta_inverse_counts_partitions():
     inv = eta_inverse(100)
+    even, odd = _partitions_by_table(99)
     for n in range(100):
-        assert inv.coeff(Fraction(n) - Fraction(1, 24)) == Scalar(partition_count(n))
+        assert inv.coeff(Fraction(n) - Fraction(1, 24)) == Scalar(even[n] + odd[n])
+
+
+def test_partition_counts_match_the_table_whatever_the_growth(monkeypatch):
+    """fock's p(n) reads numeric's Euler table and its parity split fock's
+    distinct-odd table; through n = 320 both equal the O(n^2) oracle, whether
+    the lists grew one entry at a time, in one step, or in strides (the
+    parity split asks first, so its table grows the Euler table too)."""
+    even, odd = _partitions_by_table(320)
+    want = [((e, o), e + o) for e, o in zip(even, odd)]
+    for steps in (range(321), range(320, -1, -1), [*range(0, 321, 37), *range(321)]):
+        monkeypatch.setattr(numeric, "_PARTITIONS", [1])
+        monkeypatch.setattr(fock, "_DISTINCT_ODD", [1])
+        got = {n: (partition_count_by_parity(n), partition_count(n)) for n in steps}
+        assert [got[n] for n in range(321)] == want
+    assert partition_count_by_parity(-1) == (0, 0) and partition_count(-1) == 0
 
 
 def test_eta_inverse_equals_product():
@@ -238,8 +310,9 @@ def test_virasoro_character_leading_terms():
 
 def test_sector_character_is_shifted_partition_count():
     ch = sector_character(1, 2, ORDER)
+    even, odd = _partitions_by_table(11)
     for n in range(12):
-        assert ch.coeff(Fraction(1 + n) - Fraction(1, 24)) == Scalar(partition_count(n))
+        assert ch.coeff(Fraction(1 + n) - Fraction(1, 24)) == Scalar(even[n] + odd[n])
 
 
 def _recompose(parts, order) -> QSeries:
