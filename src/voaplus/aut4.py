@@ -15,13 +15,16 @@ distinct roots ik with k an integer.  Applying rotation_sigma(2) to every
 norm-2 term takes 0.2-0.4 s of CPU through weight 7 and 1.5-1.8 s through
 weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 
-`check_automorphism` compares g(u_k v) with (gu)_k(gv) on basis triples.
-Where g sends each basis state to a scalar times a basis state of its piece
-(theta, torus scalings, phases and their composites), the right side is a
-scaled mode u'_k v' of the same weight pair, so one table per weight pair
-holds each mode from its first read to its second and every u_k v is
-computed once.  The table is dropped with its weight pair; it raises the
-peak RSS of `aut --case theta --max-weight 7` from about 55 to 65 MiB.
+`check_automorphism` compares g(u_k v) with (gu)_k(gv) on basis triples,
+and `automorphism_rows` does so for several maps on one lattice in one sweep
+that builds each u_k v once for all of them.  Where g sends each basis state
+to a scalar times a basis state of its piece (theta, torus scalings, phases
+and their composites), the right side is a scaled mode u'_k v' of the same
+weight pair.  Under theta the partner pair (u', v') is checked when the
+sweep first reads it, so every u_k v is computed once and none is kept:
+`aut --case theta --max-weight 7` peaks at 54 MiB with one full garbage
+collection, where a table holding each mode until its second read peaked at
+64 MiB with nine.
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -239,31 +242,38 @@ def check_automorphism(
 ) -> None:
     """Verify the defining compatibility with every mode on graded bases.
 
-    Adds to the report rep one row each for the vacuum and the conformal
-    vector being fixed, then one row per weight pair (a, b): for all basis
-    states u of weight a, v of weight b and every mode index k whose result
-    weight stays in range, the image of u_k v must equal (image u)_k (image v).
-    A passing pair row reports true, a failing one its first failing case.
-    Each mode u_k v on the basis is computed once when the map sends basis
-    states to multiples of basis states (see `_first_mode_defect`); other
-    images take the mode of the images.
+    Adds to the report rep the rows of `automorphism_rows` for the one map,
+    each named after label."""
+    (rows,) = automorphism_rows([spec], max_weight)
+    for name, actual in rows:
+        rep.check(f"{label}: {name}", location, True, actual)
+
+
+def automorphism_rows(specs: list, max_weight: int) -> list:
+    """Per map of specs, all on one lattice, its check rows (name, actual).
+
+    One row each for the vacuum and the conformal vector being fixed, then one
+    per weight pair (a, b): for all basis states u of weight a, v of weight b
+    and every mode index k whose result weight stays in range, the image of
+    u_k v must equal (image u)_k (image v).  A passing pair row reads true, a
+    failing one its first failing case.  The maps share one sweep, so each
+    basis mode u_k v is built once for all of them (see `_first_mode_defects`).
     """
-    N = spec.lattice
+    N = specs[0].lattice
     W = int(max_weight)
-    for name, s in (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N))):
-        rep.check(f"{label}: {name} fixed", location, True, apply(spec, s) == s)
+    fixed = (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N)))
+    rows = [[(f"{name} fixed", apply(spec, s) == s) for name, s in fixed] for spec in specs]
     bases = {w: graded_basis(N, w, "full") for w in range(W + 1)}
-    images = {w: [apply(spec, b) for b in bases[w]] for w in range(W + 1)}
+    images = [{w: [apply(spec, b) for b in bases[w]] for w in bases} for spec in specs]
     for wu in range(W + 1):
         for wv in range(W + 1):
             ks = range(wu + wv - 1 - W, wu + wv)
-            defect = _first_mode_defect(spec, bases[wu], images[wu], bases[wv], images[wv], ks)
-            rep.check(
-                f"{label}: modes on weights {wu},{wv}",
-                location,
-                True,
-                True if defect is None else defect,
+            defects = _first_mode_defects(
+                specs, bases[wu], [g[wu] for g in images], bases[wv], [g[wv] for g in images], ks
             )
+            for out, defect in zip(rows, defects):
+                out.append((f"modes on weights {wu},{wv}", True if defect is None else defect))
+    return rows
 
 
 def _basis_multiples(basis: list, images: list) -> list:
@@ -286,54 +296,82 @@ def _basis_multiples(basis: list, images: list) -> list:
     return out
 
 
-def _first_mode_defect(spec, us, gus, vs, gvs, ks):
-    """The first (u, v, k) in row order with image(u_k v) != (image u)_k
-    (image v), or None.
+def _scaled(c, t: State) -> State:
+    # c is nonzero, so no coefficient of c t vanishes
+    return t if c == ONE else State._of(t.lattice, {x: c * e for x, e in t.terms.items()})
 
-    When image u = cu u' and image v = cv v' for basis states u', v' of their
-    pieces, as for theta, torus scalings and their composites, the right side
-    is cu cv u'_k v', the mode the left side of (u', v', k) reads.  The row
-    table holds each such mode from its first read to its second, so a map
-    sending the basis one-to-one onto multiples of basis states computes every
-    u_k v once.  Any other image, such as a quarter-turn exponential's, takes
-    its own mode."""
-    gu_at = _basis_multiples(us, gus)
-    gv_at = _basis_multiples(vs, gvs)
-    # a right side reads (i, j, k) exactly when basis states i and j are images
-    u_hit = {at[0] for at in gu_at if at}
-    v_hit = {at[0] for at in gv_at if at}
-    table: dict = {}
 
-    def read(i, j, k, keep):
-        hit = table.pop((i, j, k), None)
-        if hit is None:
-            hit = mode(us[i], k, vs[j])
-            if keep:
-                table[i, j, k] = hit
-        return hit
+def _first_mode_defects(specs, us, gus, vs, gvs, ks) -> list:
+    """Per map, the first (u, v, k) in row order with image(u_k v) !=
+    (image u)_k (image v), or None; gus and gvs hold each map's images.
 
-    for i, (u, gu, at_u) in enumerate(zip(us, gus, gu_at)):
-        for j, (v, gv, at_v) in enumerate(zip(vs, gvs, gv_at)):
-            image = (at_u[0], at_v[0]) if at_u and at_v else None
-            c = at_u[1] * at_v[1] if image else None
-            # a pair that is its own image reads each mode twice in one step
-            own = image == (i, j)
-            keep = not own and i in u_hit and j in v_hit
+    The basis pairs (i, j) are swept in row order, and each step builds u_k v
+    once for all the maps.  When a map sends u_i and v_j to cu u_i' and
+    cv v_j', as theta, torus scalings and their composites do, the right side
+    is cu cv u_i'_k v_j'.  If the image pair (i', j') comes later in row order
+    and is sent back onto (i, j), as under theta, the step builds u_i'_k v_j'
+    too and checks both triples at once: the map then skips (i', j') and keeps
+    only its earliest failing partner as a pending witness, returned when the
+    sweep reaches it.  So an involution of basis lines builds every u_k v once
+    and keeps none.  Any other image, such as a quarter-turn exponential's,
+    takes its own mode."""
+    found = [None] * len(specs)
+    u_at = [_basis_multiples(us, g) for g in gus]
+    v_at = [_basis_multiples(vs, g) for g in gvs]
+    ahead = [set() for _ in specs]  # partner pairs a map has checked early
+    pending = [None] * len(specs)  # ((i', j'), witness): the earliest failing partner
+    live = list(range(len(specs)))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            # per live map that checks (i, j) here: (s, image pair or None,
+            # its scale c, and the partner's scale when (i', j') is checked too)
+            steps = []
+            for s in live:
+                if (i, j) in ahead[s]:
+                    ahead[s].discard((i, j))
+                    if pending[s] and pending[s][0] == (i, j):
+                        found[s] = pending[s][1]
+                    continue
+                at_u, at_v = u_at[s][i], v_at[s][j]
+                if not (at_u and at_v):
+                    steps.append((s, None, None, None))
+                    continue
+                image = (at_u[0], at_v[0])
+                back_u, back_v = u_at[s][image[0]], v_at[s][image[1]]
+                back = None
+                if image > (i, j) and back_u and back_v and (back_u[0], back_v[0]) == (i, j):
+                    back = back_u[1] * back_v[1]
+                    ahead[s].add(image)
+                steps.append((s, image, at_u[1] * at_v[1], back))
             for k in ks:
-                t = read(i, j, k, keep)
-                lhs = apply(spec, t)
-                if image is None:
-                    rhs = mode(gu, k, gv)
-                else:
-                    if not own:
-                        t = read(*image, k, True)
-                    rhs = t
-                    if c != ONE:
-                        # c is nonzero, so no coefficient of c t vanishes
-                        rhs = State._of(t.lattice, {x: c * e for x, e in t.terms.items()})
-                if lhs != rhs:
-                    return {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
-    return None
+                if not steps:
+                    break
+                t = mode(u, k, v)
+                for s, image, c, back in steps:
+                    lhs = apply(specs[s], t)
+                    if image is None:
+                        rhs = mode(gus[s][i], k, gvs[s][j])
+                    elif image == (i, j):
+                        rhs = _scaled(c, t)
+                    else:
+                        tp = mode(us[image[0]], k, vs[image[1]])
+                        rhs = _scaled(c, tp)
+                        # the partner's first failing k, unless an earlier
+                        # pair's witness is already pending
+                        if back is not None and (pending[s] is None or image < pending[s][0]):
+                            lhs_p, rhs_p = apply(specs[s], tp), _scaled(back, t)
+                            if lhs_p != rhs_p:
+                                pending[s] = (image, {
+                                    "u": us[image[0]], "v": vs[image[1]], "k": k,
+                                    "lhs-minus-rhs": lhs_p - rhs_p,
+                                })
+                    if lhs != rhs:
+                        found[s] = {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
+                steps = [step for step in steps if found[step[0]] is None]
+            live = [s for s in live if found[s] is None]
+            if not live:
+                return found
+    return found
 
 
 def y_basis():

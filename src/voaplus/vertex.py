@@ -29,7 +29,10 @@ Conventions, fixed once here:
     result weighs less than the floor (m+a)^2 N/2 of its sector m+a, or the
     first term is the vacuum and k != -1, `_term_mode` returns one shared
     empty table before it builds the key, and its recursion visits no inner
-    mode that is zero by weight.
+    mode that is zero by weight.  The same holds for a single Heisenberg
+    part h(-j)1, whose mode k is (-1)^(j-1) C(k, j-1) h(n), n = k - j + 1:
+    it is zero for 0 <= k < j - 1, and on (m, mu) when n > 0 is no part of
+    mu or when n = 0 = m, so no zero table of a single-part term is stored.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -81,8 +84,9 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
-# What `_term_mode` returns, unstored, for a key that is zero by weight;
-# callers only read term tables, so one shared dict is safe.
+# What `_term_mode` returns, unstored, for a key that is zero by weight or by
+# the single-part Heisenberg rule; callers only read term tables, so one
+# shared dict is safe.
 _ZERO_BY_WEIGHT: dict = {}
 
 
@@ -131,11 +135,22 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     """
     # the result (m+a, nu) weighs w_out = (a^2+m^2)N/2 + |lam| + |mu| - k - 1,
     # and no term of sector m+a weighs less than (m+a)^2 N/2, so it is zero
-    # unless room = w_out - (m+a)^2 N/2 = |nu| is nonnegative; the vacuum's
-    # only nonzero mode is the identity, mode -1
+    # unless room = w_out - (m+a)^2 N/2 = |nu| is nonnegative
     room = sum(lam) + sum(mu) - k - 1 - a * m * N
-    if room < 0 or (a == 0 and not lam and k != -1):
+    if room < 0:
         return _ZERO_BY_WEIGHT
+    if a == 0 and len(lam) < 2:
+        if not lam:
+            # the vacuum's only nonzero mode is the identity, mode -1
+            if k != -1:
+                return _ZERO_BY_WEIGHT
+        else:
+            # (0, (j,)) is h(-j)1, whose mode k is (-1)^(j-1) C(k, j-1) h(n),
+            # n = k - j + 1: zero for 0 <= k < j - 1, and on (m, mu) zero
+            # when n > 0 is no part of mu or n = 0 = m (h(0) is m N there)
+            n = k - lam[0] + 1
+            if (n > 0 and n not in mu) or (n == 0 and m == 0) or n < 0 <= k:
+                return _ZERO_BY_WEIGHT
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
     if hit is not None:

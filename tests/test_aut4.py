@@ -1,5 +1,6 @@
 """Tests for the finite-order automorphisms and the weight-4 computation."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from voaplus.aut4 import (
     y_basis,
     _line_permutation,
 )
-from voaplus.fock import State, graded_basis, graded_dim, weight_terms
+from voaplus.fock import State, graded_basis, graded_dim, theta, weight_terms
 from voaplus.linalg import kernel_basis, solve_columns
 from voaplus.numeric import I, ONE, ZERO, Scalar
 from voaplus.report import Report, encode_value, render_json
@@ -242,6 +243,106 @@ def test_basis_line_maps_compute_each_triple_mode_once(monkeypatch):
         dims = [graded_dim(N, w) for w in range(4)]
         assert len(calls) == triples == 4 * sum(a * b for a in dims for b in dims)
     assert _automorphism_rows(rotation_sigma(1), 2).status == "pass"
+
+
+# The failing rows of theta with the coefficient of e^(-alpha) doubled in every
+# image, as a plain sweep that checks each triple at its own place in row
+# order reports them: (weight pair, u, v, k), with u and v basis terms of
+# coefficient one, and the sha256 of the encoded failing rows.
+DOUBLED_E_MINUS_ROWS = [
+    ("1,0", (1, ()), (0, ()), -3),
+    ("1,1", (-1, ()), (1, ()), -2),
+    ("1,2", (0, (1,)), (1, (1,)), 1),
+    ("1,3", (0, (1,)), (1, (2,)), 2),
+    ("2,1", (-1, (1,)), (1, ()), -1),
+    ("2,2", (0, (1, 1)), (1, (1,)), 2),
+    ("2,3", (0, (1, 1)), (1, (1, 1)), 3),
+    ("3,1", (-1, (1, 1)), (1, ()), 0),
+    ("3,2", (0, (1, 1, 1)), (1, (1,)), 3),
+    ("3,3", (0, (1, 1, 1)), (1, (1, 1)), 4),
+]
+DOUBLED_E_MINUS_DIGEST = "003b868905a2016d2be41c642e3568d8c8394dbcbfc1f1c4bf59002ff533fffc"
+
+
+def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
+    def doubled(s):
+        out = theta(s)
+        if (-1, ()) in out.terms:
+            return State(s.lattice, out.terms | {(-1, ()): out.terms[-1, ()] * 2})
+        return out
+
+    monkeypatch.setattr(aut4, "theta", doubled)
+    spec = theta_spec(2)
+    rep = _automorphism_rows(spec, 3)
+    failing = [c for c in rep.checks if c.status == "fail"]
+    rows, at_partner = [], 0
+    for c in failing:
+        u, v, k, diff = (c.actual[key] for key in ("u", "v", "k", "lhs-minus-rhs"))
+        assert diff == apply(spec, mode(u, k, v)) - mode(apply(spec, u), k, apply(spec, v))
+        ((tu, cu),), ((tv, cv),) = u.terms.items(), v.terms.items()
+        assert cu == cv == ONE
+        rows.append((c.name.removeprefix("spec: modes on weights "), tu, tv, k))
+        # the row's image pair comes first in row order, so its failing triple
+        # was found while the sweep checked that earlier pair
+        at = [
+            {next(iter(b.terms)): i for i, b in enumerate(graded_basis(2, s.weight()))}
+            for s in (u, v)
+        ]
+        (gu,), (gv,) = theta(u).terms, theta(v).terms
+        at_partner += (at[0][gu], at[1][gv]) < (at[0][tu], at[1][tv])
+    assert rows == DOUBLED_E_MINUS_ROWS
+    assert at_partner >= 5
+    blob = json.dumps([[c.name, encode_value(c.actual)] for c in failing], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == DOUBLED_E_MINUS_DIGEST
+
+
+TORUS_SCALINGS = (("2", Scalar(2)), ("-1", Scalar(-1)), ("i", I))
+
+
+def _single_map_rows(max_weight):
+    rep = Report("aut")
+    for tag, c in TORUS_SCALINGS:
+        check_automorphism(rep, torus_spec(8, c), max_weight, f"sector scaling c={tag}", "torus-check")
+    return [(c.name, c.status, c.expected, c.actual) for c in rep.checks]
+
+
+def test_one_sweep_checks_the_three_torus_scalings(monkeypatch):
+    calls = []
+    real = aut4.mode
+    monkeypatch.setattr(aut4, "mode", lambda u, k, v: calls.append(k) or real(u, k, v))
+    rep = cli._aut_report("torus", 4)
+    swept = len(calls)
+    calls.clear()
+    singles = _single_map_rows(4)
+    # one call per (u, v, k): five mode indices per weight pair at W = 4
+    dims = [graded_dim(8, w) for w in range(5)]
+    assert swept == 5 * sum(a * b for a in dims for b in dims) == 980
+    assert len(calls) == 3 * swept
+    rows = [(c.name, c.status, c.expected, c.actual) for c in rep.checks if c.location == "torus-check"]
+    assert rows == singles and rep.status == "pass"
+    # each block of 2 + 25 rows is followed by its conjugation row
+    assert [c.location for c in rep.checks] == 3 * (27 * ["torus-check"] + ["torus-conjugation"])
+
+
+def test_a_wrong_torus_scaling_fails_only_its_own_rows(monkeypatch):
+    # the scaling by i with an extra (-1)^(number of parts) negates alpha(-1)
+    # but not the alpha(0)-eigenvalues of the sectors +-1 at weight 4, so it
+    # is no automorphism
+    wrong = torus_spec(8, I)
+    real = aut4.apply
+
+    def twisted(spec, s):
+        out = real(spec, s)
+        if spec != wrong:
+            return out
+        return State._of(s.lattice, {t: c * (-1) ** len(t[1]) for t, c in out.terms.items()})
+
+    monkeypatch.setattr(aut4, "apply", twisted)
+    rep = cli._aut_report("torus", 4)
+    rows = [(c.name, c.status, c.expected, c.actual) for c in rep.checks if c.location == "torus-check"]
+    assert rows == _single_map_rows(4)
+    failing = [name for name, status, _, _ in rows if status == "fail"]
+    assert failing and all(name.startswith("sector scaling c=i: modes") for name in failing)
 
 
 def test_an_image_outside_the_piece_fails_with_a_witness(monkeypatch):

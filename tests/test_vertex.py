@@ -209,10 +209,38 @@ def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
     assert checked > 30000 and 0 < nonzero < checked
     # no key that is zero by weight was stored, recursion included
     assert vertex._MODE_CACHE
-    for N, a, lam, k, m, mu in vertex._MODE_CACHE:
+    for (N, a, lam, k, m, mu), table in vertex._MODE_CACHE.items():
         w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
         assert w_out >= (m + a) ** 2 * N // 2
         assert lam or a != 0 or k == -1
+        # nor a single-part Heisenberg mode that is zero
+        assert table or a != 0 or len(lam) != 1
+
+
+def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
+    # (0, (j,)) is h(-j)1, whose mode k is a multiple of h(k - j + 1); every
+    # key of the grid whose oracle table is empty comes back as the shared
+    # empty table and adds nothing to the mode table, recursion included
+    vertex.clear_mode_cache()
+    small = [mu for n in range(5) for mu in partitions(n)]
+    zeros = nonzero = 0
+    for N in (2, 4, 6):
+        cache = {}
+        for j, m, mu in iter_product(range(1, 5), range(-2, 3), small):
+            for k in range(-j - 2, j + sum(mu) + 2):
+                want = _term_mode_by_fractions(N, 0, (j,), k, m, mu, cache)
+                stored = len(vertex._MODE_CACHE)
+                got = vertex._term_mode(N, 0, (j,), k, m, mu)
+                if want:
+                    w_out = m * m * N // 2 + j + sum(mu) - k - 1
+                    assert {t: Fraction(c, factorial(w_out)) for t, c in got.items()} == want
+                    nonzero += 1
+                else:
+                    assert got is vertex._ZERO_BY_WEIGHT
+                    assert len(vertex._MODE_CACHE) == stored
+                    zeros += 1
+    assert not vertex._ZERO_BY_WEIGHT
+    assert zeros > 1000 and nonzero > 1000
 
 
 def test_poly_binom_handles_negative_upper_index():
