@@ -20,11 +20,14 @@ and `automorphism_rows` does so for several maps on one lattice in one sweep
 that builds each u_k v once for all of them.  Where g sends each basis state
 to a scalar times a basis state of its piece (theta, torus scalings, phases
 and their composites), the right side is a scaled mode u'_k v' of the same
-weight pair.  Under theta the partner pair (u', v') is checked when the
-sweep first reads it, so every u_k v is computed once and none is kept:
-`aut --case theta --max-weight 7` peaks at 54 MiB with one full garbage
-collection, where a table holding each mode until its second read peaked at
-64 MiB with nine.
+weight pair.  Two rules make each such mode one build and keep none.  A
+pair whose image pair comes earlier in row order and is sent back onto it,
+as under theta, is skipped: the earlier pair checked both triples.  And each
+map keeps one record of its earliest failure in row order, replaced by any
+earlier failing triple, and leaves the sweep once the sweep has passed that
+pair.  `aut --case theta --max-weight 7` peaks at 54 MiB with one full
+garbage collection, where a table holding each mode until its second read
+peaked at 64 MiB with nine.
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import partial
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
-from .fock import State, coordinates, form, graded_basis, graded_dim, theta, weight_terms
+from .fock import State, check_lattice, coordinates, form, graded_basis, graded_dim, theta, weight_terms
 from .linalg import EchelonBasis, kernel_basis, rank, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
@@ -65,6 +68,7 @@ class AutomorphismSpec:
     def __init__(self, kind: str, lattice: int, payload: tuple = ()):
         if kind not in ("theta", "torus", "exp", "compose"):
             raise ValueError(f"unknown automorphism kind {kind!r}")
+        check_lattice(lattice)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "payload", payload)
@@ -264,36 +268,35 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
     fixed = (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N)))
     rows = [[(f"{name} fixed", apply(spec, s) == s) for name, s in fixed] for spec in specs]
     bases = {w: graded_basis(N, w, "full") for w in range(W + 1)}
-    images = [{w: [apply(spec, b) for b in bases[w]] for w in bases} for spec in specs]
+    lines = [{} for _ in specs]  # per map and weight: _line of each basis state
+    for w, basis in bases.items():
+        index = {}  # the term of each one-term basis state: (its place, coefficient)
+        for i, b in enumerate(basis):
+            if len(b.terms) == 1:
+                ((t, c),) = b.terms.items()
+                index[t] = (i, c)
+        for spec, out in zip(specs, lines):
+            out[w] = [_line(apply(spec, b), index) for b in basis]
     for wu in range(W + 1):
         for wv in range(W + 1):
             ks = range(wu + wv - 1 - W, wu + wv)
             defects = _first_mode_defects(
-                specs, bases[wu], [g[wu] for g in images], bases[wv], [g[wv] for g in images], ks
+                specs, bases[wu], bases[wv], [g[wu] for g in lines], [g[wv] for g in lines], ks
             )
             for out, defect in zip(rows, defects):
                 out.append((f"modes on weights {wu},{wv}", True if defect is None else defect))
     return rows
 
 
-def _basis_multiples(basis: list, images: list) -> list:
-    """Per image, (i, c) when it is c times basis[i] for a one-term basis
-    state; None for any other image."""
-    index = {}
-    for i, b in enumerate(basis):
-        if len(b.terms) == 1:
-            ((t, c),) = b.terms.items()
-            index[t] = (i, c)
-    out = []
-    for g in images:
-        hit = None
-        if len(g.terms) == 1:
-            ((t, c),) = g.terms.items()
-            if t in index:
-                i, cb = index[t]
-                hit = (i, c / cb)
-        out.append(hit)
-    return out
+def _line(g: State, index: dict) -> tuple:
+    """(g, (i, c)) when the image g is c times the one-term basis state at
+    place i of its piece, else (g, None)."""
+    if len(g.terms) == 1:
+        ((t, c),) = g.terms.items()
+        hit = index.get(t)
+        if hit is not None:
+            return g, (hit[0], c / hit[1])
+    return g, None
 
 
 def _scaled(c, t: State) -> State:
@@ -301,77 +304,70 @@ def _scaled(c, t: State) -> State:
     return t if c == ONE else State._of(t.lattice, {x: c * e for x, e in t.terms.items()})
 
 
-def _first_mode_defects(specs, us, gus, vs, gvs, ks) -> list:
+def _first_mode_defects(specs, us, vs, u_lines, v_lines, ks) -> list:
     """Per map, the first (u, v, k) in row order with image(u_k v) !=
-    (image u)_k (image v), or None; gus and gvs hold each map's images.
+    (image u)_k (image v), or None; u_lines and v_lines hold each map's
+    `_line` of every basis state.
 
     The basis pairs (i, j) are swept in row order, and each step builds u_k v
     once for all the maps.  When a map sends u_i and v_j to cu u_i' and
     cv v_j', as theta, torus scalings and their composites do, the right side
-    is cu cv u_i'_k v_j'.  If the image pair (i', j') comes later in row order
-    and is sent back onto (i, j), as under theta, the step builds u_i'_k v_j'
-    too and checks both triples at once: the map then skips (i', j') and keeps
-    only its earliest failing partner as a pending witness, returned when the
-    sweep reaches it.  So an involution of basis lines builds every u_k v once
-    and keeps none.  Any other image, such as a quarter-turn exponential's,
-    takes its own mode."""
-    found = [None] * len(specs)
-    u_at = [_basis_multiples(us, g) for g in gus]
-    v_at = [_basis_multiples(vs, g) for g in gvs]
-    ahead = [set() for _ in specs]  # partner pairs a map has checked early
-    pending = [None] * len(specs)  # ((i', j'), witness): the earliest failing partner
-    live = list(range(len(specs)))
+    is cu cv u_i'_k v_j'.  Two rules keep each such mode to one build:
+    - skip: if the image pair (i', j') is sent back onto (i, j), as under
+      theta, the earlier of the two pairs checks both triples, and the map
+      skips the later one;
+    - earliest failure: each map keeps one record ((i, j, k), witness), which
+      a failing triple replaces when its (i, j, k) comes first; the map
+      leaves the sweep once the sweep has passed the recorded pair.
+    So an involution of basis lines builds every u_k v once and keeps none.
+    Any other image, such as a quarter-turn exponential's, takes its own mode.
+    """
+    first = [None] * len(specs)
+
+    def check(s, key, u, v, t, rhs):
+        # records image(t) != rhs as the failing triple key = (i, j, k) of u_k v
+        if first[s] is None or key < first[s][0]:
+            lhs = apply(specs[s], t)
+            if lhs != rhs:
+                first[s] = (key, {"u": u, "v": v, "k": key[2], "lhs-minus-rhs": lhs - rhs})
+
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            # per live map that checks (i, j) here: (s, image pair or None,
-            # its scale c, and the partner's scale when (i', j') is checked too)
+            # (s, image pair or None, its scale, the partner's scale or None)
+            # per map that checks (i, j) here
             steps = []
-            for s in live:
-                if (i, j) in ahead[s]:
-                    ahead[s].discard((i, j))
-                    if pending[s] and pending[s][0] == (i, j):
-                        found[s] = pending[s][1]
-                    continue
-                at_u, at_v = u_at[s][i], v_at[s][j]
+            for s, f in enumerate(first):
+                if f is not None and f[0] < (i, j):
+                    continue  # the sweep has passed this map's earliest failure
+                at_u, at_v = u_lines[s][i][1], v_lines[s][j][1]
                 if not (at_u and at_v):
                     steps.append((s, None, None, None))
                     continue
                 image = (at_u[0], at_v[0])
-                back_u, back_v = u_at[s][image[0]], v_at[s][image[1]]
+                back_u, back_v = u_lines[s][image[0]][1], v_lines[s][image[1]][1]
                 back = None
-                if image > (i, j) and back_u and back_v and (back_u[0], back_v[0]) == (i, j):
+                if image != (i, j) and back_u and back_v and (back_u[0], back_v[0]) == (i, j):
+                    if image < (i, j):
+                        continue  # the partner pair checked this one
                     back = back_u[1] * back_v[1]
-                    ahead[s].add(image)
                 steps.append((s, image, at_u[1] * at_v[1], back))
             for k in ks:
                 if not steps:
                     break
                 t = mode(u, k, v)
                 for s, image, c, back in steps:
-                    lhs = apply(specs[s], t)
                     if image is None:
-                        rhs = mode(gus[s][i], k, gvs[s][j])
+                        check(s, (i, j, k), u, v, t, mode(u_lines[s][i][0], k, v_lines[s][j][0]))
                     elif image == (i, j):
-                        rhs = _scaled(c, t)
+                        check(s, (i, j, k), u, v, t, _scaled(c, t))
                     else:
                         tp = mode(us[image[0]], k, vs[image[1]])
-                        rhs = _scaled(c, tp)
-                        # the partner's first failing k, unless an earlier
-                        # pair's witness is already pending
-                        if back is not None and (pending[s] is None or image < pending[s][0]):
-                            lhs_p, rhs_p = apply(specs[s], tp), _scaled(back, t)
-                            if lhs_p != rhs_p:
-                                pending[s] = (image, {
-                                    "u": us[image[0]], "v": vs[image[1]], "k": k,
-                                    "lhs-minus-rhs": lhs_p - rhs_p,
-                                })
-                    if lhs != rhs:
-                        found[s] = {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
-                steps = [step for step in steps if found[step[0]] is None]
-            live = [s for s in live if found[s] is None]
-            if not live:
-                return found
-    return found
+                        check(s, (i, j, k), u, v, t, _scaled(c, tp))
+                        if back is not None:
+                            check(s, image + (k,), us[image[0]], vs[image[1]], tp, _scaled(back, t))
+                # a map that failed at (i, j, k) checks no later k of the pair
+                steps = [st for st in steps if first[st[0]] is None or first[st[0]][0] != (i, j, k)]
+    return [f and f[1] for f in first]
 
 
 def y_basis():

@@ -40,10 +40,24 @@ def _canonical_partition(parts) -> tuple[int, ...]:
     return lam
 
 
+def _check_term(t) -> None:
+    """Raise ValueError unless t is a term: an int sector and a partition
+    given as a non-increasing tuple of positive ints."""
+    if not (
+        type(t) is tuple
+        and len(t) == 2
+        and isinstance(t[0], int)
+        and type(t[1]) is tuple
+        and _canonical_partition(t[1]) == t[1]
+    ):
+        raise ValueError(f"a term is (int sector, non-increasing tuple of positive ints), got {t!r}")
+
+
 class State:
     """A finite linear combination of Fock terms over one lattice.
 
-    Wraps {term: Scalar} with no stored zeros.  States add, subtract and scale;
+    Wraps {term: Scalar} with no stored zeros; the constructor refuses a
+    malformed term (see `_check_term`).  States add, subtract and scale;
     equality is structural.  Nothing writes to `terms` after construction,
     so a State derives its integer form (see `_integer_form`) once, on first
     use, and keeps it.
@@ -57,6 +71,7 @@ class State:
         clean = {}
         if terms:
             for t, c in terms.items():
+                _check_term(t)
                 c = Scalar.coerce(c)
                 if c:
                     clean[t] = c

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from voaplus.aut4 import (
     AutomorphismSpec,
     SpectralError,
     apply,
+    automorphism_rows,
     check_automorphism,
     compose_specs,
     e_fixed_check,
@@ -57,6 +59,10 @@ def test_spec_validation():
         compose_specs(theta_spec(2), theta_spec(4))
     with pytest.raises(ValueError):
         apply(theta_spec(4), ALPHA)  # lattice mismatch
+    for lattice in (3, -2, 0, 2.0, "2"):
+        for build in (partial(AutomorphismSpec, "theta"), theta_spec, partial(torus_spec, c=1)):
+            with pytest.raises(ValueError, match="lattice norm"):
+                build(lattice)
 
 
 def test_a_spec_is_an_immutable_value():
@@ -264,16 +270,23 @@ DOUBLED_E_MINUS_ROWS = [
 DOUBLED_E_MINUS_DIGEST = "003b868905a2016d2be41c642e3568d8c8394dbcbfc1f1c4bf59002ff533fffc"
 
 
-def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
-    def doubled(s):
-        out = theta(s)
-        if (-1, ()) in out.terms:
-            return State(s.lattice, out.terms | {(-1, ()): out.terms[-1, ()] * 2})
-        return out
+def _doubled_e_minus(s):
+    out = theta(s)
+    if (-1, ()) in out.terms:
+        return State(s.lattice, out.terms | {(-1, ()): out.terms[-1, ()] * 2})
+    return out
 
-    monkeypatch.setattr(aut4, "theta", doubled)
+
+def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
+    calls = []
+    real = aut4.mode
+    monkeypatch.setattr(aut4, "mode", lambda u, k, v: calls.append(k) or real(u, k, v))
+    monkeypatch.setattr(aut4, "theta", _doubled_e_minus)
     spec = theta_spec(2)
     rep = _automorphism_rows(spec, 3)
+    # each weight pair's sweep stops building modes at its earliest failure:
+    # 654 of the 900 calls of the passing sweep
+    assert len(calls) == 654
     failing = [c for c in rep.checks if c.status == "fail"]
     rows, at_partner = [], 0
     for c in failing:
@@ -343,6 +356,21 @@ def test_a_wrong_torus_scaling_fails_only_its_own_rows(monkeypatch):
     assert rows == _single_map_rows(4)
     failing = [name for name, status, _, _ in rows if status == "fail"]
     assert failing and all(name.startswith("sector scaling c=i: modes") for name in failing)
+
+
+def test_a_mixed_sweep_matches_each_map_alone(monkeypatch):
+    # theta skips the partner pairs it checked early; the torus scaling by 3
+    # sends every basis state to a multiple of itself and checks every pair
+    specs = [theta_spec(2), torus_spec(2, 3)]
+    singles = [automorphism_rows([spec], 3)[0] for spec in specs]
+    assert automorphism_rows(specs, 3) == singles
+
+    monkeypatch.setattr(aut4, "theta", _doubled_e_minus)
+    mixed = automorphism_rows(specs, 3)
+    assert mixed == [automorphism_rows([spec], 3)[0] for spec in specs]
+    theta_rows, torus_rows = mixed
+    assert sum(actual is not True for _, actual in theta_rows) == 10
+    assert all(actual is True for _, actual in torus_rows)
 
 
 def test_an_image_outside_the_piece_fails_with_a_witness(monkeypatch):

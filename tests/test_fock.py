@@ -51,6 +51,12 @@ def test_state_validation_and_weight():
         State.of_term(3, 0)  # odd lattice norm
     with pytest.raises(ValueError):
         State.of_term(2, 0, (0,))  # nonpositive part
+    # a term given directly must already be canonical: an int sector and a
+    # non-increasing tuple of positive ints, so equal states have equal terms
+    malformed = [(0, (1, 2)), (0, (0, -1)), (0, (2, 0)), (0, (1.5,)), (1.0, ()), ("1", ()), ((0, ()),), (0, 1)]
+    for term in malformed:
+        with pytest.raises(ValueError):
+            State(2, {term: 1})
     with pytest.raises(LatticeMismatch):
         State.of_term(2, 0) + State.of_term(4, 0)
     mixed = State.of_term(2, 0) + State.of_term(2, 0, (1,))
