@@ -374,7 +374,6 @@ def weight_terms(N: int, w) -> list[Term]:
         rest = w - (m * m * N) // 2
         for lam in sorted(partitions(rest)):
             out.append((m, lam))
-    out.sort(key=lambda t: (t[0], t[1]))
     return out
 
 

@@ -30,6 +30,7 @@ from .numeric import (
 from .fock import (
     LatticeMismatch,
     State,
+    check_lattice,
     coordinates,
     graded_basis,
     graded_coordinates,
@@ -66,6 +67,9 @@ class GradedSubspace:
     def __init__(self, lattice: int, max_weight: int, bound: str = "full"):
         if bound not in BOUNDS:
             raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
+        check_lattice(lattice)
+        if max_weight != int(max_weight):
+            raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
         self.lattice = lattice
         self.max_weight = int(max_weight)
         self.bound = bound

@@ -25,14 +25,13 @@ Conventions, fixed once here:
     triple by its gcd, and only nonzero terms are kept, so re-validation would
     check nothing.  No Fraction is built.  The public constructors keep every
     check for values from outside.
-  * A term mode that is zero by weight is never computed or stored: when the
-    result weighs less than the floor (m+a)^2 N/2 of its sector m+a, or the
-    first term is the vacuum and k != -1, `_term_mode` returns one shared
-    empty table before it builds the key, and its recursion visits no inner
-    mode that is zero by weight.  The same holds for a single Heisenberg
-    part h(-j)1, whose mode k is (-1)^(j-1) C(k, j-1) h(n), n = k - j + 1:
-    it is zero for 0 <= k < j - 1, and on (m, mu) when n > 0 is no part of
-    mu or when n = 0 = m, so no zero table of a single-part term is stored.
+  * A term mode that is zero by weight, its result lighter than the floor
+    (m+a)^2 N/2 of its sector m+a, is never computed or stored: `_term_mode`
+    returns one shared empty table before it builds the key, and its
+    recursion visits no inner mode that is zero by weight.  Nor is a mode of
+    the vacuum or of a single Heisenberg part h(-j)1 ever stored: each is read
+    off in closed form, the vacuum's mode k as the identity at k = -1 and zero
+    otherwise, and h(-j)1's as (-1)^(j-1) C(k, j-1) h(k - j + 1).
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -75,6 +74,18 @@ def _merge_parts(*part_groups) -> tuple:
     return tuple(merged)
 
 
+def _annihilate(N: int, n: int, m: int, mu: tuple) -> tuple:
+    """h(n), n >= 0, on the term (m, mu), as (factor, parts of the result):
+    h(0) is m N, and h(n) removes one part n with factor (count of n) n N."""
+    if n == 0:
+        return m * N, mu
+    cnt = mu.count(n)
+    if not cnt:
+        return 0, mu
+    i = mu.index(n)
+    return cnt * n * N, mu[:i] + mu[i + 1:]
+
+
 # Term-mode table.  `cli.run` empties it at the start of every invocation and
 # before each part of `all`, so it lives for one report part.
 _MODE_CACHE: dict = {}
@@ -84,9 +95,9 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
-# What `_term_mode` returns, unstored, for a key that is zero by weight or by
-# the single-part Heisenberg rule; callers only read term tables, so one
-# shared dict is safe.
+# What `_term_mode` returns, unstored, for a key that is zero by weight or
+# whose closed form (vacuum or h(-j)1) is zero; callers only read term
+# tables, so one shared dict is safe.
 _ZERO_BY_WEIGHT: dict = {}
 
 
@@ -140,31 +151,31 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     if room < 0:
         return _ZERO_BY_WEIGHT
     if a == 0 and len(lam) < 2:
+        # closed forms, never stored: the vacuum's Y is the identity, and
+        # h(-j)1's is d^(j-1)h(z)/(j-1)!, with mode k (-1)^(j-1) C(k, j-1) h(n)
         if not lam:
-            # the vacuum's only nonzero mode is the identity, mode -1
-            if k != -1:
-                return _ZERO_BY_WEIGHT
+            c = 1 if k == -1 else 0
         else:
-            # (0, (j,)) is h(-j)1, whose mode k is (-1)^(j-1) C(k, j-1) h(n),
-            # n = k - j + 1: zero for 0 <= k < j - 1, and on (m, mu) zero
-            # when n > 0 is no part of mu or n = 0 = m (h(0) is m N there)
-            n = k - lam[0] + 1
-            if (n > 0 and n not in mu) or (n == 0 and m == 0) or n < 0 <= k:
-                return _ZERO_BY_WEIGHT
+            j = lam[0]
+            n = k - j + 1
+            if n >= 0:
+                c, mu = _annihilate(N, n, m, mu)
+            else:
+                c, mu = 1, _merge_parts(mu, (-n,))
+            c *= (-1) ** (j - 1) * poly_binom(k, j - 1)
+        if not c:
+            return _ZERO_BY_WEIGHT
+        return {(m, mu): c * factorial(room + m * m * N // 2)}
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
     if hit is not None:
         return hit
 
     if not lam:
-        result = _lattice_term_mode(N, a, k, m, mu)
-        _MODE_CACHE[key] = result
+        _MODE_CACHE[key] = result = _lattice_term_mode(N, a, k, m, mu)
         return result
 
     j, rest = lam[0], lam[1:]
-    # with a = 0 and rest = () the inner mode is a vacuum mode, nonzero only
-    # at index k - n - j = -1 (annihilation) or k + t - j = -1 (creation)
-    inner_vacuum = a == 0 and not rest
     out: dict = {}
     # (1/(j-1)!) d^(j-1)/dz^(j-1) of g(n) z^(-n-1) is
     # (-1)^(j-1) C(n+j-1, j-1) g(n) z^(-n-j)
@@ -172,21 +183,10 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
 
     # annihilation side: g(n), n >= 0, acts on (m, mu) first; the inner
     # result already has weight w_out, so it shares the denominator
-    ann_indices = [0] if m != 0 else []
-    ann_indices.extend(sorted(set(mu)))
+    ann_indices = ([0] if m else []) + sorted(set(mu))
     for n in ann_indices:
-        if inner_vacuum and n != k - j + 1:
-            continue
-        if n == 0:
-            hscale = m * N
-            inner_operand = (m, mu)
-        else:
-            cnt = mu.count(n)
-            hscale = cnt * n * N
-            lst = list(mu)
-            lst.remove(n)
-            inner_operand = (m, tuple(lst))
-        inner = _term_mode(N, a, rest, k - n - j, *inner_operand)
+        hscale, inner_mu = _annihilate(N, n, m, mu)
+        inner = _term_mode(N, a, rest, k - n - j, m, inner_mu)
         if inner:
             factor = sign * comb(n + j - 1, j - 1) * hscale
             for t, c in inner.items():
@@ -197,11 +197,8 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     # sign * C(j-1-t, j-1) is 0 for 1 <= t < j and C(t-1, j-1) for t >= j,
     # and the inner result is zero by weight once t > room
     w_out = room + (m + a) * (m + a) * N // 2
-    t_lo, t_hi = j, room
-    if inner_vacuum:
-        t_lo, t_hi = max(t_lo, j - 1 - k), min(t_hi, j - 1 - k)
-    lift = perm(w_out, t_lo - 1)
-    for t in range(t_lo, t_hi + 1):
+    lift = perm(w_out, j - 1)
+    for t in range(j, room + 1):
         lift *= w_out - t + 1
         inner = _term_mode(N, a, rest, k + t - j, m, mu)
         if inner:

@@ -218,6 +218,14 @@ def test_generator_action_is_contained_in_all_pairs_without_omega():
         assert all(oracle.contains(b) for b in got.basis_states(w))
 
 
+def test_a_bad_lattice_or_weight_window_is_refused():
+    # an odd or nonpositive lattice norm, or a weight window that is no integer
+    for lattice, W in ((3, 4), (0, 4), (-2, 4), (2, 4.9), (2, Fraction(9, 2)), (2, "4")):
+        with pytest.raises(ValueError):
+            GradedSubspace(lattice, W)
+    assert GradedSubspace(2, Fraction(4)).dims() == [0] * 5
+
+
 def test_each_bound_is_filled_by_its_graded_basis_and_refuses_what_lies_outside():
     for N in (2, 4, 6):
         for bound in ("full", "plus", "pair+:0"):

@@ -212,35 +212,58 @@ def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
     for (N, a, lam, k, m, mu), table in vertex._MODE_CACHE.items():
         w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
         assert w_out >= (m + a) ** 2 * N // 2
-        assert lam or a != 0 or k == -1
-        # nor a single-part Heisenberg mode that is zero
-        assert table or a != 0 or len(lam) != 1
+        # nor a mode of the vacuum or of a single Heisenberg part
+        assert a != 0 or len(lam) >= 2
 
 
 def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
-    # (0, (j,)) is h(-j)1, whose mode k is a multiple of h(k - j + 1); every
-    # key of the grid whose oracle table is empty comes back as the shared
-    # empty table and adds nothing to the mode table, recursion included
+    # (0, (j,)) is h(-j)1, whose mode k is a multiple of h(k - j + 1), and
+    # (0, ()) the vacuum: every key of the grid matches the oracle and adds
+    # nothing to the mode table, and one whose oracle table is empty comes
+    # back as the shared empty table
     vertex.clear_mode_cache()
     small = [mu for n in range(5) for mu in partitions(n)]
     zeros = nonzero = 0
     for N in (2, 4, 6):
         cache = {}
-        for j, m, mu in iter_product(range(1, 5), range(-2, 3), small):
+        for j, m, mu in iter_product(range(5), range(-2, 3), small):
+            lam = (j,) if j else ()
             for k in range(-j - 2, j + sum(mu) + 2):
-                want = _term_mode_by_fractions(N, 0, (j,), k, m, mu, cache)
-                stored = len(vertex._MODE_CACHE)
-                got = vertex._term_mode(N, 0, (j,), k, m, mu)
+                want = _term_mode_by_fractions(N, 0, lam, k, m, mu, cache)
+                got = vertex._term_mode(N, 0, lam, k, m, mu)
                 if want:
                     w_out = m * m * N // 2 + j + sum(mu) - k - 1
                     assert {t: Fraction(c, factorial(w_out)) for t, c in got.items()} == want
                     nonzero += 1
                 else:
                     assert got is vertex._ZERO_BY_WEIGHT
-                    assert len(vertex._MODE_CACHE) == stored
                     zeros += 1
+    assert not vertex._MODE_CACHE
     assert not vertex._ZERO_BY_WEIGHT
     assert zeros > 1000 and nonzero > 1000
+
+
+def test_vacuum_and_single_part_modes_are_their_closed_forms_unstored():
+    # Y(h(-j)1, z) = d^(j-1)h(z)/(j-1)!, whose mode k is
+    # (-1)^(j-1) C(k, j-1) h(k - j + 1); the vacuum's modes are the identity
+    # at k = -1 and zero otherwise
+    stored = len(vertex._MODE_CACHE)
+    calls = 0
+    for N in (2, 4):
+        vac = State.vacuum(N)
+        zero = State(N, {})
+        for b in (b for w in range(6) for b in graded_basis(N, w, "full")):
+            wb = b.weight()
+            for k in range(-3, wb + 1):
+                assert mode(vac, k, b) == (b if k == -1 else zero)
+            for j in range(1, 5):
+                v = State.of_term(N, 0, (j,))
+                for k in range(-j - 3, j + wb + 1):
+                    want = heisenberg(k - j + 1, b) * ((-1) ** (j - 1) * poly_binom(k, j - 1))
+                    assert mode(v, k, b) == want, (N, j, k, b)
+                    calls += 1
+    assert calls > 2000
+    assert len(vertex._MODE_CACHE) == stored
 
 
 def test_poly_binom_handles_negative_upper_index():
