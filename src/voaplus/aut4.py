@@ -11,9 +11,11 @@ x(0) on t.  p is the Lagrange polynomial taking the value i^(kq) at each root
 ik of mu_t (Higham, Functions of Matrices, SIAM 2008, ch. 1).  The module's one
 cache holds the images of all terms of a graded piece, built together, so a
 piece is refused with SpectralError unless every mu_t on it has deg mu_t
-distinct roots ik with k an integer.  Applying rotation_sigma(2) to every
-norm-2 term takes 0.2-0.4 s of CPU through weight 7 and 1.5-1.8 s through
-weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
+distinct roots ik with k an integer, found by an exact scan of the integers
+with k^2 <= a_(m-1)^2 - 2 a_(m-2), their sum of squares, where a_0 + ... +
+u^m is mu_t(iu) made monic (`_integer_roots`).  Applying rotation_sigma(2) to
+every norm-2 term takes 0.10-0.12 s of CPU through weight 7 and 0.55-0.61 s
+through weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 
 `check_automorphism` compares g(u_k v) with (gu)_k(gv) on basis triples,
 and `automorphism_rows` does so for several maps on one lattice in one sweep
@@ -43,9 +45,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import isqrt
 
 from .numeric import I, ONE, Scalar, ZERO, as_fraction
-from .fock import State, check_lattice, coordinates, form, graded_basis, graded_dim, theta, weight_terms
+from .fock import (
+    State,
+    check_lattice,
+    check_window,
+    coordinates,
+    form,
+    graded_basis,
+    graded_dim,
+    theta,
+    weight_terms,
+)
 from .linalg import EchelonBasis, kernel_basis, rank, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
@@ -157,13 +170,28 @@ def _lagrange(ks: list, q: int) -> list:
     return out
 
 
+def _integer_roots(coeffs: list) -> list:
+    """The m distinct integer roots, ascending, of a_0 + a_1 u + ... + u^m
+    (Scalars, low to high), else SpectralError.  Such roots have sum k^2 =
+    a_(m-1)^2 - 2 a_(m-2) (a_(m-2) = 0 when m = 1), so an exact scan of the
+    |k| up to its isqrt finds them; a degree-m polynomial has no more."""
+    a = [c.re for c in coeffs]
+    squares = a[-2] ** 2 - 2 * (a[-3] if len(a) > 2 else 0)
+    band = isqrt(int(max(squares, 0)))
+    ks = [k for k in range(-band, band + 1) if not sum(c * k**j for j, c in enumerate(a))]
+    if any(c.im for c in coeffs) or len(ks) != len(a) - 1:
+        raise SpectralError(f"zero-mode of x is not i*Z-diagonalizable: {coeffs} has roots {ks}")
+    return ks
+
+
 def _term_image(x: State, q: int, term, index: dict) -> dict:
     """{term: Scalar}: the image p(x(0))t of the term t, with p from `_lagrange`.
 
     Each Krylov vector x(0)^j t enters one echelon basis as the row
     (x(0)^j t | e_j), over the d = len(index) terms and d + 1 tags.  A row of
     the span with tag (c_j) has state part sum_j c_j x(0)^j t, so the first
-    residual with a zero state part carries mu_t in its tag, c_m != 0."""
+    residual with a zero state part carries mu_t in its tag, c_m != 0; the
+    roots come from `_integer_roots`, which scans |k| <= isqrt(sum k^2)."""
     d = len(index)
     krylov = [State._of(x.lattice, {term: ONE})]
     ech = EchelonBasis(2 * d + 1)
@@ -178,10 +206,7 @@ def _term_image(x: State, q: int, term, index: dict) -> dict:
     rel = [Scalar(*row.get(d + j, (0, 0))) for j in range(m + 1)]
     # mu_t(iu) / (c_m i^m) = sum_j (c_j / c_m) i^(j-m) u^j, real when its roots are
     coeffs = [c / rel[m] * I ** ((j - m) % 4) for j, c in enumerate(rel)]
-    roots = {} if any(c.im for c in coeffs) else symn.rational_roots([c.re for c in coeffs])[0]
-    ks = sorted(int(k) for k in roots if k.denominator == 1)
-    if len(ks) != m:
-        raise SpectralError(f"zero-mode of x is not i*Z-diagonalizable on the term {term}")
+    ks = _integer_roots(coeffs)
     acc: dict = {}
     for a, v in zip(_lagrange(ks, q), krylov):
         if a:
@@ -264,7 +289,7 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
     basis mode u_k v is built once for all of them (see `_first_mode_defects`).
     """
     N = specs[0].lattice
-    W = int(max_weight)
+    W = check_window(max_weight)
     fixed = (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N)))
     rows = [[(f"{name} fixed", apply(spec, s) == s) for name, s in fixed] for spec in specs]
     bases = {w: graded_basis(N, w, "full") for w in range(W + 1)}
@@ -407,7 +432,7 @@ def e_fixed_check(rep, max_weight: int) -> None:
     """Graded dimensions of the E-fixed subspace against the norm-8 plus space,
     and pointwise fixedness of its basis, as one report row per weight."""
     specs = e_group()
-    for w in range(int(max_weight) + 1):
+    for w in range(check_window(max_weight) + 1):
         efixed = graded_dim(2, w, "efixed")
         target = graded_dim(8, w, "plus")
         fixed = all(apply(spec, b) == b for b in graded_basis(2, w, "efixed") for spec in specs)

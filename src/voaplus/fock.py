@@ -27,6 +27,15 @@ def check_lattice(N: int):
         raise ValueError(f"lattice norm must be a positive even integer, got {N!r}")
 
 
+def check_window(max_weight) -> int:
+    """The top weight W of a window [0, W] as an int; ValueError unless
+    max_weight equals an integer, so a window is never truncated silently."""
+    W = int(max_weight)
+    if W != max_weight:
+        raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
+    return W
+
+
 def term_weight(N: int, term: Term) -> int:
     """m^2 N/2 + |lam|, an integer since the lattice norm N is even."""
     m, lam = term
@@ -88,6 +97,9 @@ class State:
         return s
 
     def __setattr__(self, name, value):
+        raise AttributeError("State is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("State is immutable")
 
     @classmethod
@@ -283,51 +295,25 @@ def partition_count(n: int) -> int:
     return _partition_numbers(n + 1)[n] if n >= 0 else 0
 
 
-# Q(0), Q(1), ...: the numbers of partitions into distinct odd parts, grown
-# like `numeric._PARTITIONS` (a new list per extension, rebound to the name).
-_DISTINCT_ODD = [1]
-
-
-def _distinct_odd_counts(n: int) -> list:
-    """A list holding at least Q(0)..Q(n-1), where Q(k) counts the partitions
-    of k into distinct odd parts.
-
-    prod_{k odd} (1 - q^k) = prod (1 - q^n) / prod (1 - q^2n) multiplies
-    Euler's sum_j (-1)^j q^(j(3j-1)/2), j in Z, by sum_m p(m) q^2m, and its
-    q^k coefficient is (-1)^k Q(k): j distinct odd parts sum to k only when
-    j = k mod 2.
-    """
-    global _DISTINCT_ODD
-    q = _DISTINCT_ODD
-    if len(q) >= n:
-        return q
-    p = _partition_numbers(n // 2 + 1)
-    q = list(q)
-    for k in range(len(q), n):
-        signed = 0
-        j = 0
-        while (g := j * (3 * j - 1) // 2) <= k:  # j = 0, 1, -1, 2, -2, ...: g increases
-            if (k - g) % 2 == 0:
-                signed += -p[(k - g) // 2] if j % 2 else p[(k - g) // 2]
-            j = -j if j > 0 else 1 - j
-        q.append(-signed if k % 2 else signed)
-    _DISTINCT_ODD = q
-    return q
-
-
 def partition_count_by_parity(n: int) -> tuple[int, int]:
     """(number with evenly many parts, number with oddly many parts).
 
-    Their difference d has sum_n d(n) q^n = prod 1/(1 + q^n) = prod_{k odd}
-    (1 - q^k), so d(n) = (-1)^n Q(n) (see `_distinct_odd_counts`).
+    Their difference d has sum_n d(n) q^n = prod 1/(1 + q^n) = prod (1 - q^n)
+    / prod (1 - q^2n), Euler's sum_j (-1)^j q^(j(3j-1)/2), j in Z, times
+    sum_m p(m) q^2m.  So d(n) sums (-1)^j p((n - g)/2) over the pentagonal
+    numbers g = j(3j-1)/2 <= n with n - g even: O(sqrt n) terms, read from
+    the one partition-number table `numeric._partition_numbers`.
     """
     if n < 0:
         return (0, 0)
-    p = partition_count(n)
-    d = _distinct_odd_counts(n + 1)[n]
-    if n % 2:
-        d = -d
-    return ((p + d) // 2, (p - d) // 2)
+    p = _partition_numbers(n + 1)
+    d = 0
+    j = 0
+    while (g := j * (3 * j - 1) // 2) <= n:  # j = 0, 1, -1, 2, -2, ...: g increases
+        if (n - g) % 2 == 0:
+            d += -p[(n - g) // 2] if j % 2 else p[(n - g) // 2]
+        j = -j if j > 0 else 1 - j
+    return ((p[n] + d) // 2, (p[n] - d) // 2)
 
 
 CONSTRAINTS = ("full", "plus", "efixed", "pair+:0", "pair-:0")

@@ -63,6 +63,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     @property
     def re(self) -> Fraction:
         a, _, d = self.abd
@@ -311,6 +314,9 @@ class QSeries:
         return s
 
     def __setattr__(self, name, value):
+        raise AttributeError("QSeries is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("QSeries is immutable")
 
     @classmethod

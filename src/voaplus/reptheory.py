@@ -31,6 +31,7 @@ from .fock import (
     LatticeMismatch,
     State,
     check_lattice,
+    check_window,
     coordinates,
     graded_basis,
     graded_coordinates,
@@ -68,10 +69,8 @@ class GradedSubspace:
         if bound not in BOUNDS:
             raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
         check_lattice(lattice)
-        if max_weight != int(max_weight):
-            raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
         self.lattice = lattice
-        self.max_weight = int(max_weight)
+        self.max_weight = check_window(max_weight)
         self.bound = bound
         self.pieces: dict = {}
 
@@ -205,7 +204,8 @@ def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> G
     rejected.  The dimensions meet the bound's exactly when the closure fills
     it through weight W.
     """
-    W = int(max_weight)
+    sub = GradedSubspace(lattice, max_weight, bound)
+    W = sub.max_weight
     gens = []
     for g in generators:
         if not g.is_homogeneous() or g.is_zero():
@@ -213,7 +213,6 @@ def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> G
         if g.weight() > W:
             raise ValueError("closure generators must have weight within the window")
         gens.append((g, g.weight()))
-    sub = GradedSubspace(lattice, W, bound)
 
     def step(v: State):
         wv = v.weight()
@@ -389,7 +388,8 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
         m_idx, n_idx = n_idx, m_idx
     if n_idx < 1:
         raise ValueError("fusion_span expects positive indices")
-    W = int(max_weight)
+    sub = GradedSubspace(2, max_weight)
+    W = sub.max_weight
     u = lower_u(m_idx)
     v = lower_u(n_idx)
     wu, wv = m_idx * m_idx, n_idx * n_idx
@@ -401,7 +401,7 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
                 yield virasoro(j, s)
 
     seeds = (mode(u, k, v) for k in range(wu + wv - 1 - W, wu + wv))
-    return saturate(GradedSubspace(2, W), seeds, step)
+    return saturate(sub, seeds, step)
 
 
 def _two_lattice_is_square(N: int):
@@ -440,7 +440,7 @@ def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
     multiplicities.
     """
     order = as_fraction(order)
-    W = int(max_weight)
+    W = check_window(max_weight)
     if order <= W:
         raise ValueError("series order must exceed the enumeration weight")
 

@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .linalg import mat_mul, rank
 
-F0 = Fraction(0)
-
 
 def _require_n(n):
     if not isinstance(n, int) or n < 3:
@@ -187,79 +185,6 @@ def has_axis_spectrum(matrix, n: int) -> bool:
     right = [[(n - 2) * x + D if i == j else (n - 2) * x for j, x in enumerate(row)]
              for i, row in enumerate(N)]
     return not any(any(row) for row in mat_mul(left, right))
-
-
-def _divisors(k: int):
-    k = abs(k)
-    out = set()
-    i = 1
-    while i * i <= k:
-        if k % i == 0:
-            out.add(i)
-            out.add(k // i)
-        i += 1
-    return sorted(out)
-
-
-def rational_roots(coeffs):
-    """All rational roots with multiplicity of a rational polynomial, plus the
-    fully deflated (root-free) remainder polynomial."""
-    poly = list(coeffs)
-    while poly and poly[-1] == 0:
-        poly.pop()
-    if not poly:
-        raise ValueError("zero polynomial")
-    ipoly, _ = _over_common_denominator(poly)
-    roots = {}
-    while len(ipoly) > 1:
-        # strip powers of t
-        if ipoly[0] == 0:
-            roots[F0] = roots.get(F0, 0) + 1
-            ipoly = ipoly[1:]
-            continue
-        content = 0
-        for c in ipoly:
-            content = math.gcd(content, c)
-        ipoly = [c // content for c in ipoly]
-        found = None
-        for qd in _divisors(ipoly[-1]):
-            for pd in _divisors(ipoly[0]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pd, qd)
-                    if _poly_eval(ipoly, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        ipoly = _deflate(ipoly, found)
-    remainder = [Fraction(c) for c in ipoly]
-    return roots, remainder
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(ipoly, root):
-    """Divide an integer polynomial by (t - root) via synthetic division and
-    rescale to integer coefficients (roots are unaffected by the scale)."""
-    high = [Fraction(c) for c in reversed(ipoly)]
-    quotient = []
-    carry = F0
-    for c in high:
-        carry = c + carry * root
-        quotient.append(carry)
-    if quotient[-1] != 0:
-        raise AssertionError("deflation by a non-root")
-    return _over_common_denominator(quotient[-2::-1])[0]
 
 
 def enumerate_idempotents_n3():

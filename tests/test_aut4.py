@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -150,19 +151,67 @@ def _dense_exp(eigen, q, s):
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_sparse_exponential_matches_the_dense_eigenbasis_round_trip(j):
-    spec = rotation_sigma(j)
-    x, q = spec.payload
+    x, _ = rotation_sigma(j).payload
     eigen = {w: _dense_eigen_data(x, w) for w in range(5)}
-    for w in range(5):
-        for b in graded_basis(2, w, "full"):
-            assert apply(spec, b) == _dense_exp(eigen, q, b)
     gaussian = (
         Scalar(1, 2) * ALPHA
         + Scalar(Fraction(-1, 3), Fraction(1, 2)) * XP
         + I * State.of_term(2, -1, (2, 1))
         + Scalar(Fraction(5, 7)) * State.of_term(2, 2)
     )
-    assert apply(spec, gaussian) == _dense_exp(eigen, q, gaussian)
+    for q in (1, 2, 3):
+        spec = exp_spec(x, q)
+        for w in range(5):
+            for b in graded_basis(2, w, "full"):
+                assert apply(spec, b) == _dense_exp(eigen, q, b)
+        assert apply(spec, gaussian) == _dense_exp(eigen, q, gaussian)
+
+
+def _monic(roots):
+    """Scalar coefficients, low to high, of the product of (u - k) over roots."""
+    poly = [ONE]
+    for k in roots:
+        poly = [a - Scalar(k) * b for a, b in zip([ZERO] + poly, poly + [ZERO])]
+    return poly
+
+
+def test_integer_roots_finds_every_root_of_distinct_linear_factors():
+    rng = random.Random(30)
+    cases = [[0], [-12], [12], [-12, 12], list(range(-12, 13))]
+    cases += [rng.sample(range(-12, 13), rng.randint(1, 9)) for _ in range(40)]
+    for roots in cases:
+        assert aut4._integer_roots(_monic(roots)) == sorted(roots)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        _monic([3, 3, -1]),  # a repeated root
+        _monic([Fraction(1, 2), 2]),  # a half-integer root
+        [ONE, ZERO, ONE],  # t^2 + 1
+        [I, ONE],  # a non-real coefficient
+    ],
+)
+def test_integer_roots_refuses_anything_but_distinct_integers(coeffs):
+    with pytest.raises(SpectralError):
+        aut4._integer_roots(coeffs)
+
+
+# sha256 over y in y_basis(), q in (1, 2, 3), w in 0..6 and the terms of
+# weight_terms(2, w) of the compact JSON of each image, one line each
+EXP_IMAGES_DIGEST = "8087dbb0075168c56feebfff403c07e48e905f221936300f4d657265076ab31c"
+
+
+def test_the_quarter_turn_images_through_weight_6_match_their_digest():
+    h = hashlib.sha256()
+    for y in y_basis():
+        for q in (1, 2, 3):
+            spec = exp_spec(y, q)
+            for w in range(7):
+                for m, lam in weight_terms(2, w):
+                    image = apply(spec, State.of_term(2, m, lam))
+                    h.update((json.dumps(encode_value(image), separators=(",", ":")) + "\n").encode())
+    assert h.hexdigest() == EXP_IMAGES_DIGEST
 
 
 def test_theta_squares_to_the_identity():

@@ -23,7 +23,7 @@ from voaplus.fock import (
     weight_terms,
 )
 from voaplus.linalg import rank
-from voaplus.numeric import Scalar
+from voaplus.numeric import QSeries, Scalar
 
 
 def test_partitions_enumeration_matches_count():
@@ -63,6 +63,21 @@ def test_state_validation_and_weight():
     assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         mixed.weight()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [State.of_term(2, 1, (3, 1), 5), Scalar(1, 2), QSeries(2, {0: 1, 24: 3})],
+    ids=["State", "Scalar", "QSeries"],
+)
+def test_states_scalars_and_series_refuse_setattr_and_delattr(value):
+    before = repr(value)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
 
 
 def test_state_sums_drop_cancelled_terms_and_keep_term_order():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voaplus import fock, numeric
+from voaplus import numeric
 from voaplus.fock import graded_dim, partition_count, partition_count_by_parity
 from voaplus.numeric import (
     DEN,
@@ -257,15 +257,14 @@ def test_eta_inverse_counts_partitions():
 
 
 def test_partition_counts_match_the_table_whatever_the_growth(monkeypatch):
-    """fock's p(n) reads numeric's Euler table and its parity split fock's
-    distinct-odd table; through n = 320 both equal the O(n^2) oracle, whether
-    the lists grew one entry at a time, in one step, or in strides (the
-    parity split asks first, so its table grows the Euler table too)."""
+    """fock's p(n) and its parity split both read numeric's Euler table;
+    through n = 320 both equal the O(n^2) oracle, whether the table grew one
+    entry at a time, in one step, or in strides (the parity split asks
+    first, so it grows the table)."""
     even, odd = _partitions_by_table(320)
     want = [((e, o), e + o) for e, o in zip(even, odd)]
     for steps in (range(321), range(320, -1, -1), [*range(0, 321, 37), *range(321)]):
         monkeypatch.setattr(numeric, "_PARTITIONS", [1])
-        monkeypatch.setattr(fock, "_DISTINCT_ODD", [1])
         got = {n: (partition_count_by_parity(n), partition_count(n)) for n in steps}
         assert [got[n] for n in range(321)] == want
     assert partition_count_by_parity(-1) == (0, 0) and partition_count(-1) == 0

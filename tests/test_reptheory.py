@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voaplus import cli, reptheory
+from voaplus.aut4 import automorphism_rows, e_fixed_check, theta_spec
 from voaplus.fock import LatticeMismatch, State, graded_basis, graded_dim
 from voaplus.numeric import ZERO, Scalar, virasoro_character
 from voaplus.report import Report, encode_value
@@ -224,6 +225,29 @@ def test_a_bad_lattice_or_weight_window_is_refused():
         with pytest.raises(ValueError):
             GradedSubspace(lattice, W)
     assert GradedSubspace(2, Fraction(4)).dims() == [0] * 5
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda W: closure(2, [State.of_term(2, 0, (1,))], W),
+        lambda W: fusion_span(1, 1, W),
+        lambda W: character_decomposition_suite(Report("characters"), 2, W, 20),
+        lambda W: automorphism_rows([theta_spec(2)], W),
+        lambda W: e_fixed_check(Report("aut"), W),
+    ],
+    ids=[
+        "closure",
+        "fusion_span",
+        "character_decomposition_suite",
+        "automorphism_rows",
+        "e_fixed_check",
+    ],
+)
+def test_every_windowed_entry_point_refuses_a_window_that_is_no_integer(run):
+    for W in (2.5, Fraction(5, 2), "2"):
+        with pytest.raises(ValueError, match="max_weight must be an integer"):
+            run(W)
 
 
 def test_each_bound_is_filled_by_its_graded_basis_and_refuses_what_lies_outside():

@@ -18,7 +18,6 @@ from voaplus.symn import (
     equivariant_product_space_dim,
     has_axis_spectrum,
     nonassociativity_witness,
-    rational_roots,
 )
 
 F = Fraction
@@ -43,17 +42,20 @@ def char_poly(matrix):
     return coeffs
 
 
+def axis_char_poly(n):
+    """(t - 1)(t + 1/(n-2))^(n-2) expanded, coefficients low to high: the
+    characteristic polynomial of the spectrum {1: 1, -1/(n-2): n-2}."""
+    poly = [F(-1), F(1)]
+    for _ in range(n - 2):
+        poly = [a + F(1, n - 2) * b for a, b in zip([F(0)] + poly, poly + [F(0)])]
+    return poly
+
+
 def ad_spectrum(A, e):
-    """Exact eigenvalues (with multiplicity) of multiplication by e on M, as
-    ({eigenvalue: multiplicity}, remainder_poly): the oracle that the axis
-    spectrum certificate `has_axis_spectrum` is compared with.  The remainder
-    is the root-free factor of the characteristic polynomial; a constant means
-    it factored completely."""
-    roots, remainder = rational_roots(char_poly(A.ad_matrix(e)))
-    missing = A.dim - sum(roots.values())
-    if missing and len(remainder) - 1 != missing:
-        raise AssertionError("root bookkeeping mismatch")
-    return roots, remainder
+    """The spectrum, with multiplicity, of multiplication by e on M, as its
+    characteristic polynomial: the oracle that the axis spectrum certificate
+    `has_axis_spectrum` is compared with."""
+    return char_poly(A.ad_matrix(e))
 
 
 def _ad_p(a):
@@ -179,23 +181,20 @@ def test_ad_spectrum_of_an_axis():
     for n in (3, 4, 5, 6):
         A = build(n)
         f = distinguished_idempotents(n)[0]
-        roots, remainder = ad_spectrum(A, f)
-        assert roots == {F(1): 1, F(-1, n - 2): n - 2}
-        assert len(remainder) == 1  # constant: the polynomial split completely
+        assert ad_spectrum(A, f) == axis_char_poly(n)
 
 
 def _oracle_has_axis_spectrum(matrix, n):
-    roots, remainder = rational_roots(char_poly(matrix))
-    return roots == {F(1): 1, F(-1, n - 2): n - 2} and len(remainder) == 1
+    """The spectrum {1: 1, -1/(n-2): n-2} with multiplicity; unlike the
+    certificate, blind to a Jordan block."""
+    return char_poly(matrix) == axis_char_poly(n)
 
 
 def test_axis_spectrum_certificate_agrees_with_the_oracle_on_every_axis():
     for n in range(3, 13):
         A = build(n)
-        want = {F(1): 1, F(-1, n - 2): n - 2}
         for f in distinguished_idempotents(n):
-            roots, remainder = ad_spectrum(A, f)
-            assert roots == want and len(remainder) == 1
+            assert ad_spectrum(A, f) == axis_char_poly(n)
             assert has_axis_spectrum(A.ad_matrix(f), n)
 
 
@@ -226,13 +225,13 @@ def test_axis_spectrum_certificate_refuses_a_sum_of_two_axes():
         assert not has_axis_spectrum(M, n)
 
 
-def test_char_poly_and_rational_roots_on_a_known_matrix():
+def test_char_poly_on_a_known_matrix():
     # [[2,1],[1,2]] has characteristic polynomial t^2 - 4t + 3 = (t-1)(t-3)
-    coeffs = char_poly([[F(2), F(1)], [F(1), F(2)]])
-    assert coeffs == [F(3), F(-4), F(1)]
-    roots, remainder = rational_roots(coeffs)
-    assert roots == {F(1): 1, F(3): 1}
-    assert len(remainder) == 1
+    assert char_poly([[F(2), F(1)], [F(1), F(2)]]) == [F(3), F(-4), F(1)]
+    # (t - 1)(t + 1/2)^2 = t^3 - (3/4) t - 1/4, the axis polynomial at n = 4
+    assert axis_char_poly(4) == [F(-1, 4), F(-3, 4), F(0), F(1)]
+    h = F(-1, 2)
+    assert char_poly([[F(1), F(0), F(0)], [F(0), h, F(0)], [F(0), F(0), h]]) == axis_char_poly(4)
 
 
 def test_trace_form_is_the_dot_product():
