@@ -29,10 +29,10 @@ def check_lattice(N: int):
 
 def check_window(max_weight) -> int:
     """The top weight W of a window [0, W] as an int; ValueError unless
-    max_weight equals an integer, so a window is never truncated silently."""
+    max_weight equals an integer W >= 0: no silent truncation, no empty window."""
     W = int(max_weight)
-    if W != max_weight:
-        raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
+    if W != max_weight or W < 0:
+        raise ValueError(f"max_weight must be an integer >= 0, got {max_weight!r}")
     return W
 
 

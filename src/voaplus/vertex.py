@@ -13,9 +13,10 @@ Conventions, fixed once here:
     C(n+j-1, j-1) g(n) attached at z^(-n-j).
   * Binomials use the polynomial extension C(x,r) = x(x-1)...(x-r+1)/r! for
     every integer x; no table lookups, no special-casing of negatives.
-  * Term modes are integer numerators over w_out!, w_out the weight of the
-    result: the creation exponential contributes a^len(nu)/z_nu, and w!/z_nu
-    is an integer (a conjugacy-class size) for |nu| <= w.  `mode` reads each
+  * Term modes are integer numerators over room!, room the size of the
+    result's partition, so no sector weight enters a denominator; the
+    creation exponential gives a^len(nu)/z_nu, with room!/z_nu an integer
+    (|nu|!/z_nu is a class size, and |nu| <= room).  `mode` reads each
     argument's integer form (`State._integer_form`: the terms over one
     common denominator and a homogeneity flag, computed once per State and
     kept, since States are immutable), accumulates Gaussian-integer pairs
@@ -101,12 +102,11 @@ def clear_mode_cache():
 _ZERO_BY_WEIGHT: dict = {}
 
 
-def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
-    """Mode k of the pure sector-a vector on the term (m, mu), over w_out!."""
+def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> dict:
+    """Mode k of the pure sector-a vector on the term (m, mu), over room!."""
     out: dict = {}
     base_power = a * m * N
-    w_out = -k - 1 + (a * a + m * m) * N // 2 + sum(mu)
-    scale = factorial(w_out)
+    scale = factorial(room)
     mu_ms = _multiset(mu)
     parts_list = sorted(mu_ms)
     ranges = [range(mu_ms[p] + 1) for p in parts_list]
@@ -129,8 +129,8 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
         for p, r in zip(parts_list, removal):
             kept.extend([p] * (mu_ms[p] - r))
         for nu in partitions(need):
-            # creation factor a^len(nu)/z_nu; w_out!/z_nu is an integer
-            # because need <= w_out and need!/z_nu is a class size
+            # creation factor a^len(nu)/z_nu; room!/z_nu is an integer
+            # because need <= room and need!/z_nu is a class size
             z_nu = 1
             for n, s in _multiset(nu).items():
                 z_nu *= n**s * factorial(s)
@@ -142,11 +142,11 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple) -> dict:
 def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     """Mode k of the single term (a, lam) applied to the single term (m, mu).
 
-    Integer numerators over w_out!, w_out the weight of the result.
+    Integer numerators over room!, room the size of every result partition.
     """
-    # the result (m+a, nu) weighs w_out = (a^2+m^2)N/2 + |lam| + |mu| - k - 1,
-    # and no term of sector m+a weighs less than (m+a)^2 N/2, so it is zero
-    # unless room = w_out - (m+a)^2 N/2 = |nu| is nonnegative
+    # the result (m+a, nu) weighs (a^2+m^2)N/2 + |lam| + |mu| - k - 1, and no
+    # term of sector m+a weighs less than (m+a)^2 N/2, so it is zero unless
+    # room, its excess over that floor, which is |nu|, is nonnegative
     room = sum(lam) + sum(mu) - k - 1 - a * m * N
     if room < 0:
         return _ZERO_BY_WEIGHT
@@ -165,14 +165,14 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
             c *= (-1) ** (j - 1) * poly_binom(k, j - 1)
         if not c:
             return _ZERO_BY_WEIGHT
-        return {(m, mu): c * factorial(room + m * m * N // 2)}
+        return {(m, mu): c * factorial(room)}
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
     if hit is not None:
         return hit
 
     if not lam:
-        _MODE_CACHE[key] = result = _lattice_term_mode(N, a, k, m, mu)
+        _MODE_CACHE[key] = result = _lattice_term_mode(N, a, k, m, mu, room)
         return result
 
     j, rest = lam[0], lam[1:]
@@ -182,7 +182,7 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     sign = -1 if (j - 1) % 2 else 1
 
     # annihilation side: g(n), n >= 0, acts on (m, mu) first; the inner
-    # result already has weight w_out, so it shares the denominator
+    # result already has partitions of size room, so it shares the denominator
     ann_indices = ([0] if m else []) + sorted(set(mu))
     for n in ann_indices:
         hscale, inner_mu = _annihilate(N, n, m, mu)
@@ -193,13 +193,12 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
                 out[t] = out.get(t, 0) + c * factor
 
     # creation side: g(-t), t >= 1, applied after the inner mode, whose
-    # result has weight w_out - t and is lifted by w_out!/(w_out - t)!;
+    # result has partitions of size room - t and is lifted by room!/(room - t)!;
     # sign * C(j-1-t, j-1) is 0 for 1 <= t < j and C(t-1, j-1) for t >= j,
     # and the inner result is zero by weight once t > room
-    w_out = room + (m + a) * (m + a) * N // 2
-    lift = perm(w_out, j - 1)
+    lift = perm(room, j - 1)
     for t in range(j, room + 1):
-        lift *= w_out - t + 1
+        lift *= room - t + 1
         inner = _term_mode(N, a, rest, k + t - j, m, mu)
         if inner:
             factor = comb(t - 1, j - 1) * lift
@@ -240,11 +239,10 @@ def mode(v: State, k: int, w: State) -> State:
                 pr, pi = acc.get(t, (0, 0))
                 acc[t] = (pr + ccr * c, pi + cci * c)
     dvw = dv * dw
-    half = N // 2
     out = {}
     for (mm, ll), (r, i) in acc.items():
         if r or i:
-            out[(mm, ll)] = Scalar._of(r, i, dvw * factorial(mm * mm * half + sum(ll)))
+            out[(mm, ll)] = Scalar._of(r, i, dvw * factorial(sum(ll)))
     return State._of(N, out)
 
 

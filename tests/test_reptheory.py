@@ -227,26 +227,32 @@ def test_a_bad_lattice_or_weight_window_is_refused():
     assert GradedSubspace(2, Fraction(4)).dims() == [0] * 5
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda W: closure(2, [State.of_term(2, 0, (1,))], W),
-        lambda W: fusion_span(1, 1, W),
+# every entry point that takes a weight window [0, W] through fock.check_window
+WINDOWED = [
+    pytest.param(lambda W: GradedSubspace(2, W), id="GradedSubspace"),
+    pytest.param(lambda W: closure(2, [State.of_term(2, 0, (1,))], W), id="closure"),
+    pytest.param(lambda W: fusion_span(1, 1, W), id="fusion_span"),
+    pytest.param(
         lambda W: character_decomposition_suite(Report("characters"), 2, W, 20),
-        lambda W: automorphism_rows([theta_spec(2)], W),
-        lambda W: e_fixed_check(Report("aut"), W),
-    ],
-    ids=[
-        "closure",
-        "fusion_span",
-        "character_decomposition_suite",
-        "automorphism_rows",
-        "e_fixed_check",
-    ],
-)
+        id="character_decomposition_suite",
+    ),
+    pytest.param(lambda W: automorphism_rows([theta_spec(2)], W), id="automorphism_rows"),
+    pytest.param(lambda W: e_fixed_check(Report("aut"), W), id="e_fixed_check"),
+]
+
+
+@pytest.mark.parametrize("run", WINDOWED)
 def test_every_windowed_entry_point_refuses_a_window_that_is_no_integer(run):
     for W in (2.5, Fraction(5, 2), "2"):
         with pytest.raises(ValueError, match="max_weight must be an integer"):
+            run(W)
+
+
+@pytest.mark.parametrize("run", WINDOWED)
+def test_every_windowed_entry_point_refuses_a_negative_window(run):
+    # an empty window [0, W] would pass every check on no states at all
+    for W in (-1, -2, Fraction(-4), -3.0):
+        with pytest.raises(ValueError, match="max_weight must be an integer >= 0"):
             run(W)
 
 

@@ -171,21 +171,32 @@ def test_a_non_homogeneous_first_argument_is_refused_on_every_call():
     assert mode(e, -1, State.vacuum(2)) == e
 
 
-def test_term_mode_returns_integers_over_the_result_weight_factorial():
+def _over_partition_factorial(table):
+    """A term table read as numerators over |nu|!, nu the partition of each
+    result term t = (sector, nu)."""
+    return {t: Fraction(c, factorial(sum(t[1]))) for t, c in table.items()}
+
+
+def test_term_mode_returns_integers_over_the_result_partition_factorial():
+    # on N = 18 a sector-one term already weighs 9, so a denominator built
+    # from the result weight instead of its partition is off by a factor of
+    # at least 9!; `mode` must divide by the same |nu|! the tables use
     vertex.clear_mode_cache()
-    om = State.omega(4)
-    v = State.of_term(4, 1, (2, 1)) + State.of_term(4, -1, (1,))
-    for k in range(-2, 6):
-        mode(om, k, v)
-        mode(State.of_term(4, 1, (2, 1)), k, v)
-    assert vertex._MODE_CACHE
+    for N, v, others in (
+        (4, State.of_term(4, 1, (2, 1)) + State.of_term(4, -1, (1,)), [State.of_term(4, 1, (2, 1))]),
+        (18, State.of_term(18, 1, (2, 1)) + State.of_term(18, 0, (3,)),
+         [State.of_term(18, 0, (2, 1)), State.of_term(18, 1, (1,))]),
+    ):
+        cache = {}
+        for u in [State.omega(N)] + others:
+            for k in range(-2, 12):
+                assert mode(u, k, v) == _mode_by_fractions(u, k, v, cache)
+    assert {key[0] for key in vertex._MODE_CACHE} == {4, 18}
     for (N, a, lam, k, m, mu), result in vertex._MODE_CACHE.items():
-        w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
         oracle = _term_mode_by_fractions(N, a, lam, k, m, mu, {})
         assert set(result) == set(oracle)
-        for t, c in result.items():
-            assert type(c) is int
-            assert Fraction(c, factorial(w_out)) == oracle[t]
+        assert all(type(c) is int for c in result.values())
+        assert _over_partition_factorial(result) == oracle
 
 
 def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
@@ -200,10 +211,9 @@ def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
         for a, m, lam, mu in iter_product(range(-2, 3), range(-2, 3), small, small):
             k_top = sum(lam) + sum(mu) - 1 - a * m * N
             for k in range(k_top - 4, k_top + 3):
-                w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
                 got = vertex._term_mode(N, a, lam, k, m, mu)
                 want = _term_mode_by_fractions(N, a, lam, k, m, mu, cache)
-                assert {t: Fraction(c, factorial(w_out)) for t, c in got.items()} == want
+                assert _over_partition_factorial(got) == want
                 checked += 1
                 nonzero += bool(want)
     assert checked > 30000 and 0 < nonzero < checked
@@ -232,8 +242,7 @@ def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
                 want = _term_mode_by_fractions(N, 0, lam, k, m, mu, cache)
                 got = vertex._term_mode(N, 0, lam, k, m, mu)
                 if want:
-                    w_out = m * m * N // 2 + j + sum(mu) - k - 1
-                    assert {t: Fraction(c, factorial(w_out)) for t, c in got.items()} == want
+                    assert _over_partition_factorial(got) == want
                     nonzero += 1
                 else:
                     assert got is vertex._ZERO_BY_WEIGHT
