@@ -12,7 +12,8 @@ Conventions, fixed once here:
     normal-ordering rule, which turns it into the mode family
     C(n+j-1, j-1) g(n) attached at z^(-n-j).
   * Binomials use the polynomial extension C(x,r) = x(x-1)...(x-r+1)/r! for
-    every integer x; no table lookups, no special-casing of negatives.
+    every integer x, read off `math.comb` by the reflection
+    C(x, r) = (-1)^r C(r-x-1, r) when x < 0.
   * Term modes are integer numerators over room!, room the size of the
     result's partition, so no sector weight enters a denominator; the
     creation exponential gives a^len(nu)/z_nu, with room!/z_nu an integer
@@ -27,12 +28,17 @@ Conventions, fixed once here:
     check nothing.  No Fraction is built.  The public constructors keep every
     check for values from outside.
   * A term mode that is zero by weight, its result lighter than the floor
-    (m+a)^2 N/2 of its sector m+a, is never computed or stored: `_term_mode`
-    returns one shared empty table before it builds the key, and its
-    recursion visits no inner mode that is zero by weight.  Nor is a mode of
+    (m+a)^2 N/2 of its sector m+a, is never computed or stored: `mode`
+    skips its term pair before calling `_term_mode`, and the recursion
+    visits no inner mode that is zero by weight.  Nor is a mode of
     the vacuum or of a single Heisenberg part h(-j)1 ever stored: each is read
     off in closed form, the vacuum's mode k as the identity at k = -1 and zero
     otherwise, and h(-j)1's as (-1)^(j-1) C(k, j-1) h(k - j + 1).
+  * Each quantity of the recursion is derived once: `mode` computes room
+    for each term pair and passes it down (annihilation keeps it, the
+    creation of g(-t) passes room - t), so no partition is summed again;
+    the creation monomials (nu, len(nu), z_nu) are cached per size, and a
+    created part is inserted into its sorted partition by bisection.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -40,9 +46,11 @@ homogeneous state is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, perm
+from operator import neg
 
 from .numeric import Scalar
 from .fock import State, partitions
@@ -51,13 +59,16 @@ __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
 
 
 def poly_binom(x: int, r: int) -> int:
-    """C(x, r) for any integer x via the falling factorial; r < 0 gives 0."""
+    """C(x, r) = x(x-1)...(x-r+1)/r! for any integer x; r < 0 gives 0.
+
+    For x < 0 the falling factorial is (-1)^r (r-x-1)...(-x), so
+    C(x, r) = (-1)^r C(r - x - 1, r)."""
     if r < 0:
         return 0
-    num = 1
-    for i in range(r):
-        num *= x - i
-    return num // factorial(r)
+    if x >= 0:
+        return comb(x, r)
+    c = comb(r - x - 1, r)
+    return -c if r % 2 else c
 
 
 def _multiset(lam: tuple) -> dict:
@@ -67,12 +78,23 @@ def _multiset(lam: tuple) -> dict:
     return out
 
 
-def _merge_parts(*part_groups) -> tuple:
-    merged = []
-    for g in part_groups:
-        merged.extend(g)
-    merged.sort(reverse=True)
-    return tuple(merged)
+def _insert_part(parts: tuple, t: int) -> tuple:
+    """The descending partition parts with one more part t."""
+    i = bisect_left(parts, -t, key=neg)
+    return parts[:i] + (t,) + parts[i:]
+
+
+@lru_cache(maxsize=None)
+def _creation_monomials(n: int) -> tuple:
+    """(nu, len(nu), z_nu) for each partition nu of n, in `partitions` order;
+    z_nu = prod p^(s_p) s_p! over the parts p of multiplicity s_p."""
+    out = []
+    for nu in partitions(n):
+        z_nu = 1
+        for p, s in _multiset(nu).items():
+            z_nu *= p**s * factorial(s)
+        out.append((nu, len(nu), z_nu))
+    return tuple(out)
 
 
 def _annihilate(N: int, n: int, m: int, mu: tuple) -> tuple:
@@ -96,9 +118,8 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
-# What `_term_mode` returns, unstored, for a key that is zero by weight or
-# whose closed form (vacuum or h(-j)1) is zero; callers only read term
-# tables, so one shared dict is safe.
+# What `_term_mode` returns, unstored, for a key whose closed form (vacuum or
+# h(-j)1) is zero; callers only read term tables, so one shared dict is safe.
 _ZERO_BY_WEIGHT: dict = {}
 
 
@@ -128,28 +149,21 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> 
         kept = []
         for p, r in zip(parts_list, removal):
             kept.extend([p] * (mu_ms[p] - r))
-        for nu in partitions(need):
+        for nu, length, z_nu in _creation_monomials(need):
             # creation factor a^len(nu)/z_nu; room!/z_nu is an integer
             # because need <= room and need!/z_nu is a class size
-            z_nu = 1
-            for n, s in _multiset(nu).items():
-                z_nu *= n**s * factorial(s)
-            term = (m + a, _merge_parts(kept, nu))
-            out[term] = out.get(term, 0) + ann * a ** len(nu) * (scale // z_nu)
+            term = (m + a, tuple(sorted(kept + list(nu), reverse=True)))
+            out[term] = out.get(term, 0) + ann * a**length * (scale // z_nu)
     return {t: c for t, c in out.items() if c}
 
 
-def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
+def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int) -> dict:
     """Mode k of the single term (a, lam) applied to the single term (m, mu).
 
-    Integer numerators over room!, room the size of every result partition.
+    Integer numerators over room!, room = |lam| + |mu| - k - 1 - a m N the
+    size of every result partition, which the caller passes and must have
+    checked is nonnegative (a negative room is zero by weight, see `mode`).
     """
-    # the result (m+a, nu) weighs (a^2+m^2)N/2 + |lam| + |mu| - k - 1, and no
-    # term of sector m+a weighs less than (m+a)^2 N/2, so it is zero unless
-    # room, its excess over that floor, which is |nu|, is nonnegative
-    room = sum(lam) + sum(mu) - k - 1 - a * m * N
-    if room < 0:
-        return _ZERO_BY_WEIGHT
     if a == 0 and len(lam) < 2:
         # closed forms, never stored: the vacuum's Y is the identity, and
         # h(-j)1's is d^(j-1)h(z)/(j-1)!, with mode k (-1)^(j-1) C(k, j-1) h(n)
@@ -161,7 +175,7 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
             if n >= 0:
                 c, mu = _annihilate(N, n, m, mu)
             else:
-                c, mu = 1, _merge_parts(mu, (-n,))
+                c, mu = 1, _insert_part(mu, -n)
             c *= (-1) ** (j - 1) * poly_binom(k, j - 1)
         if not c:
             return _ZERO_BY_WEIGHT
@@ -186,7 +200,7 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     ann_indices = ([0] if m else []) + sorted(set(mu))
     for n in ann_indices:
         hscale, inner_mu = _annihilate(N, n, m, mu)
-        inner = _term_mode(N, a, rest, k - n - j, m, inner_mu)
+        inner = _term_mode(N, a, rest, k - n - j, m, inner_mu, room)
         if inner:
             factor = sign * comb(n + j - 1, j - 1) * hscale
             for t, c in inner.items():
@@ -199,11 +213,11 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple) -> dict:
     lift = perm(room, j - 1)
     for t in range(j, room + 1):
         lift *= room - t + 1
-        inner = _term_mode(N, a, rest, k + t - j, m, mu)
+        inner = _term_mode(N, a, rest, k + t - j, m, mu, room - t)
         if inner:
             factor = comb(t - 1, j - 1) * lift
             for (mm, ll), c in inner.items():
-                term = (mm, _merge_parts(ll, (t,)))
+                term = (mm, _insert_part(ll, t))
                 out[term] = out.get(term, 0) + c * factor
 
     result = {t: c for t, c in out.items() if c}
@@ -230,8 +244,16 @@ def mode(v: State, k: int, w: State) -> State:
     dw, w_int, _ = w._integer_form()
     acc: dict = {}
     for (a, lam), vr, vi in v_int:
+        lam_room = sum(lam) - k - 1
         for (m, mu), wr, wi in w_int:
-            sub = _term_mode(N, a, lam, k, m, mu)
+            # the result (m+a, nu) weighs (a^2+m^2)N/2 + |lam| + |mu| - k - 1,
+            # and no term of sector m+a weighs less than (m+a)^2 N/2, so it
+            # is zero unless room, its excess over that floor, which is |nu|,
+            # is nonnegative
+            room = lam_room + sum(mu) - a * m * N
+            if room < 0:
+                continue
+            sub = _term_mode(N, a, lam, k, m, mu, room)
             if not sub:
                 continue
             ccr, cci = vr * wr - vi * wi, vr * wi + vi * wr

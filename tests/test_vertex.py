@@ -199,6 +199,13 @@ def test_term_mode_returns_integers_over_the_result_partition_factorial():
         assert _over_partition_factorial(result) == oracle
 
 
+def _room(N, a, lam, k, m, mu):
+    """What `mode` passes to `_term_mode`: the result weight
+    wt(a, lam) + wt(m, mu) - k - 1 less the floor (m+a)^2 N/2 of its sector."""
+    w_out = term_weight(N, (a, lam)) + term_weight(N, (m, mu)) - k - 1
+    return w_out - term_weight(N, (m + a, ()))
+
+
 def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
     # every key of a grid, k running from inside the nonzero range to two past
     # its top end k_top, the last k whose result reaches the floor (m+a)^2 N/2
@@ -211,9 +218,14 @@ def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
         for a, m, lam, mu in iter_product(range(-2, 3), range(-2, 3), small, small):
             k_top = sum(lam) + sum(mu) - 1 - a * m * N
             for k in range(k_top - 4, k_top + 3):
-                got = vertex._term_mode(N, a, lam, k, m, mu)
                 want = _term_mode_by_fractions(N, a, lam, k, m, mu, cache)
-                assert _over_partition_factorial(got) == want
+                room = _room(N, a, lam, k, m, mu)
+                if room < 0:
+                    # zero by weight: `mode` skips the pair uncomputed
+                    assert not want
+                else:
+                    got = vertex._term_mode(N, a, lam, k, m, mu, room)
+                    assert _over_partition_factorial(got) == want
                 checked += 1
                 nonzero += bool(want)
     assert checked > 30000 and 0 < nonzero < checked
@@ -240,7 +252,13 @@ def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
             lam = (j,) if j else ()
             for k in range(-j - 2, j + sum(mu) + 2):
                 want = _term_mode_by_fractions(N, 0, lam, k, m, mu, cache)
-                got = vertex._term_mode(N, 0, lam, k, m, mu)
+                room = _room(N, 0, lam, k, m, mu)
+                if room < 0:
+                    # zero by weight: `mode` skips the pair uncomputed
+                    assert not want
+                    zeros += 1
+                    continue
+                got = vertex._term_mode(N, 0, lam, k, m, mu, room)
                 if want:
                     assert _over_partition_factorial(got) == want
                     nonzero += 1
@@ -281,6 +299,34 @@ def test_poly_binom_handles_negative_upper_index():
     assert poly_binom(-2, 2) == 3
     assert poly_binom(3, 0) == 1
     assert poly_binom(2, 5) == 0
+    # the Fraction oracle calls poly_binom too, so pin it against the
+    # falling factorial x(x-1)...(x-r+1)/r! directly
+    for x in range(-12, 13):
+        for r in range(-1, 8):
+            want = Fraction(_falling(x, r), factorial(r)) if r >= 0 else 0
+            assert poly_binom(x, r) == want, (x, r)
+
+
+def test_insert_part_keeps_the_partition_descending():
+    for n in range(9):
+        for parts in partitions(n):
+            for t in range(1, 10):
+                want = tuple(sorted(parts + (t,), reverse=True))
+                assert vertex._insert_part(parts, t) == want, (parts, t)
+
+
+def test_creation_monomials_follow_partitions_and_count_the_permutations():
+    # n!/z_nu is the number of permutations of cycle type nu, an integer,
+    # and these sizes sum to n!
+    for n in range(13):
+        monomials = vertex._creation_monomials(n)
+        assert [nu for nu, _, _ in monomials] == list(partitions(n))
+        total = 0
+        for nu, length, z_nu in monomials:
+            assert length == len(nu)
+            assert factorial(n) % z_nu == 0, (n, nu)
+            total += factorial(n) // z_nu
+        assert total == factorial(n)
 
 
 def test_vacuum_axioms():
