@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from math import isqrt
 
-from .numeric import I, ONE, Scalar, ZERO, as_fraction
+from .numeric import I, ONE, Record, Scalar, ZERO, as_fraction
 from .fock import (
     State,
     check_lattice,
@@ -65,7 +65,7 @@ from .reptheory import GradedSubspace, singular_vectors
 from . import symn
 
 
-class AutomorphismSpec:
+class AutomorphismSpec(Record):
     """Description of an automorphism; `kind` selects how `apply` acts.
 
     Three primitive kinds and their composites: "theta"; "torus" (payload:
@@ -82,26 +82,7 @@ class AutomorphismSpec:
         if kind not in ("theta", "torus", "exp", "compose"):
             raise ValueError(f"unknown automorphism kind {kind!r}")
         check_lattice(lattice)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "payload", payload)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AutomorphismSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AutomorphismSpec is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not AutomorphismSpec:
-            return NotImplemented
-        return (self.kind, self.lattice, self.payload) == (other.kind, other.lattice, other.payload)
-
-    def __hash__(self):
-        return hash((self.kind, self.lattice, self.payload))
-
-    def __repr__(self):
-        return f"AutomorphismSpec(kind={self.kind!r}, lattice={self.lattice!r}, payload={self.payload!r})"
+        super().__init__(kind, lattice, payload)
 
 
 def theta_spec(lattice: int) -> AutomorphismSpec:
@@ -146,8 +127,9 @@ class SpectralError(ValueError):
     """Zero-mode failed to diagonalize with spectrum in i*Z."""
 
 
-# One entry per (x.fingerprint(), q % 4, w): every weight-w term mapped to its
-# image under the quarter-turn exponential, as a {term: Scalar} dict.
+# One entry per (x, q % 4, w), keyed by the State x itself: every weight-w
+# term mapped to its image under the quarter-turn exponential, as a
+# {term: Scalar} dict.
 # Kept: without it check_automorphism(rotation_sigma(2), W=4) takes 33 s, not 0.7 s.
 _EXP_IMAGES: dict = {}
 
@@ -215,14 +197,15 @@ def _term_image(x: State, q: int, term, index: dict) -> dict:
     return {t: c for t, c in acc.items() if c}
 
 
-def _exp_images(x: State, key: tuple) -> dict:
+def _exp_images(x: State, q: int, w: int) -> dict:
     """{term: {term: Scalar}}: the image of every weight-w term under the
-    exponential, built once per key = (x.fingerprint(), q mod 4, w); one
+    exponential, built once per key = (x, q mod 4, w); one
     refused term refuses the piece."""
+    q %= 4
+    key = (x, q, w)
     hit = _EXP_IMAGES.get(key)
     if hit is not None:
         return hit
-    _, q, w = key
     index = {t: i for i, t in enumerate(weight_terms(x.lattice, w))}
     images = _EXP_IMAGES[key] = {t: _term_image(x, q, t, index) for t in index}
     return images
@@ -233,14 +216,13 @@ def _apply_exp(x: State, q: int, s: State) -> State:
     image table of each weight is looked up once per call."""
     N = s.lattice
     half = N // 2
-    fp, q4 = x.fingerprint(), q % 4
     tables: dict = {}
     acc: dict = {}
     for (m, lam), c in s.terms.items():
         w = m * m * half + sum(lam)
         table = tables.get(w)
         if table is None:
-            table = tables[w] = _exp_images(x, (fp, q4, w))
+            table = tables[w] = _exp_images(x, q, w)
         for t, e in table[(m, lam)].items():
             acc[t] = acc.get(t, ZERO) + c * e
     return State(N, acc)
@@ -547,7 +529,7 @@ def sym3_report(rep) -> dict:
     rep.check("s3 line action", "line-permutations", (2, 1, 0), perms["s3"])
     rep.check("three-cycle line action", "line-permutations", (1, 2, 0), perms["rho"])
     rep.check("all six line permutations", "line-permutations", 6, len(set(perms.values())))
-    distinct = {tuple(g.fingerprint() for g in imgs) for imgs in images.values()}
+    distinct = {tuple(imgs) for imgs in images.values()}
     rep.check("faithful on weight 4", "v4-faithfulness", 6, len(distinct))
     rep.check("involutions differ", "v4-faithfulness", False, images["s1"] == images["s2"])
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .numeric import Scalar, ZERO, _partition_numbers, over_common_denominator
+from .numeric import Frozen, Scalar, ZERO, _partition_numbers, merge_into, over_common_denominator
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -62,14 +62,14 @@ def _check_term(t) -> None:
         raise ValueError(f"a term is (int sector, non-increasing tuple of positive ints), got {t!r}")
 
 
-class State:
+class State(Frozen):
     """A finite linear combination of Fock terms over one lattice.
 
     Wraps {term: Scalar} with no stored zeros; the constructor refuses a
     malformed term (see `_check_term`).  States add, subtract and scale;
-    equality is structural.  Nothing writes to `terms` after construction,
-    so a State derives its integer form (see `_integer_form`) once, on first
-    use, and keeps it.
+    equality is structural, and equal States hash equal, so a State keys a
+    dict.  Nothing writes to `terms` after construction, so a State derives
+    its integer form (see `_integer_form`) once, on first use, and keeps it.
     """
 
     __slots__ = ("lattice", "terms", "_ints")
@@ -96,12 +96,6 @@ class State:
         object.__setattr__(s, "terms", terms)
         return s
 
-    def __setattr__(self, name, value):
-        raise AttributeError("State is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("State is immutable")
-
     @classmethod
     def of_term(cls, lattice: int, sector: int, partition=(), coeff=1) -> "State":
         return cls(lattice, {(sector, _canonical_partition(partition)): Scalar.coerce(coeff)})
@@ -116,24 +110,13 @@ class State:
         return cls.of_term(lattice, 0, (1, 1), Fraction(1, 2 * lattice))
 
     def _combine(self, other, subtract: bool):
-        """self + other, or self - other, from the Scalars both already hold:
-        a term keeps its place in self.terms and leaves it when it cancels."""
+        """self + other, or self - other, from the Scalars both already hold,
+        merged by `merge_into`."""
         if not isinstance(other, State):
             return NotImplemented
         if other.lattice != self.lattice:
             raise LatticeMismatch("cannot add states over different lattices")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            old = out.get(t)
-            if old is None:
-                out[t] = -c if subtract else c
-                continue
-            c = old - c if subtract else old + c
-            if c:
-                out[t] = c
-            else:
-                del out[t]
-        return State._of(self.lattice, out)
+        return State._of(self.lattice, merge_into(dict(self.terms), other.terms.items(), subtract))
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -163,6 +146,9 @@ class State:
         if not isinstance(other, State):
             return NotImplemented
         return self.lattice == other.lattice and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.lattice, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         """Terms in the canonical (weight, sector, partition) order."""
@@ -196,10 +182,6 @@ class State:
         if len(ws) > 1:
             raise ValueError("state is not homogeneous")
         return ws.pop()
-
-    def fingerprint(self):
-        """Hashable canonical content, used as a cache/serialization key."""
-        return (self.lattice, tuple((t, c) for t, c in self.sorted_terms()))
 
     def __repr__(self):
         if not self.terms:
@@ -239,27 +221,23 @@ def theta(s: State) -> State:
     return State._of(s.lattice, out)
 
 
-def _term_norm(N: int, lam: tuple) -> int:
-    # <prod g(-j) ground, same> with orthonormal ground vectors: per distinct
-    # part j of multiplicity c the factor is c! (jN)^c
-    val = 1
-    j_prev = None
-    run = 0
-    for j in lam + (None,):
-        if j == j_prev:
-            run += 1
-            continue
-        if j_prev is not None:
-            val *= factorial(run) * (j_prev * N) ** run
-        j_prev, run = j, 1
-    return val
+def z_partition(lam: tuple) -> int:
+    """z_lam = prod j^c c! over the distinct parts j of the partition lam, c
+    the multiplicity of j: the order of the centralizer of a permutation of
+    cycle type lam."""
+    z = 1
+    for j in set(lam):
+        c = lam.count(j)
+        z *= j**c * factorial(c)
+    return z
 
 
 def form(s: State, t: State) -> Scalar:
     """Contravariant sesquilinear pairing, conjugate-linear in the first slot.
 
     Ground vectors of distinct sectors are orthogonal and have norm one; the
-    adjoint of g(-k) is g(k), which forces the closed product formula per term.
+    adjoint of g(-k) is g(k), so a term of partition lam has norm
+    z_lam N^len(lam), per distinct part j of multiplicity c the factor c! (jN)^c.
     """
     if not isinstance(s, State) or not isinstance(t, State):
         raise ValueError("form expects two states")
@@ -270,7 +248,8 @@ def form(s: State, t: State) -> Scalar:
     for term, c in s.terms.items():
         d = t.terms.get(term)
         if d is not None:
-            total = total + c.conjugate() * d * _term_norm(N, term[1])
+            lam = term[1]
+            total = total + c.conjugate() * d * (z_partition(lam) * N ** len(lam))
     return total
 
 

@@ -28,7 +28,65 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Scalar:
+class Frozen:
+    """Base of the immutable value types: setting or deleting an attribute
+    raises AttributeError.  Constructors write their slots past the guard
+    with object.__setattr__ (or a slot's own __set__)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
+    """A Frozen value that is its slots: `__init__` stores them in order, it
+    equals only an instance of its own type with equal slots, and it hashes
+    and prints by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def merge_into(out: dict, pairs, subtract: bool) -> dict:
+    """out + pairs, or out - pairs, in place and returned: out maps keys to
+    nonzero values and pairs yields (key, value) with nonzero values; a key
+    keeps its place in out and leaves it when it cancels."""
+    for k, c in pairs:
+        old = out.get(k)
+        if old is None:
+            out[k] = -c if subtract else c
+            continue
+        c = old - c if subtract else old + c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+class Scalar(Frozen):
     """A Gaussian rational (a + b*i)/d, stored as the integer triple
     `abd` = (a, b, d) with d > 0 and gcd(a, b, d) = 1.
 
@@ -59,12 +117,6 @@ class Scalar:
         """(a + b*i)/d from ints with d > 0, reduced but otherwise unchecked;
         for values the package built itself."""
         return _reduced(a, b, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -281,7 +333,7 @@ def _key(e) -> int:
     return k.numerator
 
 
-class QSeries:
+class QSeries(Frozen):
     """Truncated series sum c_e q^e with exponents in (1/24)*Z below `order`.
 
     Coefficients are Scalars keyed by 24*e; zeros are never stored.  Addition
@@ -313,12 +365,6 @@ class QSeries:
         object.__setattr__(s, "coeffs", coeffs)
         return s
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QSeries is immutable")
-
     @classmethod
     def zero(cls, order) -> "QSeries":
         return cls(order, {})
@@ -348,29 +394,22 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def _below(self, order: Fraction) -> dict:
+        """The coefficients of exponents below order <= self.order: all of
+        them, not copied, when order is the series' own."""
+        if order == self.order:
+            return self.coeffs
+        cutoff = ceil(order * DEN)
+        return {k: c for k, c in self.coeffs.items() if k < cutoff}
+
     def _combine(self, other, subtract: bool):
         """self + other, or self - other, below the lower of the two orders:
-        a key keeps its place in self.coeffs and leaves it when it cancels."""
+        each drops its keys at or above that order, then `merge_into` merges
+        them."""
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        cutoff = ceil(order * DEN)
-        if self.order == order:
-            out = dict(self.coeffs)
-        else:
-            out = {k: c for k, c in self.coeffs.items() if k < cutoff}
-        for k, c in other.coeffs.items():
-            if k >= cutoff:
-                continue
-            old = out.get(k)
-            if old is None:
-                out[k] = -c if subtract else c
-                continue
-            c = old - c if subtract else old + c
-            if c:
-                out[k] = c
-            else:
-                del out[k]
+        out = merge_into(dict(self._below(order)), other._below(order).items(), subtract)
         return QSeries._of(order, out)
 
     def __add__(self, other):

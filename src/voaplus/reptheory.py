@@ -20,6 +20,7 @@ from math import comb, factorial, isqrt
 
 from .numeric import (
     DecompositionError,
+    Record,
     Scalar,
     ZERO,
     as_fraction,
@@ -286,7 +287,7 @@ def rescale_heisenberg_state(s: State, lattice_to: int) -> State:
     return State(lattice_to, out)
 
 
-class CGLabel:
+class CGLabel(Record):
     """Even spin-doubled labels (m, n, i) with i in the tensor range of m, n.
 
     Immutable; equal labels have equal (m, n, i)."""
@@ -299,26 +300,7 @@ class CGLabel:
                 raise ValueError("labels must be even nonnegative integers")
         if not (abs(m - n) <= i <= m + n):
             raise ValueError("i outside the tensor range")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "i", i)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CGLabel is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("CGLabel is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not CGLabel:
-            return NotImplemented
-        return (self.m, self.n, self.i) == (other.m, other.n, other.i)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.i))
-
-    def __repr__(self):
-        return f"CGLabel(m={self.m!r}, n={self.n!r}, i={self.i!r})"
+        super().__init__(m, n, i)
 
 
 def cg_coefficient(label) -> Scalar:

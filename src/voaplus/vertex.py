@@ -37,8 +37,9 @@ Conventions, fixed once here:
   * Each quantity of the recursion is derived once: `mode` computes room
     for each term pair and passes it down (annihilation keeps it, the
     creation of g(-t) passes room - t), so no partition is summed again;
-    the creation monomials (nu, len(nu), z_nu) are cached per size, and a
-    created part is inserted into its sorted partition by bisection.
+    the creation monomials (nu, len(nu), z_nu) are cached per size, a
+    created part is inserted into its sorted partition by bisection, and
+    `mode` builds each output denominator dv dw room! once per term pair.
 
 Everything is computed per graded component with no truncation: a mode of a
 homogeneous state is exact.
@@ -53,7 +54,7 @@ from math import comb, factorial, perm
 from operator import neg
 
 from .numeric import Scalar
-from .fock import State, partitions
+from .fock import State, partitions, z_partition
 
 __all__ = ["mode", "virasoro", "bracket", "poly_binom", "clear_mode_cache"]
 
@@ -86,15 +87,9 @@ def _insert_part(parts: tuple, t: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _creation_monomials(n: int) -> tuple:
-    """(nu, len(nu), z_nu) for each partition nu of n, in `partitions` order;
-    z_nu = prod p^(s_p) s_p! over the parts p of multiplicity s_p."""
-    out = []
-    for nu in partitions(n):
-        z_nu = 1
-        for p, s in _multiset(nu).items():
-            z_nu *= p**s * factorial(s)
-        out.append((nu, len(nu), z_nu))
-    return tuple(out)
+    """(nu, len(nu), z_nu) for each partition nu of n, in `partitions` order,
+    with z_nu from `fock.z_partition`."""
+    return tuple((nu, len(nu), z_partition(nu)) for nu in partitions(n))
 
 
 def _annihilate(N: int, n: int, m: int, mu: tuple) -> tuple:
@@ -118,9 +113,11 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
-# What `_term_mode` returns, unstored, for a key whose closed form (vacuum or
-# h(-j)1) is zero; callers only read term tables, so one shared dict is safe.
-_ZERO_BY_WEIGHT: dict = {}
+# The zero term table: what `_term_mode` returns, unstored, when the closed
+# form of the vacuum's or h(-j)1's mode is zero (the vacuum at k != -1, or
+# h(n) removing an absent part); callers only read term tables, so one shared
+# dict is safe.
+_ZERO: dict = {}
 
 
 def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> dict:
@@ -178,7 +175,7 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int)
                 c, mu = 1, _insert_part(mu, -n)
             c *= (-1) ** (j - 1) * poly_binom(k, j - 1)
         if not c:
-            return _ZERO_BY_WEIGHT
+            return _ZERO
         return {(m, mu): c * factorial(room)}
     key = (N, a, lam, k, m, mu)
     hit = _MODE_CACHE.get(key)
@@ -242,6 +239,7 @@ def mode(v: State, k: int, w: State) -> State:
         raise ValueError("mode requires a homogeneous first argument")
     N = v.lattice
     dw, w_int, _ = w._integer_form()
+    dvw = dv * dw
     acc: dict = {}
     for (a, lam), vr, vi in v_int:
         lam_room = sum(lam) - k - 1
@@ -256,15 +254,14 @@ def mode(v: State, k: int, w: State) -> State:
             sub = _term_mode(N, a, lam, k, m, mu, room)
             if not sub:
                 continue
+            # every term of the pair has |nu| = room, so its denominator is
+            # dv dw room!, kept beside its sums
+            d = dvw * factorial(room)
             ccr, cci = vr * wr - vi * wi, vr * wi + vi * wr
             for t, c in sub.items():
-                pr, pi = acc.get(t, (0, 0))
-                acc[t] = (pr + ccr * c, pi + cci * c)
-    dvw = dv * dw
-    out = {}
-    for (mm, ll), (r, i) in acc.items():
-        if r or i:
-            out[(mm, ll)] = Scalar._of(r, i, dvw * factorial(sum(ll)))
+                pr, pi, _ = acc.get(t, (0, 0, d))
+                acc[t] = (pr + ccr * c, pi + cci * c, d)
+    out = {t: Scalar._of(r, i, d) for t, (r, i, d) in acc.items() if r or i}
     return State._of(N, out)
 
 

@@ -22,8 +22,10 @@ from voaplus.fock import (
     theta,
     weight_terms,
 )
+from voaplus.aut4 import AutomorphismSpec
 from voaplus.linalg import rank
-from voaplus.numeric import QSeries, Scalar
+from voaplus.numeric import I, QSeries, Record, Scalar
+from voaplus.reptheory import CGLabel
 
 
 def test_partitions_enumeration_matches_count():
@@ -67,17 +69,60 @@ def test_state_validation_and_weight():
 
 @pytest.mark.parametrize(
     "value",
-    [State.of_term(2, 1, (3, 1), 5), Scalar(1, 2), QSeries(2, {0: 1, 24: 3})],
-    ids=["State", "Scalar", "QSeries"],
+    [
+        State.of_term(2, 1, (3, 1), 5),
+        Scalar(1, 2),
+        QSeries(2, {0: 1, 24: 3}),
+        CGLabel(4, 2, 2),
+        AutomorphismSpec("torus", 2, (I,)),
+    ],
+    ids=["State", "Scalar", "QSeries", "CGLabel", "AutomorphismSpec"],
 )
 def test_states_scalars_and_series_refuse_setattr_and_delattr(value):
     before = repr(value)
-    for name in type(value).__slots__:
-        with pytest.raises(AttributeError):
+    message = f"{type(value).__name__} is immutable"
+    for name in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError, match=message):
             setattr(value, name, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             delattr(value, name)
     assert repr(value) == before
+
+
+def test_equal_states_hash_equal_and_share_one_dict_key():
+    terms = [((1, (3, 1)), 5), ((0, (2,)), Fraction(1, 2)), ((-1, ()), Scalar(0, 1))]
+    forward = State(2, dict(terms))
+    backward = State(2, dict(reversed(terms)))
+    # the same coefficients given as Fraction, int and Scalar
+    retyped = State(2, {(1, (3, 1)): Fraction(10, 2), (0, (2,)): Scalar(Fraction(1, 2)), (-1, ()): I})
+    built = State.of_term(2, -1, (), I) + State.of_term(2, 0, (2,), Fraction(1, 2)) + State.of_term(2, 1, (1, 3), 5)
+    assert list(forward.terms) != list(backward.terms)
+    for s in (backward, retyped, built):
+        assert s == forward and hash(s) == hash(forward)
+    assert len({forward: 0, backward: 1, retyped: 2, built: 3}) == 1
+    assert {forward: "x"}[built] == "x"
+    # the same terms over another lattice are another State
+    other = State(4, dict(terms))
+    assert other != forward and len({forward, other}) == 2
+
+
+class _Triple(Record):
+    __slots__ = ("m", "n", "i")
+
+
+class _OtherTriple(Record):
+    __slots__ = ("m", "n", "i")
+
+
+def test_records_of_different_types_with_equal_fields_are_unequal():
+    label, triple, other = CGLabel(4, 2, 2), _Triple(4, 2, 2), _OtherTriple(4, 2, 2)
+    assert triple == _Triple(4, 2, 2) and hash(triple) == hash(_Triple(4, 2, 2))
+    assert repr(triple) == "_Triple(m=4, n=2, i=2)"
+    for a, b in ((label, triple), (triple, other), (other, label)):
+        assert a != b and b != a
+    assert len({label, triple, other}) == 3
+    with pytest.raises(ValueError):
+        _Triple(4, 2)  # a Record takes exactly one value per slot
 
 
 def test_state_sums_drop_cancelled_terms_and_keep_term_order():

@@ -263,10 +263,10 @@ def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
                     assert _over_partition_factorial(got) == want
                     nonzero += 1
                 else:
-                    assert got is vertex._ZERO_BY_WEIGHT
+                    assert got is vertex._ZERO
                     zeros += 1
     assert not vertex._MODE_CACHE
-    assert not vertex._ZERO_BY_WEIGHT
+    assert not vertex._ZERO
     assert zeros > 1000 and nonzero > 1000
 
 
