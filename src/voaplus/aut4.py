@@ -59,7 +59,7 @@ from .fock import (
     theta,
     weight_terms,
 )
-from .linalg import EchelonBasis, kernel_basis, rank, solve_columns
+from .linalg import kernel_basis, rank, relations, solve_columns
 from .vertex import mode, virasoro
 from .reptheory import GradedSubspace, singular_vectors
 from . import symn
@@ -169,25 +169,21 @@ def _integer_roots(coeffs: list) -> list:
 def _term_image(x: State, q: int, term, index: dict) -> dict:
     """{term: Scalar}: the image p(x(0))t of the term t, with p from `_lagrange`.
 
-    Each Krylov vector x(0)^j t enters one echelon basis as the row
-    (x(0)^j t | e_j), over the d = len(index) terms and d + 1 tags.  A row of
-    the span with tag (c_j) has state part sum_j c_j x(0)^j t, so the first
-    residual with a zero state part carries mu_t in its tag, c_m != 0; the
-    roots come from `_integer_roots`, which scans |k| <= isqrt(sum k^2)."""
-    d = len(index)
+    The Krylov vectors x(0)^j t, over the d = len(index) terms, are read
+    lazily by `relations`, so x(0) is applied once per vector read before
+    the first that lies in the span of those before it, x(0)^m t.  Its
+    relation sum_j c_j x(0)^j t = 0, c_m = 1, is mu_t; the roots come from
+    `_integer_roots`, which scans |k| <= isqrt(sum k^2)."""
     krylov = [State._of(x.lattice, {term: ONE})]
-    ech = EchelonBasis(2 * d + 1)
-    while True:
-        row = {index[t]: c for t, c in krylov[-1].terms.items()}
-        row[d + len(krylov) - 1] = 1
-        row = ech.insert(row)
-        if min(row) >= d:
-            break
-        krylov.append(mode(x, 0, krylov[-1]))
-    m = len(krylov) - 1
-    rel = [Scalar(*row.get(d + j, (0, 0))) for j in range(m + 1)]
-    # mu_t(iu) / (c_m i^m) = sum_j (c_j / c_m) i^(j-m) u^j, real when its roots are
-    coeffs = [c / rel[m] * I ** ((j - m) % 4) for j, c in enumerate(rel)]
+
+    def vectors():
+        while True:
+            yield {index[t]: c for t, c in krylov[-1].terms.items()}
+            krylov.append(mode(x, 0, krylov[-1]))
+
+    m, rel = next(relations(vectors(), len(index), len(index) + 1))
+    # mu_t(iu) / i^m = sum_j c_j i^(j-m) u^j, real when its roots are
+    coeffs = [c * I ** ((j - m) % 4) for j, c in enumerate(rel[: m + 1])]
     ks = _integer_roots(coeffs)
     acc: dict = {}
     for a, v in zip(_lagrange(ks, q), krylov):
@@ -469,16 +465,14 @@ def split_H_J():
 
 def _matrix_on(basis: list, image) -> list:
     """Matrix (rows) of the map image on the weight-4 basis, whose span the
-    map must preserve."""
-    basis_cols = [coordinates(b, 4) for b in basis]
-    cols = []
-    for b in basis:
-        combo = solve_columns(basis_cols, coordinates(image(b), 4))
-        if combo is None:
-            raise AssertionError("the map does not preserve the span of the basis")
-        cols.append(combo)
+    map must preserve: column r holds minus the basis part of the relation of
+    image(basis[r]), read after the basis by `relations`."""
     d = len(basis)
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    vectors = [coordinates(b, 4) for b in basis] + [coordinates(image(b), 4) for b in basis]
+    rels = {j: x for j, x in relations(vectors, len(vectors[0]), 2 * d) if j >= d}
+    if len(rels) != d:
+        raise AssertionError("the map does not preserve the span of the basis")
+    return [[-rels[d + r][i] for r in range(d)] for i in range(d)]
 
 
 def _line_permutation(spec) -> tuple:

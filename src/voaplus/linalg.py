@@ -31,17 +31,18 @@ Dividing each row by its pivot once, at the end, gives the unit-pivot reduced
 echelon form, which is unique under a fixed column order; bases built in any
 insertion order then compare by equality.  Every rational output is a Scalar.
 
-`rank` and `rref` insert the rows of a matrix into one `EchelonBasis`, and
-`kernel_basis` reads the kernel off `rref`.  `solve_columns` inserts each
-column c_j as the tagged sparse row (c_j | e_j) and reads the solution off
-the tag of the target's residual, the way `aut4` reads minimal polynomials.
+`rank` and `rref` insert the rows of a matrix into one `EchelonBasis`.
+`relations` reduces each vector v_j as the tagged sparse row (v_j | e_j) and
+reads a linear relation off the tag of each residual whose vector part is
+zero; the kernels, column solves, Krylov minimal polynomials, matrices of
+maps and singular vectors of the package are all read off it.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .numeric import ONE, ZERO, Scalar, over_common_denominator
+from .numeric import ZERO, Scalar, over_common_denominator
 
 
 def _gaussian_gcd(z: tuple, w: tuple) -> tuple:
@@ -95,6 +96,17 @@ def _eliminated(row: dict, prow: dict, col: int) -> dict | None:
     return _primitive(out)
 
 
+def _sparse(vec, dim: int) -> dict:
+    """vec, a dense list of length dim or a dict over [0, dim), as a dict."""
+    if not isinstance(vec, dict):
+        if len(vec) != dim:
+            raise ValueError("vector length does not match basis dimension")
+        return {i: x for i, x in enumerate(vec) if x}
+    if vec and not 0 <= min(vec) <= max(vec) < dim:
+        raise ValueError("vector column outside the basis dimension")
+    return vec
+
+
 class EchelonBasis:
     """Echelon row basis of a subspace of int, Fraction or Scalar vectors,
     grown by insertion and kept as primitive Gaussian-integer rows."""
@@ -114,13 +126,8 @@ class EchelonBasis:
         of length dim or a sparse {column: entry} dict, after elimination
         against the stored rows: a nonzero multiple of the field residual;
         None when vec lies in the span."""
-        if not isinstance(vec, dict):
-            if len(vec) != self.dim:
-                raise ValueError("vector length does not match basis dimension")
-            vec = {i: x for i, x in enumerate(vec) if x}
-        elif vec and not 0 <= min(vec) <= max(vec) < self.dim:
-            raise ValueError("vector column outside the basis dimension")
-        row = _primitive({i: (a, b) for i, a, b in over_common_denominator(vec)[1] if a or b})
+        _, parts = over_common_denominator(_sparse(vec, self.dim))
+        row = _primitive({i: (a, b) for i, a, b in parts if a or b})
         if row is None:
             return None
         # a stored row is zero at every other pivot, so an elimination never
@@ -134,14 +141,18 @@ class EchelonBasis:
         """Insert vec; returns its primitive integer residual (see `reduce`)
         if it enlarged the subspace, else None."""
         row = self.reduce(vec)
-        if row is None:
-            return None
+        if row is not None:
+            self._store(row)
+        return row
+
+    def _store(self, row: dict) -> None:
+        """Store a nonzero residual of `reduce`, back-substituting it into the
+        stored rows at its pivot, its smallest column."""
         piv = min(row)
         for p, other in self.rows.items():
             if piv in other:
                 self.rows[p] = _eliminated(other, row, piv)
         self.rows[piv] = row
-        return row
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) is None
@@ -184,45 +195,45 @@ def mat_mul(A: list, B: list) -> list:
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
+def relations(vectors, dim: int, count: int):
+    """The relations among up to `count` vectors of length `dim` (dense lists
+    or sparse dicts), read one at a time, so a generator is advanced only as
+    far as the caller reads.  Each v_j is reduced as the tagged row
+    (v_j | e_j) and stored if its vector part is nonzero; otherwise (j, x) is
+    yielded, x the `count` Scalars of its tag scaled to x_j = 1: the unique
+    relation sum_i x_i v_i = 0 that is zero at every later vector and at
+    every earlier dependent one, which is never stored."""
+    ech = EchelonBasis(dim + count)
+    for j, vec in enumerate(vectors):
+        row = ech.reduce(_sparse(vec, dim) | {dim + j: 1})
+        if min(row) < dim:
+            ech._store(row)
+            continue
+        x, t = [ZERO] * count, Scalar(*row[dim + j])
+        for c, ab in row.items():
+            x[c - dim] = Scalar(*ab) / t
+        yield j, x
+
+
 def kernel_basis(matrix: list, ncols: int) -> list:
-    """Basis of the right kernel, one vector per free column f of `rref`: a
-    one at f and minus the reduced entries of column f at the pivots."""
-    rows, pivots = rref(matrix)
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for rowvec, p in zip(rows, pivots):
-            vec[p] = -rowvec[f]
-        out.append(vec)
-    return out
+    """Basis of the right kernel, the `relations` among the columns: for each
+    free column f, a one at f, zeros at the other free columns and minus the
+    reduced entries of column f at the pivots.  Rows must have ncols entries."""
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("matrix row length does not match ncols")
+    columns = ([row[j] for row in matrix] for j in range(ncols))
+    return [x for _, x in relations(columns, len(matrix), ncols)]
 
 
 def solve_columns(columns: list, target: list):
     """Coefficients x with sum_j x_j columns[j] = target, or None when target
-    lies outside the span of the columns; with dependent columns, one of the
-    solutions.
-
-    Each column c_j is inserted as the tagged row (c_j | e_j) and the target
-    is reduced as (target | e_k), k = len(columns).  The residual is a row of
-    their span whose tag t has t_k != 0; its leading part
-    sum_j t_j c_j + t_k target is zero exactly when target lies in the span,
-    and then x_j = -t_j / t_k.
+    lies outside the span of the columns; with dependent columns, the one
+    that is zero at each column dependent on those before it.  Read after
+    the columns by `relations`, the target lies in their span exactly when
+    it has a relation sum_j y_j c_j + target = 0, and then x_j = -y_j.
     """
-    n, k = len(target), len(columns)
-    if any(len(col) != n for col in columns):
-        raise ValueError("columns and target differ in length")
-
-    def tagged(vec: list, j: int) -> dict:
-        row = {i: x for i, x in enumerate(vec) if x}
-        row[n + j] = 1
-        return row
-
-    ech = EchelonBasis(n + k + 1)
-    for j, col in enumerate(columns):
-        ech.insert(tagged(col, j))
-    row = ech.reduce(tagged(target, k))
-    if min(row) < n:
-        return None
-    tk = Scalar(*row[n + k])
-    return [-Scalar(*row.get(n + j, (0, 0))) / tk for j in range(k)]
+    k = len(columns)
+    for j, y in relations(columns + [target], len(target), k + 1):
+        if j == k:
+            return [-c for c in y[:k]]
+    return None

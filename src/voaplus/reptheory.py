@@ -26,6 +26,7 @@ from .numeric import (
     as_fraction,
     decompose,
     graded_character,
+    merge_into,
     visible_weights,
 )
 from .fock import (
@@ -33,12 +34,12 @@ from .fock import (
     State,
     check_lattice,
     check_window,
-    coordinates,
     graded_basis,
     graded_coordinates,
     graded_dim,
+    weight_terms,
 )
-from .linalg import EchelonBasis, kernel_basis
+from .linalg import EchelonBasis, relations
 from .vertex import mode, virasoro
 
 
@@ -229,31 +230,22 @@ def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> G
 
 def singular_vectors(lattice: int, w, ambient="full") -> list[State]:
     """Basis of the joint kernel of the first two lowering Virasoro operators
-    on one constrained graded piece."""
+    on one constrained graded piece: the `relations` among the images
+    (L(1)b, L(2)b) of its basis states b, keyed by the terms of weights w - 1
+    and w - 2, one vector per b whose image lies in the span of those before."""
     basis = graded_basis(lattice, w, ambient)
     if not basis:
         return []
     w = int(Fraction(w))
-    images = []
-    for b in basis:
-        col = []
-        for kk, wt in ((1, w - 1), (2, w - 2)):
-            if wt >= 0:
-                col.extend(coordinates(virasoro(kk, b), wt))
-        images.append(col)
-    if images and images[0]:
-        nrows = len(images[0])
-        matrix = [[images[j][r] for j in range(len(basis))] for r in range(nrows)]
-    else:
-        matrix = []
-    combos = kernel_basis(matrix, len(basis))
+    index = {t: i for i, t in enumerate(weight_terms(lattice, w - 1) + weight_terms(lattice, w - 2))}
+    images = ({index[t]: c for k in (1, 2) for t, c in virasoro(k, b).terms.items()} for b in basis)
     out = []
-    for combo in combos:
-        s = State(lattice, {})
-        for c, b in zip(combo, basis):
+    for _, x in relations(images, len(index), len(basis)):
+        acc: dict = {}
+        for c, b in zip(x, basis):
             if c:
-                s = s + c * b
-        out.append(s)
+                merge_into(acc, ((t, c * e) for t, e in b.terms.items()), False)
+        out.append(State._of(lattice, acc))
     return out
 
 

@@ -15,10 +15,10 @@ itself and skip that step.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .linalg import mat_mul, rank
+from .numeric import over_common_denominator
 
 
 def _require_n(n):
@@ -71,13 +71,6 @@ def _adjacent_transpositions(n):
     return out
 
 
-def _over_common_denominator(entries):
-    """(integers, D): the int or Fraction entries as integers over their least
-    common denominator D."""
-    D = math.lcm(*(x.denominator for x in entries))
-    return [x.numerator * (D // x.denominator) for x in entries], D
-
-
 def difference_basis(n):
     """The integral basis e_i - e_(i+1), i = 1..n-1, as P-vectors of ints."""
     out = []
@@ -125,7 +118,8 @@ class PermAlgebra:
         return self._ad_matrix(_as_vec(e, self.n))
 
     def _ad_matrix(self, e):
-        ints, q = _over_common_denominator(e)
+        q, parts = over_common_denominator(dict(enumerate(e)))
+        ints = [a for _, a, _ in parts]
         den = self.n * q
         cols = [diff_coords(_product(b, ints)) for b in self.basis]
         return [[Fraction(cols[j][i], den) for j in range(self.dim)] for i in range(self.dim)]
@@ -177,7 +171,8 @@ def has_axis_spectrum(matrix, n: int) -> bool:
     d = n - 1
     if len(matrix) != d or any(len(row) != d for row in matrix):
         return False
-    flat, D = _over_common_denominator([x for row in matrix for x in row])
+    D, parts = over_common_denominator(dict(enumerate(x for row in matrix for x in row)))
+    flat = [a for _, a, _ in parts]
     N = [flat[i * d:(i + 1) * d] for i in range(d)]
     if sum(N[i][i] for i in range(d)):
         return False

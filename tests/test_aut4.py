@@ -30,7 +30,7 @@ from voaplus.aut4 import (
     _line_permutation,
 )
 from voaplus.fock import State, graded_basis, graded_dim, theta, weight_terms
-from voaplus.linalg import kernel_basis, solve_columns
+from voaplus.linalg import kernel_basis, rank, solve_columns
 from voaplus.numeric import I, ONE, ZERO, Scalar
 from voaplus.report import Report, encode_value, render_json
 from voaplus.reptheory import GradedSubspace
@@ -537,6 +537,35 @@ def test_a_repeated_H_vector_fails_the_H_trace_of_identity_row(monkeypatch):
     sym3_report(rep)
     assert "H trace of identity" in rep.failures()
     assert next(c.actual for c in rep.checks if c.name == "H trace of identity") == Scalar(1)
+
+
+def test_matrix_on_reads_images_in_the_basis_and_refuses_a_map_leaving_its_span():
+    H, J, _ = split_H_J()
+    assert aut4._matrix_on(H, lambda s: s) == [[ONE, ZERO], [ZERO, ONE]]
+    swap = {H[0]: H[1], H[1]: Scalar(3) * H[0]}
+    assert aut4._matrix_on(H, swap.__getitem__) == [[ZERO, Scalar(3)], [ONE, ZERO]]
+    with pytest.raises(AssertionError, match="does not preserve the span"):
+        aut4._matrix_on(H, lambda s: s + J[0])
+
+
+def test_a_term_image_applies_the_zero_mode_only_up_to_the_first_dependent_krylov_vector(monkeypatch):
+    # on weight 3, the zero mode of y_2 has minimal polynomials of degree
+    # 1, 2 and 3 on the terms
+    y2 = y_basis()[1]
+    index = {t: i for i, t in enumerate(weight_terms(2, 3))}
+    real = aut4.mode
+    degrees = set()
+    for term in index:
+        seen = []
+        monkeypatch.setattr(aut4, "mode", lambda u, k, v: seen.append(v) or real(u, k, v))
+        aut4._term_image(y2, 1, term, index)
+        degrees.add(len(seen))
+        # x(0)^j t for j < m are independent and x(0)^m t lies in their span
+        krylov = [State.of_term(2, *term)] + [real(y2, 0, v) for v in seen]
+        coords = [[v.terms.get(t, ZERO) for t in index] for v in krylov]
+        assert seen == krylov[:-1]
+        assert rank(coords[:-1]) == rank(coords) == len(seen)
+    assert degrees == {1, 2, 3}
 
 
 def test_a_one_vector_H_fails_the_dim_H_row_of_the_n4_report(monkeypatch, capsys):

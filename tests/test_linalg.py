@@ -1,5 +1,5 @@
-"""Exact linear algebra: echelon bases, rref, kernels, column solves, all read
-back over the Gaussian rationals."""
+"""Exact linear algebra: echelon bases, rref, relations, kernels, column
+solves and singular vectors, all read back over the Gaussian rationals."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from voaplus import linalg
 from voaplus.aut4 import apply, compose_specs, rotation_sigma
-from voaplus.fock import coordinates, graded_basis
+from voaplus.fock import State, coordinates, graded_basis
 from voaplus.linalg import EchelonBasis, kernel_basis, mat_mul, rank, rref, solve_columns
 from voaplus.numeric import ONE, ZERO, Scalar
+from voaplus.reptheory import singular_vectors
+from voaplus.vertex import virasoro
 
 F = Fraction
 
@@ -91,6 +93,38 @@ def test_kernel_basis_of_a_rank_one_map():
     assert len(ker) == 2
     for v in ker:
         assert v[0] + Scalar(2) * v[1] + Scalar(3) * v[2] == Scalar(0)
+    # a row shorter or longer than ncols is refused, not cut or padded
+    for bad, ncols in ((mat, 2), (mat, 4), (mat + [[ONE, ONE]], 3)):
+        with pytest.raises(ValueError):
+            kernel_basis(bad, ncols)
+
+
+def test_relations_are_zero_at_earlier_dependent_vectors():
+    v0, v2 = [ONE, ZERO], {1: ONE}
+    vectors = [v0, [Scalar(2), ZERO], v2, [Scalar(3), ONE], [ZERO, ZERO]]
+    got = dict(linalg.relations(vectors, 2, 5))
+    assert got == {
+        1: [Scalar(-2), ONE, ZERO, ZERO, ZERO],
+        3: [Scalar(-3), ZERO, -ONE, ONE, ZERO],
+        4: [ZERO, ZERO, ZERO, ZERO, ONE],
+    }
+    # a dense vector of another length, or a sparse column reaching the tags
+    for bad in ([ONE], {2: ONE}):
+        with pytest.raises(ValueError):
+            list(linalg.relations([v0, bad], 2, 2))
+
+
+def test_relations_read_a_generator_no_further_than_the_first_dependent_vector():
+    # aut4 reads its Krylov vectors this way: the vector after the first
+    # dependent one would cost a mode call, so it must never be asked for
+    def krylov():
+        yield [ONE, ZERO, ZERO]
+        yield {1: Scalar(2)}
+        yield [ZERO, Scalar(0, 1), ZERO]
+        raise AssertionError("read past the first dependent vector")
+
+    j, x = next(linalg.relations(krylov(), 3, 4))
+    assert j == 2 and x == [ZERO, Scalar(0, F(-1, 2)), ONE, ZERO]
 
 
 def test_solve_columns_exact_solution_and_failure():
@@ -303,6 +337,24 @@ def test_every_stored_row_of_a_gaussian_matrix_has_a_unit_as_its_content(matrix)
         residual = ech.insert(vec)
         assert residual is None or _gaussian_content_is_a_unit(residual)
         assert all(_gaussian_content_is_a_unit(row) for row in ech.rows.values())
+
+
+@pytest.mark.parametrize(
+    "N, w, ambient, dim",
+    [(2, 4, "plus", 3), (8, 4, "plus", 2), (2, 4, "efixed", 2), (2, 0, "full", 1), (2, 1, "full", 3)],
+)
+def test_singular_vectors_are_the_free_column_kernel_of_the_oracle(N, w, ambient, dim):
+    # the L(1) rows and then the L(2) rows, dense over the weight-(w-1) and
+    # weight-(w-2) terms; at w = 0 and 1 there are no L(2) rows
+    basis = graded_basis(N, w, ambient)
+    cols = [[c for k in (1, 2) if w >= k for c in coordinates(virasoro(k, b), w - k)] for b in basis]
+    matrix = [list(row) for row in zip(*cols)]
+    want = [
+        sum((c * b for c, b in zip(vec, basis)), State(N, {}))
+        for vec in _kernel_by_oracle(matrix, len(basis))
+    ]
+    assert len(want) == dim
+    assert singular_vectors(N, w, ambient) == want
 
 
 def test_fixed_space_rows_of_the_tetrahedral_group_stay_small():
