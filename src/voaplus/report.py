@@ -128,26 +128,42 @@ def state_from_terms(lattice: int, terms) -> State:
     return State(lattice, out)
 
 
+def _parameters_json(report: Report) -> dict:
+    return {str(k): encode_value(v) for k, v in report.parameters.items()}
+
+
+def _check_json(c: Check) -> dict:
+    return {
+        "name": c.name,
+        "status": c.status,
+        "expected": encode_value(c.expected),
+        "actual": encode_value(c.actual),
+        "location": c.location,
+    }
+
+
 def report_to_json(report: Report) -> dict:
     return {
         "task": report.task,
-        "parameters": {str(k): encode_value(v) for k, v in report.parameters.items()},
-        "checks": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "expected": encode_value(c.expected),
-                "actual": encode_value(c.actual),
-                "location": c.location,
-            }
-            for c in report.checks
-        ],
+        "parameters": _parameters_json(report),
+        "checks": [_check_json(c) for c in report.checks],
         "status": report.status,
     }
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report_to_json(report), indent=2) + "\n"
+    """`json.dumps(report_to_json(report), indent=2)` and a newline, encoded
+    one check at a time: the indenting encoder builds its output from one
+    small string per token, so a whole report at once costs many times its
+    size in memory."""
+    enc = json.JSONEncoder(indent=2)
+    # the encoded head ends in "\n}", which the checks and status replace
+    head = enc.encode({"task": report.task, "parameters": _parameters_json(report)})
+    checks = ",\n".join(
+        "    " + enc.encode(_check_json(c)).replace("\n", "\n    ") for c in report.checks
+    )
+    checks = f"[\n{checks}\n  ]" if checks else "[]"
+    return f'{head[:-2]},\n  "checks": {checks},\n  "status": {enc.encode(report.status)}\n}}\n'
 
 
 def parse_report(text: str) -> Report:

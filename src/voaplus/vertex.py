@@ -22,6 +22,12 @@ Conventions, fixed once here:
     common denominator and a homogeneity flag, computed once per State and
     kept, since States are immutable), accumulates Gaussian-integer pairs
     (r, i), and makes each output term as `Scalar._of(r, i, d)`.
+  * A term table is one flat tuple (t0, c0, t1, c1, ...) of result terms and
+    their nonzero numerators, read by taking each numerator with `next` from
+    the iterator that gave its term; every empty table is the shared `_ZERO`.
+    The tables are stored per term pair, {(N, a, lam, m, mu): {k: table}}:
+    memory, not time, bounds the weight windows the sweeps reach, and a
+    tuple costs a fraction of a dict with its own six-field key.
   * `mode` builds its result with the unchecked constructors `Scalar._of` and
     `State._of`: every d it passes is positive, `Scalar._of` reduces the
     triple by its gcd, and only nonzero terms are kept, so re-validation would
@@ -104,8 +110,9 @@ def _annihilate(N: int, n: int, m: int, mu: tuple) -> tuple:
     return cnt * n * N, mu[:i] + mu[i + 1:]
 
 
-# Term-mode table.  `cli.run` empties it at the start of every invocation and
-# before each part of `all`, so it lives for one report part.
+# Term-mode table {(N, a, lam, m, mu): {k: table}}, one group per term pair.
+# `cli.run` empties it at the start of every invocation and before each part
+# of `all`, so it lives for one report part.
 _MODE_CACHE: dict = {}
 
 
@@ -113,14 +120,22 @@ def clear_mode_cache():
     _MODE_CACHE.clear()
 
 
-# The zero term table: what `_term_mode` returns, unstored, when the closed
-# form of the vacuum's or h(-j)1's mode is zero (the vacuum at k != -1, or
-# h(n) removing an absent part); callers only read term tables, so one shared
-# dict is safe.
-_ZERO: dict = {}
+# The empty term table, shared by every table without terms: the stored ones
+# and the unstored zero closed forms (the vacuum at k != -1, or h(n) removing
+# an absent part).
+_ZERO: tuple = ()
 
 
-def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> dict:
+def _flat(out: dict) -> tuple:
+    """The nonzero entries of out as a term table (t0, c0, t1, c1, ...)."""
+    flat = []
+    for t, c in out.items():
+        if c:
+            flat += t, c
+    return tuple(flat) if flat else _ZERO
+
+
+def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> tuple:
     """Mode k of the pure sector-a vector on the term (m, mu), over room!."""
     out: dict = {}
     base_power = a * m * N
@@ -151,11 +166,12 @@ def _lattice_term_mode(N: int, a: int, k: int, m: int, mu: tuple, room: int) -> 
             # because need <= room and need!/z_nu is a class size
             term = (m + a, tuple(sorted(kept + list(nu), reverse=True)))
             out[term] = out.get(term, 0) + ann * a**length * (scale // z_nu)
-    return {t: c for t, c in out.items() if c}
+    return _flat(out)
 
 
-def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int) -> dict:
-    """Mode k of the single term (a, lam) applied to the single term (m, mu).
+def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int) -> tuple:
+    """Mode k of the single term (a, lam) applied to the single term (m, mu),
+    as a term table.
 
     Integer numerators over room!, room = |lam| + |mu| - k - 1 - a m N the
     size of every result partition, which the caller passes and must have
@@ -176,14 +192,18 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int)
             c *= (-1) ** (j - 1) * poly_binom(k, j - 1)
         if not c:
             return _ZERO
-        return {(m, mu): c * factorial(room)}
-    key = (N, a, lam, k, m, mu)
-    hit = _MODE_CACHE.get(key)
-    if hit is not None:
-        return hit
+        return (m, mu), c * factorial(room)
+    key = (N, a, lam, m, mu)
+    group = _MODE_CACHE.get(key)
+    if group is None:
+        group = _MODE_CACHE[key] = {}
+    else:
+        hit = group.get(k)
+        if hit is not None:
+            return hit
 
     if not lam:
-        _MODE_CACHE[key] = result = _lattice_term_mode(N, a, k, m, mu, room)
+        group[k] = result = _lattice_term_mode(N, a, k, m, mu, room)
         return result
 
     j, rest = lam[0], lam[1:]
@@ -200,8 +220,9 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int)
         inner = _term_mode(N, a, rest, k - n - j, m, inner_mu, room)
         if inner:
             factor = sign * comb(n + j - 1, j - 1) * hscale
-            for t, c in inner.items():
-                out[t] = out.get(t, 0) + c * factor
+            it = iter(inner)
+            for t in it:
+                out[t] = out.get(t, 0) + next(it) * factor
 
     # creation side: g(-t), t >= 1, applied after the inner mode, whose
     # result has partitions of size room - t and is lifted by room!/(room - t)!;
@@ -213,12 +234,12 @@ def _term_mode(N: int, a: int, lam: tuple, k: int, m: int, mu: tuple, room: int)
         inner = _term_mode(N, a, rest, k + t - j, m, mu, room - t)
         if inner:
             factor = comb(t - 1, j - 1) * lift
-            for (mm, ll), c in inner.items():
+            it = iter(inner)
+            for mm, ll in it:
                 term = (mm, _insert_part(ll, t))
-                out[term] = out.get(term, 0) + c * factor
+                out[term] = out.get(term, 0) + next(it) * factor
 
-    result = {t: c for t, c in out.items() if c}
-    _MODE_CACHE[key] = result
+    group[k] = result = _flat(out)
     return result
 
 
@@ -258,7 +279,9 @@ def mode(v: State, k: int, w: State) -> State:
             # dv dw room!, kept beside its sums
             d = dvw * factorial(room)
             ccr, cci = vr * wr - vi * wi, vr * wi + vi * wr
-            for t, c in sub.items():
+            it = iter(sub)
+            for t in it:
+                c = next(it)
                 pr, pi, _ = acc.get(t, (0, 0, d))
                 acc[t] = (pr + ccr * c, pi + cci * c, d)
     out = {t: Scalar._of(r, i, d) for t, (r, i, d) in acc.items() if r or i}
@@ -273,6 +296,8 @@ def _omega(N: int) -> State:
 
 def virasoro(k: int, w: State) -> State:
     """L(k) acting on w: the (k+1)-st mode of the conformal vector."""
+    if not isinstance(w, State):
+        raise ValueError("mode expects two states")
     return mode(_omega(w.lattice), k + 1, w)
 
 

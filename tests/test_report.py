@@ -1,5 +1,6 @@
 """Tests for canonical report encoding, parsing and rendering."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,21 @@ def test_render_parse_render_is_a_fixed_point():
     assert parsed.parameters == {"order": F(40), "lattice": 2}
     assert isinstance(parsed.parameters["order"], F)
     assert isinstance(parsed.parameters["lattice"], int)
+
+
+def test_render_json_is_json_dumps_of_the_whole_report():
+    # render_json encodes check by check; the bytes are those of one dump
+    empty = Report("empty")
+    nested = Report("nested", {"dims": {1: [2, [3, F(1, 2)]], F(3, 2): None}, "flag": True})
+    nested.check("deep", "loc", {"a": [[], {}, [1, {"b": [F(-3, 4)]}]]}, [[[]]])
+    nested.check("empty containers", "loc", [], {}, ok=True)
+    scalars = Report("scalars", {"order": F(40), "c": Scalar(1, F(-1, 3))})
+    scalars.check("value", "loc", Scalar(0, F(1, 2)), Scalar(F(-7, 3), 5))
+    scalars.check("state", "loc", State.of_term(2, 1, (3,)) * Scalar(F(1, 3), 1), State(2, {}))
+    escaped = Report('quote " and \\ and tab \t', {'key "q"\n': "line\nbreak"})
+    escaped.check('name with "quotes", \\ and \n a newline', 'loc\t"x"', "\u00e9 \u221e", "\u2028")
+    for rep in (empty, nested, scalars, escaped):
+        assert render_json(rep) == json.dumps(report_to_json(rep), indent=2) + "\n"
 
 
 def test_render_text_shows_mismatches_and_skips():

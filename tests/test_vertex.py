@@ -177,6 +177,18 @@ def _over_partition_factorial(table):
     return {t: Fraction(c, factorial(sum(t[1]))) for t, c in table.items()}
 
 
+def _as_dict(table):
+    """A flat term table (t0, c0, t1, c1, ...) as {t: c}."""
+    return dict(zip(table[::2], table[1::2]))
+
+
+def _stored_tables():
+    """Every stored term table as ((N, a, lam, k, m, mu), {t: c})."""
+    for (N, a, lam, m, mu), group in vertex._MODE_CACHE.items():
+        for k, table in group.items():
+            yield (N, a, lam, k, m, mu), _as_dict(table)
+
+
 def test_term_mode_returns_integers_over_the_result_partition_factorial():
     # on N = 18 a sector-one term already weighs 9, so a denominator built
     # from the result weight instead of its partition is off by a factor of
@@ -192,7 +204,7 @@ def test_term_mode_returns_integers_over_the_result_partition_factorial():
             for k in range(-2, 12):
                 assert mode(u, k, v) == _mode_by_fractions(u, k, v, cache)
     assert {key[0] for key in vertex._MODE_CACHE} == {4, 18}
-    for (N, a, lam, k, m, mu), result in vertex._MODE_CACHE.items():
+    for (N, a, lam, k, m, mu), result in _stored_tables():
         oracle = _term_mode_by_fractions(N, a, lam, k, m, mu, {})
         assert set(result) == set(oracle)
         assert all(type(c) is int for c in result.values())
@@ -224,14 +236,14 @@ def test_term_modes_skipped_by_weight_match_the_unpruned_oracle():
                     # zero by weight: `mode` skips the pair uncomputed
                     assert not want
                 else:
-                    got = vertex._term_mode(N, a, lam, k, m, mu, room)
+                    got = _as_dict(vertex._term_mode(N, a, lam, k, m, mu, room))
                     assert _over_partition_factorial(got) == want
                 checked += 1
                 nonzero += bool(want)
     assert checked > 30000 and 0 < nonzero < checked
     # no key that is zero by weight was stored, recursion included
     assert vertex._MODE_CACHE
-    for (N, a, lam, k, m, mu), table in vertex._MODE_CACHE.items():
+    for (N, a, lam, k, m, mu), table in _stored_tables():
         w_out = (a * a + m * m) * N // 2 + sum(lam) + sum(mu) - k - 1
         assert w_out >= (m + a) ** 2 * N // 2
         # nor a mode of the vacuum or of a single Heisenberg part
@@ -260,7 +272,7 @@ def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
                     continue
                 got = vertex._term_mode(N, 0, lam, k, m, mu, room)
                 if want:
-                    assert _over_partition_factorial(got) == want
+                    assert _over_partition_factorial(_as_dict(got)) == want
                     nonzero += 1
                 else:
                     assert got is vertex._ZERO
@@ -268,6 +280,40 @@ def test_zero_single_part_heisenberg_modes_return_the_shared_zero_unstored():
     assert not vertex._MODE_CACHE
     assert not vertex._ZERO
     assert zeros > 1000 and nonzero > 1000
+
+
+def test_stored_term_tables_are_flat_nonzero_integer_terms_of_one_sector_and_room():
+    # a stored table is (t0, c0, t1, c1, ...): distinct terms of sector m + a
+    # whose partitions have size room, each with a nonzero int numerator; an
+    # empty one is the shared `_ZERO`
+    vertex.clear_mode_cache()
+    for N in (2, 4):
+        basis = [b for w in range(4) for b in graded_basis(N, w, "full")]
+        for u, v in iter_product(basis, basis):
+            for k in range(-2, u.weight() + v.weight()):
+                mode(u, k, v)
+    empty = full = 0
+    for (N, a, lam, m, mu), group in vertex._MODE_CACHE.items():
+        for k, table in group.items():
+            assert type(table) is tuple and len(table) % 2 == 0
+            if not table:
+                assert table is vertex._ZERO
+                empty += 1
+                continue
+            full += 1
+            terms, coeffs = table[::2], table[1::2]
+            assert len(set(terms)) == len(terms)
+            assert all(type(c) is int and c for c in coeffs)
+            room = _room(N, a, lam, k, m, mu)
+            assert all(sector == m + a and sum(nu) == room for sector, nu in terms)
+    assert empty > 100 and full > 1000
+
+
+def test_mode_and_virasoro_refuse_an_argument_that_is_not_a_state():
+    e = State.of_term(2, 1, ())
+    for call in (lambda: virasoro(1, 5), lambda: mode(5, 1, e), lambda: mode(e, 1, 5)):
+        with pytest.raises(ValueError, match="mode expects two states"):
+            call()
 
 
 def test_vacuum_and_single_part_modes_are_their_closed_forms_unstored():
