@@ -295,18 +295,25 @@ def partition_count_by_parity(n: int) -> tuple[int, int]:
     return ((p[n] + d) // 2, (p[n] - d) // 2)
 
 
-CONSTRAINTS = ("full", "plus", "efixed", "pair+:0", "pair-:0")
+# A bound names one graded subspace of V_L by a rule (step d, theta-sign e):
+# the span of the terms whose sector m is a multiple of d (d = 0: sector 0
+# only), taken whole when e is None, else its theta-eigenspace of sign e.
+# "full" is V_L, "plus" V_L^+, "efixed" V_{Z 2g}^+ (the plus space of norm
+# 4N: at N = 2 the norm-8 plus space), and "pair+:0"/"pair-:0" the even and
+# odd Heisenberg parts.  Every reader of a bound goes through `bound_rule`.
+BOUNDS = {"full": (1, None), "plus": (1, 1), "efixed": (2, 1), "pair+:0": (0, 1), "pair-:0": (0, -1)}
 
 
-def _check_constraint(N: int, constraint) -> None:
-    """Reject a constraint outside CONSTRAINTS, and "efixed" away from the
-    N=2 lattice."""
-    if constraint not in CONSTRAINTS:
-        raise ValueError(
-            f"unknown graded-basis constraint {constraint!r}; expected one of {CONSTRAINTS}"
-        )
-    if constraint == "efixed" and N != 2:
-        raise ValueError("the efixed constraint is only defined on the N=2 lattice")
+def bound_rule(bound) -> tuple:
+    """The (step, sign) rule of a bound name; ValueError for a name outside BOUNDS."""
+    try:
+        return BOUNDS[bound]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown bound {bound!r}; expected one of {tuple(BOUNDS)}") from None
+
+
+def _in_step(m: int, step: int) -> bool:
+    return m % step == 0 if step else m == 0
 
 
 def _sectors_at_weight(N: int, w: int):
@@ -351,55 +358,49 @@ def coordinates(s: State, w: int) -> list:
     return [s.terms.get(t, ZERO) for t in terms]
 
 
-def graded_coordinates(N: int, w, constraint="full") -> list[tuple]:
-    """Deterministic basis of one graded piece under a symmetry constraint,
+def graded_coordinates(N: int, w, bound="full") -> list[tuple]:
+    """Deterministic basis of the weight-w piece of a bound (see `BOUNDS`),
     each vector as its ((term, sign), ...) pairs, coefficients sign = +-1,
-    the leading term first with sign +1.
+    the leading term first with sign +1, in `weight_terms` order.
 
-    Constraints (`CONSTRAINTS`): "full" (all terms), "plus" (the parity-fixed
-    space), "pair+:0"/"pair-:0" (the parity-even and parity-odd parts of the
-    sector-zero Heisenberg space), and "efixed" (N=2 only: parity-fixed
-    vectors of even sector, the small-lattice model of the plus subalgebra
-    of the norm-8 lattice).  A parity-fixed vector of sector m > 0 is
-    (m, lam) + (-1)^len(lam) (-m, lam).
+    Under a theta-sign e the vector of a sector m > 0 is the eigenvector
+    (m, lam) + e (-1)^len(lam) (-m, lam), and a sector-0 term (0, lam) is
+    kept when (-1)^len(lam) = e.
     """
     check_lattice(N)
-    _check_constraint(N, constraint)
-    terms = weight_terms(N, w)
-    if constraint == "full":
-        return [((t, 1),) for t in terms]
-    fixed = constraint != "pair-:0"  # every other constraint is parity-fixed
+    step, sign = bound_rule(bound)
     out: list = []
-    for m, lam in terms:
-        if m == 0:
-            if (len(lam) % 2 == 0) == fixed:
-                out.append((((0, lam), 1),))
-        elif m > 0 and (constraint == "plus" or (constraint == "efixed" and m % 2 == 0)):
-            out.append((((m, lam), 1), ((-m, lam), -1 if len(lam) % 2 else 1)))
+    for m, lam in weight_terms(N, w):
+        if not _in_step(m, step) or (sign is not None and m < 0):
+            continue
+        if sign is None:
+            out.append((((m, lam), 1),))
+        elif m:  # theta (m, lam) = (-1)^len(lam) (-m, lam)
+            out.append((((m, lam), 1), ((-m, lam), sign * (-1) ** len(lam))))
+        elif (-1) ** len(lam) == sign:
+            out.append((((0, lam), 1),))
     return out
 
 
-def graded_basis(N: int, w, constraint="full") -> list[State]:
-    """The States of `graded_coordinates(N, w, constraint)`."""
-    coords = graded_coordinates(N, w, constraint)
+def graded_basis(N: int, w, bound="full") -> list[State]:
+    """The States of `graded_coordinates(N, w, bound)`."""
+    coords = graded_coordinates(N, w, bound)
     return [State._of(N, {t: Scalar(sign) for t, sign in vec}) for vec in coords]
 
 
-def graded_dim(N: int, w, constraint="full") -> int:
-    """Dimension of graded_basis(N, w, constraint), computed by counting only."""
+def graded_dim(N: int, w, bound="full") -> int:
+    """Dimension of graded_basis(N, w, bound), computed by counting only."""
     check_lattice(N)
-    _check_constraint(N, constraint)
+    step, sign = bound_rule(bound)
     w = _integer_weight(w)
     if w is None:
         return 0
     total = 0
-    for m in {abs(m) for m in _sectors_at_weight(N, w)}:
+    for m in {abs(m) for m in _sectors_at_weight(N, w) if _in_step(m, step)}:
         rest = w - (m * m * N) // 2
-        if m == 0:
+        if m:
+            total += partition_count(rest) * (1 if sign else 2)
+        else:
             even, odd = partition_count_by_parity(rest)
-            total += {"full": even + odd, "pair-:0": odd}.get(constraint, even)
-        elif constraint == "full":
-            total += 2 * partition_count(rest)
-        elif constraint == "plus" or (constraint == "efixed" and m % 2 == 0):
-            total += partition_count(rest)
+            total += {None: even + odd, 1: even, -1: odd}[sign]
     return total

@@ -6,8 +6,8 @@ states a step function yields for each newly accepted vector, through
 reduced echelon bases so membership, spans and dimensions are exact.
 `closure` seeds it with the vacuum and the generators and steps by the
 generators' modes with results in the weight window, carried in the
-coordinates of the upper bound it is compared with ("full", "plus" or
-"pair+:0") and skipping modes into pieces that already fill the bound;
+coordinates of the upper bound it is compared with (a name in
+`fock.BOUNDS`) and skipping modes into pieces that already fill the bound;
 `fusion_span` seeds it with the modes of a singular pair and steps by the
 Virasoro operators.
 """
@@ -32,6 +32,7 @@ from .numeric import (
 from .fock import (
     LatticeMismatch,
     State,
+    bound_rule,
     check_lattice,
     check_window,
     graded_basis,
@@ -47,19 +48,15 @@ class OutsideBound(ValueError):
     """A state that does not lie in the bound of a `GradedSubspace`."""
 
 
-BOUNDS = ("pair+:0", "plus", "full")  # each bound lies in the next
-
-
 class GradedSubspace:
     """A weight-graded subspace, through weight W = max_weight, of a bound in
     one lattice Fock space, with exact bases.
 
-    The bound is "full" (the whole lattice algebra V_L, the default), "plus"
-    (its parity-fixed subalgebra V_L^+) or "pair+:0" (the even Heisenberg
-    space), each taken through weight W.  Each weight piece keeps an
+    The bound is a name in `fock.BOUNDS` (default "full", the whole lattice
+    algebra V_L), taken through weight W.  Each weight piece keeps an
     `EchelonBasis` in the coordinates of the bound, the (term, sign) tuples
-    of `graded_coordinates(lattice, w, bound)`: a single term, or for "plus"
-    with m > 0 the pair (m, lam) + (-1)^len(lam) (-m, lam), indexed by its
+    of `graded_coordinates(lattice, w, bound)`: a single term, or under a
+    theta-sign a sector m > 0 term with its theta partner, indexed by its
     leading term.  A state enters it as the sparse row read off its own
     terms, so rank, membership and the canonical (unit-pivot reduced) basis
     are all deterministic.  A state outside the bound raises OutsideBound, a
@@ -68,8 +65,7 @@ class GradedSubspace:
     """
 
     def __init__(self, lattice: int, max_weight: int, bound: str = "full"):
-        if bound not in BOUNDS:
-            raise ValueError(f"unknown bound {bound!r}; expected one of {BOUNDS}")
+        self._every_term = bound_rule(bound) == (1, None)  # each term is a coordinate
         check_lattice(lattice)
         self.lattice = lattice
         self.max_weight = check_window(max_weight)
@@ -93,7 +89,7 @@ class GradedSubspace:
         lattice; OutsideBound unless the row expands back to s."""
         piece = self._piece(w)
         index = piece["index"]
-        if self.bound == "full":
+        if self._every_term:
             return piece, {index[t]: c for t, c in s.terms.items()}
         row = {index[t]: c for t, c in s.terms.items() if t in index}
         if _expand(piece, row) != s.terms:
@@ -195,12 +191,12 @@ def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> G
     the result can fall short of the windowed closure under all pairwise
     modes.
 
-    The bound is the upper bound, through weight W: "full" (the lattice
-    algebra V_L), "plus" (its parity-fixed subalgebra V_L^+) or "pair+:0"
-    (the even Heisenberg space); see `GradedSubspace`.  The vacuum and the
-    generators are inserted first and refused with OutsideBound unless they
-    lie in it.  Modes preserve each bound (the parity involution commutes
-    with modes, and modes of sector-zero vectors keep the sector), so every
+    The bound is the upper bound through weight W, a name in `fock.BOUNDS`;
+    see `GradedSubspace`.  The vacuum and the generators are inserted first
+    and refused with OutsideBound unless they lie in it, so a bound without
+    the vacuum ("pair-:0") refuses every closure.  Modes preserve each bound
+    that holds the vacuum (the parity involution commutes with modes, and
+    modes add sectors, so multiples of the step stay multiples), so every
     monomial lies in it too, and g_(k) v is not computed at all when its
     weight piece is already the whole piece of the bound: it would be
     rejected.  The dimensions meet the bound's exactly when the closure fills
@@ -228,12 +224,12 @@ def closure(lattice: int, generators, max_weight: int, bound: str = "full") -> G
     return saturate(sub, seeds, step)
 
 
-def singular_vectors(lattice: int, w, ambient="full") -> list[State]:
+def singular_vectors(lattice: int, w, bound="full") -> list[State]:
     """Basis of the joint kernel of the first two lowering Virasoro operators
-    on one constrained graded piece: the `relations` among the images
+    on the weight-w piece of a bound (a name in `fock.BOUNDS`): the `relations` among the images
     (L(1)b, L(2)b) of its basis states b, keyed by the terms of weights w - 1
     and w - 2, one vector per b whose image lies in the span of those before."""
-    basis = graded_basis(lattice, w, ambient)
+    basis = graded_basis(lattice, w, bound)
     if not basis:
         return []
     w = int(Fraction(w))
@@ -419,12 +415,12 @@ def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
         raise ValueError("series order must exceed the enumeration weight")
 
     # dual route at low weight: enumerated bases against pure counting
-    for constraint in ("full", "plus"):
-        enum = [len(graded_basis(N, w, constraint)) for w in range(W + 1)]
-        count = [graded_dim(N, w, constraint) for w in range(W + 1)]
-        rep.check(f"basis-vs-count {constraint} N={N} to w={W}", "graded-dims", count, enum)
+    for bound in ("full", "plus"):
+        enum = [len(graded_basis(N, w, bound)) for w in range(W + 1)]
+        count = [graded_dim(N, w, bound) for w in range(W + 1)]
+        rep.check(f"basis-vs-count {bound} N={N} to w={W}", "graded-dims", count, enum)
 
-    # one row per branching: (name, location, constraint, expected constituents)
+    # one row per branching: (name, location, bound, expected constituents)
     full = expected_full_decomposition(N, order)
     rows = [(f"full-character branching N={N}", "lattice-branching", "full", full)]
     if _two_lattice_is_square(N) is None:
@@ -437,8 +433,8 @@ def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
         ("heisenberg-plus branching", "heisenberg-split", "pair+:0", even),
         ("heisenberg-minus branching", "heisenberg-split", "pair-:0", odd),
     ]
-    for name, location, constraint, expected in rows:
-        counted = graded_character(lambda w: graded_dim(N, w, constraint), order)
+    for name, location, bound, expected in rows:
+        counted = graded_character(lambda w: graded_dim(N, w, bound), order)
         try:
             got = dict(decompose(counted, list(expected)))
         except DecompositionError as exc:

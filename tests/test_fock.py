@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from voaplus.fock import (
-    CONSTRAINTS,
+    BOUNDS,
     LatticeMismatch,
     State,
     coordinates,
@@ -25,7 +25,7 @@ from voaplus.fock import (
 from voaplus.aut4 import AutomorphismSpec
 from voaplus.linalg import rank
 from voaplus.numeric import I, QSeries, Record, Scalar
-from voaplus.reptheory import CGLabel
+from voaplus.reptheory import CGLabel, GradedSubspace
 
 
 def test_partitions_enumeration_matches_count():
@@ -191,34 +191,45 @@ def test_graded_dims_known_values():
 
 
 def test_graded_basis_agrees_with_dim_for_every_constraint():
-    """Each `graded_coordinates` vector leads with sign +1 and is the matching
-    `graded_basis` State; under a parity constraint it leads at a sector
-    m >= 0 and parity maps it to itself times the constraint's sign."""
-    parity = {"plus": 1, "efixed": 1, "pair+:0": 1, "pair-:0": -1}
-    for N in (2, 4, 6):
-        for constraint in CONSTRAINTS:
-            if constraint == "efixed" and N != 2:
-                continue
-            for w in range(8):
-                coords = graded_coordinates(N, w, constraint)
-                basis = graded_basis(N, w, constraint)
-                assert len(coords) == len(basis) == graded_dim(N, w, constraint)
+    """For every bound, even N <= 18 and w <= 21 there are `graded_dim`
+    `graded_coordinates` vectors and `graded_basis` States.  Through w = 12
+    each vector leads with sign +1 and is the matching State, whose terms
+    lie in sectors that are multiples of the bound's step; under a
+    theta-sign it leads at a sector m >= 0 and parity maps it to itself
+    times that sign."""
+    cases = 0
+    for N in range(2, 19, 2):
+        for bound, (step, sign) in BOUNDS.items():
+            for w in range(22):
+                coords = graded_coordinates(N, w, bound)
+                basis = graded_basis(N, w, bound)
+                assert len(coords) == len(basis) == graded_dim(N, w, bound), (N, bound, w)
+                cases += 1
+                if w > 12:
+                    continue
                 for vec, b in zip(coords, basis):
-                    (m, _), sign = vec[0]
-                    assert sign == 1
+                    (m, _), lead = vec[0]
+                    assert lead == 1
                     assert b == State(N, dict(vec))
                     assert b.weight() == Fraction(w)
-                    if constraint in parity:
+                    assert all(t[0] % step == 0 if step else t[0] == 0 for t, _ in vec)
+                    if sign is not None:
                         assert m >= 0
-                        assert theta(b) == parity[constraint] * b
+                        assert theta(b) == sign * b
+    assert cases == 990
 
 
 def test_basis_and_dim_reject_the_same_constraints():
-    rejected = ("pair:-1", "pair+:-1", "minus", "pair:1", "pair+:1", "pair-:2")
-    for N, constraint in [(2, c) for c in rejected] + [(4, "efixed")]:
-        for graded in (graded_basis, graded_coordinates, graded_dim):
+    rejected = ("pair:-1", "pair+:-1", "minus", "pair:1", "pair+:1", "pair-:2", ["full"])
+    for bound in rejected:
+        for graded in (graded_basis, graded_coordinates, graded_dim, GradedSubspace):
             with pytest.raises(ValueError):
-                graded(N, 4, constraint)
+                graded(2, 4, bound)
+    # "efixed" holds at every N: sectors 2k of the norm-N lattice are the
+    # sectors k of the norm-4N one
+    for N in (2, 4, 6, 8):
+        for w in range(22):
+            assert graded_dim(N, w, "efixed") == graded_dim(4 * N, w, "plus"), (N, w)
 
 
 def test_form_norm_of_the_weight_four_vector():

@@ -340,13 +340,13 @@ def test_every_stored_row_of_a_gaussian_matrix_has_a_unit_as_its_content(matrix)
 
 
 @pytest.mark.parametrize(
-    "N, w, ambient, dim",
+    "N, w, bound, dim",
     [(2, 4, "plus", 3), (8, 4, "plus", 2), (2, 4, "efixed", 2), (2, 0, "full", 1), (2, 1, "full", 3)],
 )
-def test_singular_vectors_are_the_free_column_kernel_of_the_oracle(N, w, ambient, dim):
+def test_singular_vectors_are_the_free_column_kernel_of_the_oracle(N, w, bound, dim):
     # the L(1) rows and then the L(2) rows, dense over the weight-(w-1) and
     # weight-(w-2) terms; at w = 0 and 1 there are no L(2) rows
-    basis = graded_basis(N, w, ambient)
+    basis = graded_basis(N, w, bound)
     cols = [[c for k in (1, 2) if w >= k for c in coordinates(virasoro(k, b), w - k)] for b in basis]
     matrix = [list(row) for row in zip(*cols)]
     want = [
@@ -354,7 +354,7 @@ def test_singular_vectors_are_the_free_column_kernel_of_the_oracle(N, w, ambient
         for vec in _kernel_by_oracle(matrix, len(basis))
     ]
     assert len(want) == dim
-    assert singular_vectors(N, w, ambient) == want
+    assert singular_vectors(N, w, bound) == want
 
 
 def test_fixed_space_rows_of_the_tetrahedral_group_stay_small():

@@ -7,7 +7,7 @@ import pytest
 
 from voaplus import cli, reptheory
 from voaplus.aut4 import automorphism_rows, e_fixed_check, theta_spec
-from voaplus.fock import LatticeMismatch, State, graded_basis, graded_dim
+from voaplus.fock import BOUNDS, LatticeMismatch, State, graded_basis, graded_dim
 from voaplus.numeric import ZERO, Scalar, virasoro_character
 from voaplus.report import Report, encode_value
 from voaplus.reptheory import (
@@ -98,10 +98,18 @@ def test_saturate_skips_zero_states_and_runs_breadth_first():
 
 def _same_space(one, other):
     """Equal dimensions, and the basis of the one with the smaller bound lies
-    in the other, at every weight; the bounds may differ."""
+    in the other, at every weight; the bounds may differ but must be nested.
+
+    Nested bounds are ordered by their dimension through W: the subspaces'
+    own dims are equal whenever the answer is yes, so they cannot order the
+    pair, and bounds of equal dimension through W coincide there."""
     if one.lattice != other.lattice or one.max_weight != other.max_weight:
         return False
-    narrow, wide = sorted((one, other), key=lambda sub: reptheory.BOUNDS.index(sub.bound))
+
+    def bound_dim(sub):
+        return sum(graded_dim(sub.lattice, w, sub.bound) for w in range(sub.max_weight + 1))
+
+    narrow, wide = sorted((one, other), key=bound_dim)
     return narrow.dims() == wide.dims() and all(
         wide.contains(b) for w in range(one.max_weight + 1) for b in narrow.basis_states(w)
     )
@@ -258,7 +266,7 @@ def test_every_windowed_entry_point_refuses_a_negative_window(run):
 
 def test_each_bound_is_filled_by_its_graded_basis_and_refuses_what_lies_outside():
     for N in (2, 4, 6):
-        for bound in ("full", "plus", "pair+:0"):
+        for bound in BOUNDS:
             sub = GradedSubspace(N, 6, bound)
             for w in range(7):
                 assert not sub.full(w) or graded_dim(N, w, bound) == 0
@@ -293,6 +301,11 @@ def test_closure_refuses_a_generator_outside_its_bound():
             closure(N, [E, om], 6, "pair+:0")  # sectors +-1
     with pytest.raises(ValueError):
         closure(2, [State.omega(2)], 6, "minus")
+    # modes do not preserve "pair-:0"; it lacks the vacuum, which is refused
+    # first, even when the generator lies in the bound
+    for gens in ([State.omega(2)], [State.of_term(2, 0, (1,))]):
+        with pytest.raises(OutsideBound):
+            closure(2, gens, 4, "pair-:0")
 
 
 def test_capped_bounded_closures_equal_the_full_closures():
