@@ -3,8 +3,8 @@
 Each subcommand maps onto one family of claims: character branchings, mode
 identities, generation closures, fusion spans, coupling parity, automorphism
 checks, and the permutation-invariant algebra family.  `all --profile desk`
-runs the whole battery at the default cutoffs.  Exit code 0 means every check
-passed, 1 means at least one failed, 2 means the invocation was unusable.
+runs the invocations listed in `DESK`.  Exit code 0 means every check passed,
+1 means at least one failed, 2 means the invocation was unusable.
 """
 
 from __future__ import annotations
@@ -76,14 +76,13 @@ def _nonneg(text: str) -> int:
     return n
 
 
-# Ceilings on the size flags of the subcommands that sweep modes over whole
-# graded bases, on the weight of the four-group fixed-space check, on the
-# closures, spans and enumerated characters, on the character series order,
-# on the fusion labels, on the Clebsch-Gordan sweep and on the
-# invariant-algebra family; the cost at each ceiling is stated in the README.
+# Ceilings on the size flags, one per flag: the weights of the mode sweeps
+# (`mode-checks`, and `aut` for every case), of the closures, spans and
+# enumerated characters, the character series order, the fusion labels, the
+# Clebsch-Gordan sweep and the invariant-algebra family.  The cost at each
+# ceiling is stated in the README.
 MODE_CHECKS_MAX_WEIGHT = 12
 AUT_MAX_WEIGHT = 7
-AUT_N4_MAX_WEIGHT = 6
 GENERATION_MAX_WEIGHT = 12
 FUSION_MAX_WEIGHT = 14
 FUSION_MAX_INDEX = 3
@@ -308,37 +307,29 @@ def _cg_report(max_m: int) -> Report:
     return rep
 
 
-def _aut_report(case: str, max_weight: int) -> Report:
-    rep = Report("aut", {"case": case, "max-weight": max_weight})
-    if case == "theta":
-        check_automorphism(
-            rep, theta_spec(2), max_weight, "negation involution, norm 2", "theta-check"
+def _aut_theta(rep: Report, max_weight: int) -> None:
+    check_automorphism(rep, theta_spec(2), max_weight, "negation involution, norm 2", "theta-check")
+
+
+def _aut_torus(rep: Report, max_weight: int) -> None:
+    th = theta_spec(8)
+    scalings = (("2", Scalar(2)), ("-1", Scalar(-1)), ("i", I))
+    blocks = automorphism_rows([torus_spec(8, c) for _, c in scalings], max_weight)
+    basis = [b for w in range(max_weight + 1) for b in graded_basis(8, w, "full")]
+    for (tag, c), rows in zip(scalings, blocks):
+        for name, actual in rows:
+            rep.check(f"sector scaling c={tag}: {name}", "torus-check", True, actual)
+        conj = compose_specs(th, torus_spec(8, c), th)
+        inv = torus_spec(8, c.inverse())
+        rep.check(
+            f"involution conjugates scaling c={tag} to its reciprocal",
+            "torus-conjugation",
+            0,
+            sum(apply(conj, b) != apply(inv, b) for b in basis),
         )
-        return rep
-    if case == "torus":
-        th = theta_spec(8)
-        scalings = (("2", Scalar(2)), ("-1", Scalar(-1)), ("i", I))
-        blocks = automorphism_rows([torus_spec(8, c) for _, c in scalings], max_weight)
-        for (tag, c), rows in zip(scalings, blocks):
-            for name, actual in rows:
-                rep.check(f"sector scaling c={tag}: {name}", "torus-check", True, actual)
-            defects = 0
-            conj = compose_specs(th, torus_spec(8, c), th)
-            inv = torus_spec(8, c.inverse())
-            for w in range(min(max_weight, 4) + 1):
-                for b in graded_basis(8, w, "full"):
-                    if apply(conj, b) != apply(inv, b):
-                        defects += 1
-            rep.check(
-                f"involution conjugates scaling c={tag} to its reciprocal",
-                "torus-conjugation",
-                0,
-                defects,
-            )
-        return rep
-    # case == "n4"
-    if max_weight > AUT_N4_MAX_WEIGHT:
-        raise _UsageError(f"--max-weight for --case n4 must be at most {AUT_N4_MAX_WEIGHT}")
+
+
+def _aut_n4(rep: Report, max_weight: int) -> None:
     sym3_report(rep)
     e_fixed_check(rep, max_weight)
     plus2 = [graded_dim(2, w, "plus") for w in range(13)]
@@ -349,6 +340,16 @@ def _aut_report(case: str, max_weight: int) -> Report:
         plus2,
         full8,
     )
+
+
+# One builder per `aut --case`, in the order `--help` lists them; each adds
+# its rows through weight --max-weight to the report it is given.
+AUT_CASES = {"theta": _aut_theta, "torus": _aut_torus, "n4": _aut_n4}
+
+
+def _aut_report(case: str, max_weight: int) -> Report:
+    rep = Report("aut", {"case": case, "max-weight": max_weight})
+    AUT_CASES[case](rep, max_weight)
     return rep
 
 
@@ -358,26 +359,32 @@ def _symn_report(n_max: int) -> Report:
     return rep
 
 
+# The parts of `all --profile desk` in report order: each is the label its
+# checks are filed under and the subcommand invocation that builds them.
+DESK = (
+    ("characters N=2", "characters --lattice 2 --max-weight 12 --order 40"),
+    ("characters N=4", "characters --lattice 4 --max-weight 8 --order 40"),
+    ("characters N=6", "characters --lattice 6 --max-weight 8 --order 40"),
+    ("characters N=10", "characters --lattice 10 --max-weight 8 --order 40"),
+    ("mode-checks", "mode-checks --max-weight 6"),
+    ("generation N=2", "generation --lattice 2 --max-weight 8"),
+    ("generation N=4", "generation --lattice 4 --max-weight 8"),
+    ("generation N=6", "generation --lattice 6 --max-weight 8"),
+    ("fusion 1x1", "fusion --m 1 --n 1 --max-weight 8"),
+    ("fusion 2x1", "fusion --m 2 --n 1 --max-weight 8"),
+    ("fusion 2x2", "fusion --m 2 --n 2 --max-weight 8"),
+    ("cg", "cg --max 8"),
+    ("aut theta", "aut --case theta --max-weight 5"),
+    ("aut torus", "aut --case torus --max-weight 5"),
+    ("aut n4", "aut --case n4 --max-weight 6"),
+    ("symn", "symn --n 8"),
+)
+
+
 def _all_report(seed) -> Report:
     rep = Report("all", {"profile": "desk"})
-    parts = [
-        ("characters N=2", lambda: _characters_report(2, 12, 40)),
-        ("characters N=4", lambda: _characters_report(4, 8, 40)),
-        ("characters N=6", lambda: _characters_report(6, 8, 40)),
-        ("characters N=10", lambda: _characters_report(10, 8, 40)),
-        ("mode-checks", lambda: _mode_checks_report(6)),
-        ("generation N=2", lambda: _generation_report(2, 8)),
-        ("generation N=4", lambda: _generation_report(4, 8)),
-        ("generation N=6", lambda: _generation_report(6, 8)),
-        ("fusion 1x1", lambda: _fusion_report(1, 1, 8)),
-        ("fusion 2x1", lambda: _fusion_report(2, 1, 8)),
-        ("fusion 2x2", lambda: _fusion_report(2, 2, 8)),
-        ("cg", lambda: _cg_report(8)),
-        ("aut theta", lambda: _aut_report("theta", 5)),
-        ("aut torus", lambda: _aut_report("torus", 5)),
-        ("aut n4", lambda: _aut_report("n4", 6)),
-        ("symn", lambda: _symn_report(8)),
-    ]
+    parser = _build_parser()
+    parts = [parser.parse_args(argv.split()) for _, argv in DESK]
     # The seed shuffles only the execution order of the independent parts;
     # the emitted report is always in the canonical order.
     order = list(range(len(parts)))
@@ -386,8 +393,8 @@ def _all_report(seed) -> Report:
     results = {}
     for i in order:
         clear_mode_cache()  # the mode table lives for one part only
-        results[i] = parts[i][1]()
-    for i, (label, _) in enumerate(parts):
+        results[i] = parts[i].handler(parts[i])
+    for i, (label, _) in enumerate(DESK):
         for c in results[i].checks:
             rep.checks.append(
                 Check(f"{label} :: {c.name}", c.status, c.expected, c.actual, c.location)
@@ -437,7 +444,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=lambda a: _cg_report(a.max))
 
     p = sub.add_parser("aut", parents=[common])
-    p.add_argument("--case", choices=("theta", "torus", "n4"), required=True)
+    p.add_argument("--case", choices=tuple(AUT_CASES), required=True)
     p.add_argument("--max-weight", type=_at_most(AUT_MAX_WEIGHT), default=5)
     p.set_defaults(handler=lambda a: _aut_report(a.case, a.max_weight))
 

@@ -153,16 +153,18 @@ def report_to_json(report: Report) -> dict:
 
 def render_json(report: Report) -> str:
     """`json.dumps(report_to_json(report), indent=2)` and a newline, encoded
-    one check at a time: the indenting encoder builds its output from one
+    128 checks per call: the indenting encoder builds its output from one
     small string per token, so a whole report at once costs many times its
-    size in memory."""
+    size in memory, and it sets itself up anew on every call."""
     enc = json.JSONEncoder(indent=2)
     # the encoded head ends in "\n}", which the checks and status replace
     head = enc.encode({"task": report.task, "parameters": _parameters_json(report)})
-    checks = ",\n".join(
-        "    " + enc.encode(_check_json(c)).replace("\n", "\n    ") for c in report.checks
-    )
-    checks = f"[\n{checks}\n  ]" if checks else "[]"
+    pieces = []
+    for i in range(0, len(report.checks), 128):
+        batch = enc.encode([_check_json(c) for c in report.checks[i : i + 128]])
+        # "[\n  {…},\n  {…}\n]": drop the brackets and indent two more spaces
+        pieces.append("  " + batch[2:-2].replace("\n", "\n  "))
+    checks = "[\n" + ",\n".join(pieces) + "\n  ]" if pieces else "[]"
     return f'{head[:-2]},\n  "checks": {checks},\n  "status": {enc.encode(report.status)}\n}}\n'
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -140,22 +141,43 @@ def test_generation_window_at_the_floor_runs(capsys):
 
 
 def test_aut_n4_weight_ceiling_refused_exit_2(monkeypatch, capsys):
-    # the fixed-space check receives the requested weight, never a clamped one
-    ceiling = cli.AUT_N4_MAX_WEIGHT
-    assert ceiling == 6  # the desk battery's n4 weight
+    # n4 has the one `aut` ceiling, and its fixed-space check receives the
+    # requested weight, never a clamped one
+    ceiling = cli.AUT_MAX_WEIGHT
+    assert ceiling == 7
     seen = []
-    monkeypatch.setattr(cli, "sym3_report", lambda rep: {})
+    monkeypatch.setattr(cli, "sym3_report", lambda rep: seen.append("sym3"))
     monkeypatch.setattr(cli, "e_fixed_check", lambda rep, w: seen.append(w))
     code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling)])
     assert code == 0
     assert rep.parameters["max-weight"] == ceiling
-    assert seen == [ceiling]
+    assert seen == ["sym3", ceiling]
     capsys.readouterr()
     code, rep = run_cli(["aut", "--case", "n4", "--max-weight", str(ceiling + 1)])
     assert code == 2
     assert rep is None
-    assert seen == [ceiling]
+    assert seen == ["sym3", ceiling]  # the body did not run
     assert f"at most {ceiling}" in capsys.readouterr().err
+
+
+def test_torus_conjugation_sweeps_every_weight_through_the_window(monkeypatch):
+    # theta t_c theta = t_{1/c} is compared on every lattice-8 basis state of
+    # weight <= W, not on a fixed window below it
+    weights = []
+    real = cli.graded_basis
+
+    def recorded(N, w, bound):
+        if N == 8:
+            weights.append(w)
+        return real(N, w, bound)
+
+    monkeypatch.setattr(cli, "graded_basis", recorded)
+    monkeypatch.setattr(cli, "automorphism_rows", lambda specs, W: [[] for _ in specs])
+    W = cli.AUT_MAX_WEIGHT
+    rep = cli._aut_report("torus", W)
+    assert sorted(set(weights)) == list(range(W + 1))
+    rows = [c for c in rep.checks if c.location == "torus-conjugation"]
+    assert len(rows) == 3 and all(c.status == "pass" and c.actual == 0 for c in rows)
 
 
 def test_symn_size_ceiling_refused_exit_2(capsys):
@@ -318,6 +340,30 @@ def test_seed_reorders_the_parts_of_all_but_never_its_report(monkeypatch, tmp_pa
     code, _ = run_cli(["characters", "--seed", "1"])
     assert code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_the_desk_is_its_subcommand_invocations(capsys):
+    # one run of the desk: its digest, each part's checks against the same
+    # invocation run alone, and every benchmark part among the desk's parts
+    capsys.readouterr()
+    code, desk = run_cli(["all", "--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "3c8cdd4faeaa1dd29cce60fdbd6158135f761d3ca138f2e9a872390b9c2d1acc"
+    rows = iter(desk.checks)
+    for label, argv in cli.DESK:
+        code, part = run_cli(argv.split())
+        capsys.readouterr()
+        assert code == 0 and part.checks
+        for c in part.checks:
+            d = next(rows)
+            assert (d.name, d.status, d.expected, d.actual, d.location) == (
+                f"{label} :: {c.name}", c.status, c.expected, c.actual, c.location
+            )
+    assert next(rows, None) is None
+    workloads = runpy.run_path(str(REFERENCE.parent / "workloads.py"))["WORKLOADS"]
+    desk_argv = {argv for _, argv in cli.DESK}
+    assert {" ".join(part) for parts in workloads.values() for part in parts} <= desk_argv
 
 
 def test_out_failure_exits_2(tmp_path, capsys):

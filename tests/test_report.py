@@ -114,7 +114,7 @@ def test_render_parse_render_is_a_fixed_point():
 
 
 def test_render_json_is_json_dumps_of_the_whole_report():
-    # render_json encodes check by check; the bytes are those of one dump
+    # render_json encodes the checks in batches; the bytes are those of one dump
     empty = Report("empty")
     nested = Report("nested", {"dims": {1: [2, [3, F(1, 2)]], F(3, 2): None}, "flag": True})
     nested.check("deep", "loc", {"a": [[], {}, [1, {"b": [F(-3, 4)]}]]}, [[[]]])
@@ -124,7 +124,10 @@ def test_render_json_is_json_dumps_of_the_whole_report():
     scalars.check("state", "loc", State.of_term(2, 1, (3,)) * Scalar(F(1, 3), 1), State(2, {}))
     escaped = Report('quote " and \\ and tab \t', {'key "q"\n': "line\nbreak"})
     escaped.check('name with "quotes", \\ and \n a newline', 'loc\t"x"', "\u00e9 \u221e", "\u2028")
-    for rep in (empty, nested, scalars, escaped):
+    many = Report("many")
+    for i in range(2 * 128 + 1):  # two full batches and a batch of one
+        many.check(f"row {i}", "loc", [i], {"i": F(i, 3)})
+    for rep in (empty, nested, scalars, escaped, many):
         assert render_json(rep) == json.dumps(report_to_json(rep), indent=2) + "\n"
 
 
