@@ -19,17 +19,17 @@ through weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 
 `check_automorphism` compares g(u_k v) with (gu)_k(gv) on basis triples,
 and `automorphism_rows` does so for several maps on one lattice in one sweep
-that builds each u_k v once for all of them.  Where g sends each basis state
-to a scalar times a basis state of its piece (theta, torus scalings, phases
-and their composites), the right side is a scaled mode u'_k v' of the same
-weight pair.  Two rules make each such mode one build and keep none.  A
-pair whose image pair comes earlier in row order and is sent back onto it,
-as under theta, is skipped: the earlier pair checked both triples.  And each
-map keeps one record of its earliest failure in row order, replaced by any
-earlier failing triple, and leaves the sweep once the sweep has passed that
-pair.  `aut --case theta --max-weight 7` peaks at 54 MiB with one full
-garbage collection, where a table holding each mode until its second read
-peaked at 64 MiB with nine.
+that builds each u_k v once for all of them; each map leaves the sweep at
+its first failure in row order.  Where g sends each basis state to a scalar
+times a basis state of its piece (theta, torus scalings, phases and their
+composites), the right side is a scaled mode u'_k v' of the same weight
+pair.  One rule makes each such mode one build and keeps none: a map that
+sends each basis state b of the window to c b' and b' back to b / c is an
+involution there, and it skips a pair whose image pair comes earlier in row
+order: the check there, g(t') = c' t, gives the skipped triple g(t) = c t'
+through g o g = 1 (see `_first_mode_defects`).  `aut --case theta --max-weight 7` peaks at
+37 MiB with one full garbage collection, where a table holding each mode
+until its second read peaked at 64 MiB with nine.
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -273,18 +273,17 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
     bases = {w: graded_basis(N, w, "full") for w in range(W + 1)}
     lines = [{} for _ in specs]  # per map and weight: _line of each basis state
     for w, basis in bases.items():
-        index = {}  # the term of each one-term basis state: (its place, coefficient)
-        for i, b in enumerate(basis):
-            if len(b.terms) == 1:
-                ((t, c),) = b.terms.items()
-                index[t] = (i, c)
+        # each basis state is one term of coefficient one
+        index = {t: i for i, b in enumerate(basis) for t in b.terms}
         for spec, out in zip(specs, lines):
             out[w] = [_line(apply(spec, b), index) for b in basis]
+    involutions = [all(map(_is_involution, out.values())) for out in lines]
     for wu in range(W + 1):
         for wv in range(W + 1):
             ks = range(wu + wv - 1 - W, wu + wv)
             defects = _first_mode_defects(
-                specs, bases[wu], bases[wv], [g[wu] for g in lines], [g[wv] for g in lines], ks
+                specs, involutions, bases[wu], bases[wv],
+                [g[wu] for g in lines], [g[wv] for g in lines], ks,
             )
             for out, defect in zip(rows, defects):
                 out.append((f"modes on weights {wu},{wv}", True if defect is None else defect))
@@ -292,14 +291,23 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
 
 
 def _line(g: State, index: dict) -> tuple:
-    """(g, (i, c)) when the image g is c times the one-term basis state at
-    place i of its piece, else (g, None)."""
+    """(g, (i, c)) when the image g is c times the basis state at place i
+    of its piece, else (g, None)."""
     if len(g.terms) == 1:
         ((t, c),) = g.terms.items()
-        hit = index.get(t)
-        if hit is not None:
-            return g, (hit[0], c / hit[1])
+        if t in index:
+            return g, (index[t], c)
     return g, None
+
+
+def _is_involution(line: list) -> bool:
+    """Whether the map of a piece's `_line` table sends each basis state b
+    to c b' with b' a basis state that goes back to b / c."""
+    for i, (_, at) in enumerate(line):
+        partner = at and line[at[0]][1]
+        if not (partner and partner[0] == i and at[1] * partner[1] == ONE):
+            return False
+    return True
 
 
 def _scaled(c, t: State) -> State:
@@ -307,70 +315,57 @@ def _scaled(c, t: State) -> State:
     return t if c == ONE else State._of(t.lattice, {x: c * e for x, e in t.terms.items()})
 
 
-def _first_mode_defects(specs, us, vs, u_lines, v_lines, ks) -> list:
+def _first_mode_defects(specs, involutions, us, vs, u_lines, v_lines, ks) -> list:
     """Per map, the first (u, v, k) in row order with image(u_k v) !=
     (image u)_k (image v), or None; u_lines and v_lines hold each map's
-    `_line` of every basis state.
+    `_line` of every basis state, and involutions flags the maps that
+    `_is_involution` accepts on every piece of the window.
 
-    The basis pairs (i, j) are swept in row order, and each step builds u_k v
-    once for all the maps.  When a map sends u_i and v_j to cu u_i' and
-    cv v_j', as theta, torus scalings and their composites do, the right side
-    is cu cv u_i'_k v_j'.  Two rules keep each such mode to one build:
-    - skip: if the image pair (i', j') is sent back onto (i, j), as under
-      theta, the earlier of the two pairs checks both triples, and the map
-      skips the later one;
-    - earliest failure: each map keeps one record ((i, j, k), witness), which
-      a failing triple replaces when its (i, j, k) comes first; the map
-      leaves the sweep once the sweep has passed the recorded pair.
-    So an involution of basis lines builds every u_k v once and keeps none.
-    Any other image, such as a quarter-turn exponential's, takes its own mode.
+    The basis pairs (i, j) are swept in row order, each step builds u_k v
+    once for all the maps, and a map leaves the sweep at its first failure.
+    When a map g sends u_i and v_j to cu u_i' and cv v_j', as theta, torus
+    scalings and their composites do, the right side is c t' with c = cu cv
+    and t' = u_i'(k) v_j': the mode t = u_i(k) v_j itself when the image
+    pair (i', j') is (i, j), else a mode built here.  An involution skips a
+    pair whose image pair comes earlier in row order.  There the sweep
+    checked g(t') = c' t for every k, with c' = 1 / c; g is linear and
+    g o g = 1 on every piece of the window, so applying g gives
+    g(t) = t' / c' = c t', this pair's own triple.  So an involution builds
+    every u_k v once.  Any other map checks each pair at its own place,
+    and an image that is no scaled basis state, such as a quarter-turn
+    exponential's, takes its own mode (image u)_k (image v).
     """
-    first = [None] * len(specs)
-
-    def check(s, key, u, v, t, rhs):
-        # records image(t) != rhs as the failing triple key = (i, j, k) of u_k v
-        if first[s] is None or key < first[s][0]:
-            lhs = apply(specs[s], t)
-            if lhs != rhs:
-                first[s] = (key, {"u": u, "v": v, "k": key[2], "lhs-minus-rhs": lhs - rhs})
-
+    defects = [None] * len(specs)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            # (s, image pair or None, its scale, the partner's scale or None)
-            # per map that checks (i, j) here
-            steps = []
-            for s, f in enumerate(first):
-                if f is not None and f[0] < (i, j):
-                    continue  # the sweep has passed this map's earliest failure
+            steps = []  # (s, image pair or None, its scale) per map that checks (i, j)
+            for s, defect in enumerate(defects):
+                if defect is not None:
+                    continue
                 at_u, at_v = u_lines[s][i][1], v_lines[s][j][1]
                 if not (at_u and at_v):
-                    steps.append((s, None, None, None))
+                    steps.append((s, None, None))
                     continue
                 image = (at_u[0], at_v[0])
-                back_u, back_v = u_lines[s][image[0]][1], v_lines[s][image[1]][1]
-                back = None
-                if image != (i, j) and back_u and back_v and (back_u[0], back_v[0]) == (i, j):
-                    if image < (i, j):
-                        continue  # the partner pair checked this one
-                    back = back_u[1] * back_v[1]
-                steps.append((s, image, at_u[1] * at_v[1], back))
+                if involutions[s] and image < (i, j):
+                    continue  # proven at the image pair, earlier in row order
+                steps.append((s, image, at_u[1] * at_v[1]))
             for k in ks:
                 if not steps:
                     break
                 t = mode(u, k, v)
-                for s, image, c, back in steps:
+                for s, image, c in steps:
                     if image is None:
-                        check(s, (i, j, k), u, v, t, mode(u_lines[s][i][0], k, v_lines[s][j][0]))
+                        rhs = mode(u_lines[s][i][0], k, v_lines[s][j][0])
                     elif image == (i, j):
-                        check(s, (i, j, k), u, v, t, _scaled(c, t))
+                        rhs = _scaled(c, t)
                     else:
-                        tp = mode(us[image[0]], k, vs[image[1]])
-                        check(s, (i, j, k), u, v, t, _scaled(c, tp))
-                        if back is not None:
-                            check(s, image + (k,), us[image[0]], vs[image[1]], tp, _scaled(back, t))
-                # a map that failed at (i, j, k) checks no later k of the pair
-                steps = [st for st in steps if first[st[0]] is None or first[st[0]][0] != (i, j, k)]
-    return [f and f[1] for f in first]
+                        rhs = _scaled(c, mode(us[image[0]], k, vs[image[1]]))
+                    lhs = apply(specs[s], t)
+                    if lhs != rhs:
+                        defects[s] = {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
+                steps = [step for step in steps if defects[step[0]] is None]
+    return defects
 
 
 def y_basis():

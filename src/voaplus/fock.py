@@ -30,9 +30,13 @@ def check_lattice(N: int):
 def check_window(max_weight) -> int:
     """The top weight W of a window [0, W] as an int; ValueError unless
     max_weight equals an integer W >= 0: no silent truncation, no empty window."""
-    W = int(max_weight)
+    refusal = f"max_weight must be an integer >= 0, got {max_weight!r}"
+    try:
+        W = int(max_weight)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        raise ValueError(refusal) from None
     if W != max_weight or W < 0:
-        raise ValueError(f"max_weight must be an integer >= 0, got {max_weight!r}")
+        raise ValueError(refusal)
     return W
 
 

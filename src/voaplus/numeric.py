@@ -518,13 +518,13 @@ def eta_inverse(order) -> QSeries:
     return _geometric_inverse_product(rel).shift(-SHIFT)
 
 
-def _even_square_root(h: Fraction):
-    # return integer n >= 0 with h = n^2/4, else None
-    t = 4 * h
-    if t.denominator != 1 or t < 0:
+def exact_square_root(x):
+    """The integer r >= 0 with r^2 = x for an int or Fraction x, else None."""
+    x = Fraction(x)
+    if x.denominator != 1 or x < 0:
         return None
-    n = isqrt(t.numerator)
-    return n if n * n == t.numerator else None
+    r = isqrt(x.numerator)
+    return r if r * r == x else None
 
 
 def virasoro_character(h, order) -> QSeries:
@@ -538,7 +538,7 @@ def virasoro_character(h, order) -> QSeries:
     if h < 0:
         raise QSeriesError("module weight must be nonnegative")
     _key(h)  # validates the 1/24 grid
-    n = _even_square_root(h)
+    n = exact_square_root(4 * h)
     if n is not None:
         a, b = h, Fraction((n + 2) ** 2, 4)
         out = eta_inverse(order - a).shift(a)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .numeric import (
     DecompositionError,
@@ -25,6 +25,7 @@ from .numeric import (
     ZERO,
     as_fraction,
     decompose,
+    exact_square_root,
     graded_character,
     merge_into,
     visible_weights,
@@ -374,11 +375,6 @@ def fusion_span(m_idx: int, n_idx: int, max_weight: int) -> GradedSubspace:
     return saturate(sub, seeds, step)
 
 
-def _two_lattice_is_square(N: int):
-    r = isqrt(2 * N)
-    return r if r * r == 2 * N else None
-
-
 def _sectors(N: int, order, mult: int) -> dict:
     """{m^2 N/2: mult} over the lattice-translate sectors m >= 1 visible below the order."""
     return visible_weights(order, lambda m: Fraction(m * m * N, 2), lambda m: mult, start=1)
@@ -389,7 +385,7 @@ def expected_full_decomposition(N: int, order: Fraction) -> dict:
     algebra character, for weights visible below the order: 2(n // k) + 1
     copies of n^2 when 2N = 4k^2, else one of each n^2, then two of each
     sector weight m^2 N/2 (never a square then)."""
-    root = _two_lattice_is_square(N)
+    root = exact_square_root(2 * N)
     if root is not None:
         k = root // 2
         return visible_weights(order, lambda n: n * n, lambda n: 2 * (n // k) + 1)
@@ -399,7 +395,7 @@ def expected_full_decomposition(N: int, order: Fraction) -> dict:
 def expected_plus_decomposition(N: int, order: Fraction) -> dict:
     """Predicted constituents of the parity-fixed subalgebra character, each
     4n^2 and each sector once; only valid when 2N is not a perfect square."""
-    if _two_lattice_is_square(N) is not None:
+    if exact_square_root(2 * N) is not None:
         raise ValueError("plus-space branching rule needs 2N to not be a square")
     return visible_weights(order, lambda n: 4 * n * n) | _sectors(N, order, 1)
 
@@ -423,7 +419,7 @@ def character_decomposition_suite(rep, N: int, max_weight: int, order) -> None:
     # one row per branching: (name, location, bound, expected constituents)
     full = expected_full_decomposition(N, order)
     rows = [(f"full-character branching N={N}", "lattice-branching", "full", full)]
-    if _two_lattice_is_square(N) is None:
+    if exact_square_root(2 * N) is None:
         plus = expected_plus_decomposition(N, order)
         rows.append((f"plus-character branching N={N}", "plus-branching", "plus", plus))
     # Heisenberg halves are lattice independent; phrased here for convenience

@@ -326,16 +326,17 @@ def _doubled_e_minus(s):
     return out
 
 
-def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
+def test_the_failing_rows_of_a_sweep_are_those_of_a_plain_row_order_sweep(monkeypatch):
     calls = []
     real = aut4.mode
     monkeypatch.setattr(aut4, "mode", lambda u, k, v: calls.append(k) or real(u, k, v))
     monkeypatch.setattr(aut4, "theta", _doubled_e_minus)
     spec = theta_spec(2)
     rep = _automorphism_rows(spec, 3)
-    # each weight pair's sweep stops building modes at its earliest failure:
-    # 654 of the 900 calls of the passing sweep
-    assert len(calls) == 654
+    # the doubled map sends e^alpha to 2 e^(-alpha) and e^(-alpha) back to
+    # e^alpha, 2 * 1 != 1, so it is no involution on its lines and skips no
+    # pair; each weight pair's sweep stops building modes at its first failure
+    assert len(calls) == 756
     failing = [c for c in rep.checks if c.status == "fail"]
     rows, at_partner = [], 0
     for c in failing:
@@ -344,8 +345,8 @@ def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
         ((tu, cu),), ((tv, cv),) = u.terms.items(), v.terms.items()
         assert cu == cv == ONE
         rows.append((c.name.removeprefix("spec: modes on weights "), tu, tv, k))
-        # the row's image pair comes first in row order, so its failing triple
-        # was found while the sweep checked that earlier pair
+        # count the rows whose image pair comes first in row order: pairs
+        # that an involution would skip, which this map checks at their place
         at = [
             {next(iter(b.terms)): i for i, b in enumerate(graded_basis(2, s.weight()))}
             for s in (u, v)
@@ -356,6 +357,27 @@ def test_witnesses_found_at_a_partner_triple_keep_the_row_order(monkeypatch):
     assert at_partner >= 5
     blob = json.dumps([[c.name, encode_value(c.actual)] for c in failing], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == DOUBLED_E_MINUS_DIGEST
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        compose_specs(theta_spec(2), torus_spec(2, 2)),
+        compose_specs(torus_spec(2, 3), theta_spec(2)),
+    ],
+    ids=["theta-after-torus-2", "torus-3-after-theta"],
+)
+def test_an_involution_with_scaled_lines_skips_its_later_partner_pairs(monkeypatch, spec):
+    # theta and a torus scaling by c compose to an involution that sends a
+    # sector-m basis state to +-c^m times its partner and the partner back by
+    # +-c^(-m); the skipped pairs rest on g o g = 1, so each triple takes
+    # one mode call, as under theta itself
+    calls = []
+    real = aut4.mode
+    monkeypatch.setattr(aut4, "mode", lambda u, k, v: calls.append(k) or real(u, k, v))
+    rep = _automorphism_rows(spec, 3)
+    assert rep.status == "pass" and all(c.actual is True for c in rep.checks)
+    assert len(calls) == 900
 
 
 TORUS_SCALINGS = (("2", Scalar(2)), ("-1", Scalar(-1)), ("i", I))
@@ -408,8 +430,9 @@ def test_a_wrong_torus_scaling_fails_only_its_own_rows(monkeypatch):
 
 
 def test_a_mixed_sweep_matches_each_map_alone(monkeypatch):
-    # theta skips the partner pairs it checked early; the torus scaling by 3
-    # sends every basis state to a multiple of itself and checks every pair
+    # theta skips the partner pairs that its involution proves; the torus
+    # scaling by 3 sends every basis state to a multiple of itself and checks
+    # every pair
     specs = [theta_spec(2), torus_spec(2, 3)]
     singles = [automorphism_rows([spec], 3)[0] for spec in specs]
     assert automorphism_rows(specs, 3) == singles

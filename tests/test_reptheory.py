@@ -251,7 +251,7 @@ WINDOWED = [
 
 @pytest.mark.parametrize("run", WINDOWED)
 def test_every_windowed_entry_point_refuses_a_window_that_is_no_integer(run):
-    for W in (2.5, Fraction(5, 2), "2"):
+    for W in (2.5, Fraction(5, 2), "2", float("inf"), float("nan"), None):
         with pytest.raises(ValueError, match="max_weight must be an integer"):
             run(W)
 
