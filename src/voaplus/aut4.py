@@ -8,14 +8,15 @@ Krylov vectors x(0)^j t enter one echelon basis as tagged sparse rows
 (x(0)^j t | e_j), and the first residual with a zero state part carries the
 relation sum_j c_j x(0)^j t = 0 in its tag: the minimal polynomial mu_t of
 x(0) on t.  p is the Lagrange polynomial taking the value i^(kq) at each root
-ik of mu_t (Higham, Functions of Matrices, SIAM 2008, ch. 1).  The module's one
-cache holds the images of all terms of a graded piece, built together, so a
-piece is refused with SpectralError unless every mu_t on it has deg mu_t
-distinct roots ik with k an integer, found by an exact scan of the integers
-with k^2 <= a_(m-1)^2 - 2 a_(m-2), their sum of squares, where a_0 + ... +
-u^m is mu_t(iu) made monic (`_integer_roots`).  Applying rotation_sigma(2) to
-every norm-2 term takes 0.10-0.12 s of CPU through weight 7 and 0.55-0.61 s
-through weight 9 (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
+ik of mu_t (Higham, Functions of Matrices, SIAM 2008, ch. 1).  One cache
+holds the coefficients of p per (roots, q mod 4), the other the images of
+all terms of a graded piece, built together, so a piece is refused with
+SpectralError unless every mu_t on it has deg mu_t distinct roots ik with k
+an integer, found by an exact scan of the integers with k^2 <= a_(m-1)^2 -
+2 a_(m-2), their sum of squares, where a_0 + ... + u^m is mu_t(iu) made
+monic (`_integer_roots`).  Applying rotation_sigma(2) to every norm-2 term
+takes 0.10-0.12 s of CPU through weight 7 and 0.55-0.61 s through weight 9
+(three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 
 `check_automorphism` compares g(u_k v) with (gu)_k(gv) on basis triples,
 and `automorphism_rows` does so for several maps on one lattice in one sweep
@@ -27,9 +28,15 @@ pair.  One rule makes each such mode one build and keeps none: a map that
 sends each basis state b of the window to c b' and b' back to b / c is an
 involution there, and it skips a pair whose image pair comes earlier in row
 order: the check there, g(t') = c' t, gives the skipped triple g(t) = c t'
-through g o g = 1 (see `_first_mode_defects`).  `aut --case theta --max-weight 7` peaks at
-37 MiB with one full garbage collection, where a table holding each mode
-until its second read peaked at 64 MiB with nine.
+through g o g = 1 (see `_first_mode_defects`).  A map that sends the basis
+states of every piece one-to-one onto scaled basis states keeps one table
+{term: (image term, scale)} of the window (`_term_table`), and decides each
+triple g(t) = c t' on the terms of t and t' (`_maps_onto`), with no
+arithmetic where t' is t and g scales each term of t by c, as a torus
+scaling does; g(t) is built only for a failing triple's witness.  Any other
+map compares States.  `aut --case theta --max-weight 7` peaks at 37 MiB
+with one full garbage collection, where a table holding each mode until
+its second read peaked at 64 MiB with nine.
 
 The weight-four computation at the end of the module: the fixed space of the
 four-group E matches the plus space of the norm-8 lattice, weight 4 splits
@@ -44,7 +51,7 @@ are.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import isqrt
 
 from .numeric import I, ONE, Record, Scalar, ZERO, as_fraction
@@ -134,10 +141,12 @@ class SpectralError(ValueError):
 _EXP_IMAGES: dict = {}
 
 
-def _lagrange(ks: list, q: int) -> list:
+@cache
+def _lagrange(ks: tuple, q: int) -> tuple:
     """Coefficients, low to high in t, of the p of degree below len(ks) with
     p(ik) = i^(kq) at each distinct integer k in ks: p(t) = sum_k i^(kq) L_k(t/i)
-    with L_k the rational Lagrange basis on ks."""
+    with L_k the rational Lagrange basis on ks.  Cached: the terms of a piece
+    share few root sets, and `_exp_images` passes q mod 4."""
     out = [ZERO] * len(ks)
     for k in ks:
         basis, den = [Fraction(1)], 1
@@ -149,7 +158,7 @@ def _lagrange(ks: list, q: int) -> list:
         for j, c in enumerate(basis):
             if c:
                 out[j] = out[j] + phase * I ** (-j % 4) * Scalar(c / den)
-    return out
+    return tuple(out)
 
 
 def _integer_roots(coeffs: list) -> list:
@@ -186,7 +195,7 @@ def _term_image(x: State, q: int, term, index: dict) -> dict:
     coeffs = [c * I ** ((j - m) % 4) for j, c in enumerate(rel[: m + 1])]
     ks = _integer_roots(coeffs)
     acc: dict = {}
-    for a, v in zip(_lagrange(ks, q), krylov):
+    for a, v in zip(_lagrange(tuple(ks), q), krylov):
         if a:
             for t, c in v.terms.items():
                 acc[t] = acc.get(t, ZERO) + a * c
@@ -266,6 +275,8 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
     failing one its first failing case.  The maps share one sweep, so each
     basis mode u_k v is built once for all of them (see `_first_mode_defects`).
     """
+    if not specs:
+        raise ValueError("automorphism_rows needs at least one spec")
     N = specs[0].lattice
     W = check_window(max_weight)
     fixed = (("vacuum", State.vacuum(N)), ("conformal-vector", State.omega(N)))
@@ -277,12 +288,13 @@ def automorphism_rows(specs: list, max_weight: int) -> list:
         index = {t: i for i, b in enumerate(basis) for t in b.terms}
         for spec, out in zip(specs, lines):
             out[w] = [_line(apply(spec, b), index) for b in basis]
-    involutions = [all(map(_is_involution, out.values())) for out in lines]
+    tables = [_term_table(bases, out) for out in lines]
+    involutions = [table is not None and _is_involution(table) for table in tables]
     for wu in range(W + 1):
         for wv in range(W + 1):
             ks = range(wu + wv - 1 - W, wu + wv)
             defects = _first_mode_defects(
-                specs, involutions, bases[wu], bases[wv],
+                specs, involutions, tables, bases[wu], bases[wv],
                 [g[wu] for g in lines], [g[wv] for g in lines], ks,
             )
             for out, defect in zip(rows, defects):
@@ -300,40 +312,70 @@ def _line(g: State, index: dict) -> tuple:
     return g, None
 
 
-def _is_involution(line: list) -> bool:
-    """Whether the map of a piece's `_line` table sends each basis state b
-    to c b' with b' a basis state that goes back to b / c."""
-    for i, (_, at) in enumerate(line):
-        partner = at and line[at[0]][1]
-        if not (partner and partner[0] == i and at[1] * partner[1] == ONE):
+def _is_involution(table: dict) -> bool:
+    """Whether the map of a `_term_table` sends each basis term x to c y
+    with y going back to x / c."""
+    return all(table[y][0] == x and table[y][1] * c == ONE for x, (y, c) in table.items())
+
+
+def _term_table(bases: dict, lines: dict):
+    """{term: (image term, scale)} over the window when the map of the `_line`
+    tables sends the basis states of every piece one-to-one onto scaled basis
+    states of that piece, else None."""
+    table = {}
+    for w, basis in bases.items():
+        line = lines[w]
+        if not all(at for _, at in line) or len({at[0] for _, at in line}) < len(line):
+            return None
+        for b, (_, (i, c)) in zip(basis, line):
+            (x,), (y,) = b.terms, basis[i].terms
+            table[x] = (y, c)
+    return table
+
+
+def _maps_onto(table: dict, t: State, c, t2: State) -> bool:
+    """Whether g(t) = c t2, for the map g of the `_term_table` table.
+
+    g sends the terms of t one-to-one to scaled terms, c_x y for the term x,
+    so g(t) = c t2 exactly when t and t2 have as many terms and each x
+    has t2[y] c = t[x] c_x.  When t2 is t and g sends each term of t to c
+    times itself, as a torus scaling does, that holds without arithmetic."""
+    terms, image = t.terms, t2.terms
+    if image is terms and all(table[x] == (x, c) for x in terms):
+        return True
+    if len(image) != len(terms):
+        return False
+    for x, e in terms.items():
+        y, cx = table[x]
+        f = image.get(y)
+        if f is None or f * c != e * cx:
             return False
     return True
 
 
-def _scaled(c, t: State) -> State:
-    # c is nonzero, so no coefficient of c t vanishes
-    return t if c == ONE else State._of(t.lattice, {x: c * e for x, e in t.terms.items()})
-
-
-def _first_mode_defects(specs, involutions, us, vs, u_lines, v_lines, ks) -> list:
+def _first_mode_defects(specs, involutions, tables, us, vs, u_lines, v_lines, ks) -> list:
     """Per map, the first (u, v, k) in row order with image(u_k v) !=
     (image u)_k (image v), or None; u_lines and v_lines hold each map's
-    `_line` of every basis state, and involutions flags the maps that
-    `_is_involution` accepts on every piece of the window.
+    `_line` of every basis state, involutions flags the maps that
+    `_is_involution` accepts on every piece of the window, and tables holds
+    each map's `_term_table`, or None.
 
     The basis pairs (i, j) are swept in row order, each step builds u_k v
     once for all the maps, and a map leaves the sweep at its first failure.
-    When a map g sends u_i and v_j to cu u_i' and cv v_j', as theta, torus
-    scalings and their composites do, the right side is c t' with c = cu cv
-    and t' = u_i'(k) v_j': the mode t = u_i(k) v_j itself when the image
-    pair (i', j') is (i, j), else a mode built here.  An involution skips a
-    pair whose image pair comes earlier in row order.  There the sweep
-    checked g(t') = c' t for every k, with c' = 1 / c; g is linear and
-    g o g = 1 on every piece of the window, so applying g gives
-    g(t) = t' / c' = c t', this pair's own triple.  So an involution builds
-    every u_k v once.  Any other map checks each pair at its own place,
-    and an image that is no scaled basis state, such as a quarter-turn
-    exponential's, takes its own mode (image u)_k (image v).
+    When a map g has a term table, as theta, torus scalings and their
+    composites do, it sends u_i and v_j to cu u_i' and cv v_j', and the
+    right side is c t' with c = cu cv and t' = u_i'(k) v_j': the mode
+    t = u_i(k) v_j itself when the image pair (i', j') is (i, j), else a
+    mode built here.  An involution skips a pair whose image pair comes
+    earlier in row order.  There the sweep checked g(t') = c' t for every k,
+    with c' = 1 / c; g is linear and g o g = 1 on every piece of the window,
+    so applying g gives g(t) = t' / c' = c t', this pair's own triple.  So an involution builds
+    every u_k v once.  Any other map checks each pair at its own place.
+
+    A map with a term table decides g(t) = c t' term by term (`_maps_onto`)
+    and applies g only to a failing triple's witness.  A map without one,
+    such as a quarter-turn exponential, takes its own mode
+    (image u)_k (image v) and compares it with the State g(t).
     """
     defects = [None] * len(specs)
     for i, u in enumerate(us):
@@ -342,28 +384,28 @@ def _first_mode_defects(specs, involutions, us, vs, u_lines, v_lines, ks) -> lis
             for s, defect in enumerate(defects):
                 if defect is not None:
                     continue
-                at_u, at_v = u_lines[s][i][1], v_lines[s][j][1]
-                if not (at_u and at_v):
-                    steps.append((s, None, None))
+                if tables[s] is None:
+                    steps.append((s, None, ONE))
                     continue
-                image = (at_u[0], at_v[0])
-                if involutions[s] and image < (i, j):
+                (iu, cu), (jv, cv) = u_lines[s][i][1], v_lines[s][j][1]
+                if involutions[s] and (iu, jv) < (i, j):
                     continue  # proven at the image pair, earlier in row order
-                steps.append((s, image, at_u[1] * at_v[1]))
+                steps.append((s, (iu, jv), cu * cv))
             for k in ks:
                 if not steps:
                     break
                 t = mode(u, k, v)
                 for s, image, c in steps:
+                    # the right side is c t2
                     if image is None:
-                        rhs = mode(u_lines[s][i][0], k, v_lines[s][j][0])
-                    elif image == (i, j):
-                        rhs = _scaled(c, t)
+                        t2 = mode(u_lines[s][i][0], k, v_lines[s][j][0])
+                        passed = apply(specs[s], t) == t2
                     else:
-                        rhs = _scaled(c, mode(us[image[0]], k, vs[image[1]]))
-                    lhs = apply(specs[s], t)
-                    if lhs != rhs:
-                        defects[s] = {"u": u, "v": v, "k": k, "lhs-minus-rhs": lhs - rhs}
+                        t2 = t if image == (i, j) else mode(us[image[0]], k, vs[image[1]])
+                        passed = _maps_onto(tables[s], t, c, t2)
+                    if not passed:
+                        diff = apply(specs[s], t) - c * t2
+                        defects[s] = {"u": u, "v": v, "k": k, "lhs-minus-rhs": diff}
                 steps = [step for step in steps if defects[step[0]] is None]
     return defects
 

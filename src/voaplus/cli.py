@@ -27,7 +27,7 @@ from .aut4 import (
     torus_spec,
 )
 from .fock import State, graded_basis, graded_dim
-from .numeric import I, Scalar, graded_dims, telescoping_check, virasoro_character
+from .numeric import I, Scalar, graded_dims, merge_into, telescoping_check, virasoro_character
 from .report import (
     Check,
     Report,
@@ -151,22 +151,29 @@ def _mode_checks_report(max_weight: int) -> Report:
     bases = {w: graded_basis(2, w, "full") for w in range(max_weight + 1)}
     flat = [b for w in range(max_weight + 1) for b in bases[w]]
     # one sweep over the basis: L(k)b for every k the 21 brackets read, then
-    # each bracket's count and first defect in flat order
+    # each bracket's count and first defect in flat order.  The bracket (p, q)
+    # holds on b when its residual L(p)L(q)b - L(q)L(p)b - (p-q)L(p+q)b -
+    # central b, summed into one dict, is empty.
     pairs = [(p, q) for p in range(-3, 4) for q in range(p + 1, 4)]
+    scales = {
+        (p, q): (Scalar(p - q), Scalar(Fraction(p**3 - p, 12) if p + q == 0 else 0))
+        for p, q in pairs
+    }
     count = dict.fromkeys(pairs, 0)
     first = {}
     for b in flat:
         lb = {k: virasoro(k, b) for k in range(-5, 6)}
         for p, q in pairs:
-            lhs = virasoro(p, lb[q]) - virasoro(q, lb[p])
-            rhs = (p - q) * lb[p + q]
-            central = Fraction(p**3 - p, 12) if p + q == 0 else 0
+            step, central = scales[p, q]
+            residual = dict(virasoro(p, lb[q]).terms)
+            merge_into(residual, virasoro(q, lb[p]).terms.items(), True)
+            merge_into(residual, ((t, step * e) for t, e in lb[p + q].terms.items()), True)
             if central:
-                rhs = rhs + b * central
-            if lhs != rhs:
+                merge_into(residual, ((t, central * e) for t, e in b.terms.items()), True)
+            if residual:
                 count[p, q] += 1
                 if (p, q) not in first:
-                    first[p, q] = {"first-defective-state": b, "lhs-minus-rhs": lhs - rhs}
+                    first[p, q] = {"first-defective-state": b, "lhs-minus-rhs": State._of(2, residual)}
     for p, q in pairs:
         # a failing row names its first defective basis state
         actual = {"defects": count[p, q]} | first[p, q] if count[p, q] else 0

@@ -66,6 +66,12 @@ def test_spec_validation():
                 build(lattice)
 
 
+def test_a_sweep_of_no_maps_is_refused_like_a_composite_of_none():
+    for build in (lambda: automorphism_rows([], 3), compose_specs):
+        with pytest.raises(ValueError, match="needs at least one spec"):
+            build()
+
+
 def test_a_spec_is_an_immutable_value():
     spec = AutomorphismSpec("theta", 2)
     assert spec == theta_spec(2) and hash(spec) == hash(theta_spec(2))
@@ -459,6 +465,62 @@ def test_an_image_outside_the_piece_fails_with_a_witness(monkeypatch):
     u, v, k, diff = (first.actual[key] for key in ("u", "v", "k", "lhs-minus-rhs"))
     assert diff
     assert diff == apply(spec, mode(u, k, v)) - mode(apply(spec, u), k, apply(spec, v))
+
+
+def _state_path_rows(spec, max_weight):
+    # the mode rows of a plain sweep: per weight pair, the first (u, v, k) in
+    # row order whose State g(u_k v) differs from (g u)_k (g v)
+    rows = []
+    for wu in range(max_weight + 1):
+        for wv in range(max_weight + 1):
+            triples = (
+                (u, v, k)
+                for u in graded_basis(2, wu)
+                for v in graded_basis(2, wv)
+                for k in range(wu + wv - 1 - max_weight, wu + wv)
+            )
+            first = True
+            for u, v, k in triples:
+                diff = aut4.apply(spec, mode(u, k, v)) - mode(aut4.apply(spec, u), k, aut4.apply(spec, v))
+                if diff:
+                    first = {"u": u, "v": v, "k": k, "lhs-minus-rhs": diff}
+                    break
+            rows.append((f"modes on weights {wu},{wv}", first))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # alpha(-2) goes to -alpha(-1)^2, the line alpha(-1)^2 keeps: two
+        # basis states of weight 2 on one line
+        {(0, (2,)): ((0, (1, 1)), -1)},
+        # e^alpha and e^(-alpha) swap with no sign: one-to-one on the basis
+        # lines, but a pair of fixed basis states can have a mode it moves
+        {(1, ()): ((-1, ()), 1), (-1, ()): ((1, ()), 1)},
+    ],
+    ids=["two-states-on-one-line", "swap-without-sign"],
+)
+def test_a_line_map_sweep_matches_the_state_path(monkeypatch, lines):
+    # a linear map sending each term to a scaled term, standing in for the
+    # identity torus scaling; the term test may decide only what comparing
+    # the States would
+    spec = torus_spec(2, 1)
+    real = aut4.apply
+
+    def line_map(g, s):
+        if g != spec:
+            return real(g, s)
+        out = State(s.lattice, {})
+        for x, c in s.terms.items():
+            y, e = lines.get(x, (x, 1))
+            out = out + State(s.lattice, {y: c * e})
+        return out
+
+    monkeypatch.setattr(aut4, "apply", line_map)
+    (rows,) = automorphism_rows([spec], 2)
+    assert rows[2:] == _state_path_rows(spec, 2)
+    assert any(actual is not True for _, actual in rows)
 
 
 def test_y_basis_cyclic_brackets():
