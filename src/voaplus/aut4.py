@@ -34,12 +34,13 @@ states of every piece one-to-one onto scaled basis states keeps one table
 triple g(t) = c t' on the terms of t and t' (`_maps_onto`), with no
 arithmetic where t' is t and g scales each term of t by c, as a torus
 scaling does; g(t) is built only for a failing triple's witness.  Any other
-map compares States.  `aut --case theta --max-weight 7` peaks at 37 MiB
-with one full garbage collection, where a table holding each mode until
-its second read peaked at 64 MiB with nine.
+map compares States.  With these rules `aut --case theta --max-weight 7`
+builds each mode once, keeps none for a second read, and peaks at 37-39 MiB
+with one full garbage collection.
 
 The weight-four computation at the end of the module: the fixed space of the
-four-group E matches the plus space of the norm-8 lattice, weight 4 splits
+four-group E, of dimension the size of each weight's basis less the rank of
+the rows g(b) - b, matches the plus space of the norm-8 lattice, weight 4 splits
 into singular vectors H plus a Virasoro-descendant complement J, and the
 projected pairing on H carries a faithful three-letter symmetric group action
 matching the invariant algebra from symn at n = 3.  The group is one table of
@@ -66,9 +67,9 @@ from .fock import (
     theta,
     weight_terms,
 )
-from .linalg import kernel_basis, rank, relations, solve_columns
+from .linalg import EchelonBasis, kernel_basis, rank, relations, solve_columns
 from .vertex import mode, virasoro
-from .reptheory import GradedSubspace, singular_vectors
+from .reptheory import singular_vectors
 from . import symn
 
 
@@ -137,7 +138,10 @@ class SpectralError(ValueError):
 # One entry per (x, q % 4, w), keyed by the State x itself: every weight-w
 # term mapped to its image under the quarter-turn exponential, as a
 # {term: Scalar} dict.
-# Kept: without it check_automorphism(rotation_sigma(2), W=4) takes 33 s, not 0.7 s.
+# Kept: `_exp_images` builds the images of a whole piece at once, and a check
+# applies the map to many states of each piece; without the cache
+# check_automorphism(rotation_sigma(2), 4) takes 5.0-6.8 s of CPU, not
+# 0.23-0.37 s (three runs each, 2-vCPU Intel Xeon, CPython 3.11.7).
 _EXP_IMAGES: dict = {}
 
 
@@ -444,18 +448,33 @@ def e_group():
 
 
 def e_fixed_check(rep, max_weight: int) -> None:
-    """Graded dimensions of the E-fixed subspace against the norm-8 plus space,
-    and pointwise fixedness of its basis, as one report row per weight."""
+    """Per weight, dim Fix(E) against the norm-8 plus space, and pointwise
+    fixedness of the "efixed" basis, as one report row.
+
+    dim Fix(E)_w is the size of the weight-w basis less the rank of the rows
+    g(b) - b, over the three maps g of E and the basis states b, all in one
+    echelon basis.  E is a finite group, so V_w = Fix(E)_w + sum_g Im(g - 1),
+    a direct sum, and the rank of those rows is the codimension of the fixed
+    space; a later e_group must stay a group for this count to hold.  A map that sends a term outside the piece gives no
+    dimension there, and the row fails."""
     specs = e_group()
     for w in range(check_window(max_weight) + 1):
-        efixed = graded_dim(2, w, "efixed")
-        target = graded_dim(8, w, "plus")
+        basis = graded_basis(2, w, "full")
+        # each basis state is one term of coefficient one
+        index = {t: i for i, b in enumerate(basis) for t in b.terms}
+        moved = [(apply(spec, b) - b).terms for spec in specs for b in basis]
+        dim = None
+        if all(row.keys() <= index.keys() for row in moved):
+            ech = EchelonBasis(len(basis))
+            for row in moved:
+                ech.insert({index[t]: c for t, c in row.items()})
+            dim = len(basis) - ech.rank
         fixed = all(apply(spec, b) == b for b in graded_basis(2, w, "efixed") for spec in specs)
         rep.check(
             f"four-group fixed space at weight {w}",
             "efixed-space",
-            {"dim": target, "pointwise-fixed": True},
-            {"dim": efixed, "pointwise-fixed": fixed},
+            {"dim": graded_dim(8, w, "plus"), "pointwise-fixed": True},
+            {"dim": dim, "pointwise-fixed": fixed},
         )
 
 
@@ -501,11 +520,11 @@ def split_H_J():
 
 
 def _matrix_on(basis: list, image) -> list:
-    """Matrix (rows) of the map image on the weight-4 basis, whose span the
+    """Matrix (rows) of the map image on a basis of one weight, whose span the
     map must preserve: column r holds minus the basis part of the relation of
     image(basis[r]), read after the basis by `relations`."""
-    d = len(basis)
-    vectors = [coordinates(b, 4) for b in basis] + [coordinates(image(b), 4) for b in basis]
+    d, w = len(basis), basis[0].weight()
+    vectors = [coordinates(b, w) for b in basis] + [coordinates(image(b), w) for b in basis]
     rels = {j: x for j, x in relations(vectors, len(vectors[0]), 2 * d) if j >= d}
     if len(rels) != d:
         raise AssertionError("the map does not preserve the span of the basis")
@@ -513,15 +532,12 @@ def _matrix_on(basis: list, image) -> list:
 
 
 def _line_permutation(spec) -> tuple:
-    """Permutation induced on the three distinguished weight-1 lines."""
-    ys = y_basis()
-    sub = [GradedSubspace(2, 1) for _ in ys]
-    for g, y in zip(sub, ys):
-        g.insert(y)
+    """Permutation induced on the three distinguished weight-1 lines: column
+    r of the map's matrix on `y_basis` has its one nonzero entry at row pi(r)."""
+    m = _matrix_on(list(y_basis()), partial(apply, spec))
     out = []
-    for y in ys:
-        img = apply(spec, y)
-        hits = [j for j, g in enumerate(sub) if g.contains(img)]
+    for r in range(3):
+        hits = [i for i in range(3) if m[i][r]]
         if len(hits) != 1:
             raise AssertionError("image of a distinguished line is not a line")
         out.append(hits[0])

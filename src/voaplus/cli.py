@@ -13,6 +13,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from . import __version__
@@ -185,12 +186,7 @@ def _mode_checks_report(max_weight: int) -> Report:
         )
 
     pool = bases.get(2, []) + bases.get(3, [])
-    combos = []
-    for u in pool:
-        for v in pool:
-            for w in pool:
-                for pq in ((1, 1), (2, -1)):
-                    combos.append((u, v, w, pq))
+    combos = list(product(pool, pool, pool, ((1, 1), (2, -1))))
     stride = max(1, len(combos) // 20)
     picked = combos[::stride][:20]
     for idx, (u, v, w, (p, q)) in enumerate(picked):

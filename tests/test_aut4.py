@@ -548,15 +548,51 @@ def test_line_permutations_of_the_three_rotations():
         rotation_sigma(4)
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        pytest.param(lambda y1, y2, y3: (y1 + y2, y2, y3), "is not a line", id="y1 to y1+y2"),
+        pytest.param(lambda y1, y2, y3: (y2, y2, y3), "do not form a permutation", id="y1 to y2"),
+    ],
+)
+def test_a_map_that_does_not_permute_the_lines_raises(monkeypatch, images, message):
+    ys = y_basis()
+    table = dict(zip(ys, images(*ys)))
+    monkeypatch.setattr(aut4, "apply", lambda spec, s: table[s])
+    with pytest.raises(AssertionError, match=message):
+        _line_permutation(theta_spec(2))
+
+
 def test_four_group_fixed_space_matches_the_norm_8_plus_space():
     specs = e_group()
     assert len(specs) == 3
     rep = Report("aut")
-    e_fixed_check(rep, 6)
+    e_fixed_check(rep, 7)
     assert rep.status == "pass"
     dims = [c.actual["dim"] for c in rep.checks]
-    assert dims == [1, 0, 1, 1, 4, 4, 8]
-    assert dims == [graded_dim(8, w, "plus") for w in range(7)]
+    assert dims == [1, 0, 1, 1, 4, 4, 8, 10]
+    assert dims == [graded_dim(8, w, "plus") for w in range(8)]
+
+
+def test_a_four_group_with_the_identity_for_tau1_fails_from_weight_1(monkeypatch):
+    # E = {1, theta} fixes the norm-2 plus space, larger than the norm-8 one
+    # from weight 1 on; the "efixed" basis is still fixed pointwise
+    th, one = theta_spec(2), torus_spec(2, 1)
+    monkeypatch.setattr(aut4, "e_group", lambda: (one, th, compose_specs(th, one)))
+    rep = Report("aut")
+    e_fixed_check(rep, 6)
+    assert rep.failures() == [f"four-group fixed space at weight {w}" for w in range(1, 7)]
+    assert [c.actual["dim"] for c in rep.checks] == [graded_dim(2, w, "plus") for w in range(7)]
+    assert all(c.actual["pointwise-fixed"] for c in rep.checks)
+
+
+def test_an_image_outside_the_piece_fails_the_four_group_row_without_raising(monkeypatch):
+    # alpha(-1) raises the weight by one, so every image leaves its piece
+    monkeypatch.setattr(aut4, "apply", lambda spec, s: mode(ALPHA, -1, s))
+    rep = Report("aut")
+    e_fixed_check(rep, 3)
+    assert rep.failures() == [f"four-group fixed space at weight {w}" for w in range(4)]
+    assert [c.actual["dim"] for c in rep.checks] == [None] * 4
 
 
 def test_weight_four_split_and_projector():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import runpy
 import subprocess
 import sys
@@ -17,6 +18,9 @@ from voaplus.fock import State, graded_basis
 from voaplus.report import Report, parse_report, render_json
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+PINNED = Path(__file__).with_name("pinned_reports.txt")
+# The desk JSON report's sha256, pinned by the desk test and by the table.
+DESK_JSON_SHA256 = "3c8cdd4faeaa1dd29cce60fdbd6158135f761d3ca138f2e9a872390b9c2d1acc"
 
 
 def run_cli(argv):
@@ -349,7 +353,7 @@ def test_the_desk_is_its_subcommand_invocations(capsys):
     code, desk = run_cli(["all", "--format", "json"])
     assert code == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "3c8cdd4faeaa1dd29cce60fdbd6158135f761d3ca138f2e9a872390b9c2d1acc"
+    assert digest == DESK_JSON_SHA256
     rows = iter(desk.checks)
     for label, argv in cli.DESK:
         code, part = run_cli(argv.split())
@@ -364,6 +368,51 @@ def test_the_desk_is_its_subcommand_invocations(capsys):
     workloads = runpy.run_path(str(REFERENCE.parent / "workloads.py"))["WORKLOADS"]
     desk_argv = {argv for _, argv in cli.DESK}
     assert {" ".join(part) for parts in workloads.values() for part in parts} <= desk_argv
+
+
+def test_the_pinned_report_table_is_well_formed():
+    # parses the table only: its reports run through run_pinned_reports.py
+    read_table = runpy.run_path(str(PINNED.with_name("run_pinned_reports.py")))["read_table"]
+    rows = list(read_table(PINNED).values())
+    assert len(rows) >= 33
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _, _, _ in rows)
+    runs = [(flags, " ".join(argv)) for _, _, flags, argv in rows]
+    assert len(set(runs)) == len(runs)
+    assert {flags for flags, _ in runs} <= {"-", "-S", "-X dev -W error"}
+    parser = cli._build_parser()
+    for _, _, _, argv in rows:
+        parser.parse_args(argv)  # a refused argv raises cli._UsageError
+    limits = {" ".join(argv): limit for _, limit, _, argv in rows if limit is not None}
+    assert limits == {
+        "aut --case theta --max-weight 7 --format json": 48,
+        "aut --case torus --max-weight 7 --format json": 26,
+        "mode-checks --max-weight 12 --format json": 34,
+        "cg --max 64 --format json": 60,
+    }
+    desk_json = {digest for digest, _, _, argv in rows if argv[0] == "all" and argv[-1] == "json"}
+    assert desk_json == {DESK_JSON_SHA256}
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("", ValueError),
+        ("# a comment only\n\n", ValueError),
+        ("abc | - | -\n", ValueError),
+        ("abc | - | -O | symn --n 3\n", ValueError),
+        ("abc | lots | - | symn --n 3\n", ValueError),
+        (None, OSError),
+    ],
+    ids=["empty", "comments-only", "three-fields", "unknown-flags", "bad-limit", "missing"],
+)
+def test_an_unusable_pinned_report_table_raises(tmp_path, text, error):
+    # the runner exits 2 on exactly these errors of read_table
+    read_table = runpy.run_path(str(PINNED.with_name("run_pinned_reports.py")))["read_table"]
+    table = tmp_path / "table.txt"
+    if text is not None:
+        table.write_text(text, encoding="utf-8")
+    with pytest.raises(error):
+        read_table(table)
 
 
 def test_out_failure_exits_2(tmp_path, capsys):
